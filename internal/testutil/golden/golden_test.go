@@ -1,8 +1,9 @@
 // Package golden is the end-to-end regression corpus: three tiny
 // checked-in datasets (testdata/*.answers.tsv + *.truth.tsv) and, for
 // every method applicable to each, the exact truth vector it inferred
-// when the corpus was last blessed (testdata/truths.json). The
-// table-driven test diffs current output against the goldens, so any
+// when the corpus was last blessed (testdata/truths.json) plus a SHA-256
+// digest of every bit of its result (testdata/digests.json). The
+// table-driven tests diff current output against the goldens, so any
 // change to any method's numerical behavior — intended or not — shows up
 // as a reviewable diff of this directory.
 //
@@ -12,18 +13,22 @@
 package golden
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"flag"
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	ti "truthinference"
 	"truthinference/internal/testutil"
 )
 
-var update = flag.Bool("update", false, "rewrite the golden datasets and expected truths")
+var update = flag.Bool("update", false, "rewrite the golden datasets, expected truths and result digests")
 
 // goldenOptions is the fixed inference configuration of the corpus.
 var goldenOptions = ti.Options{Seed: 7, MaxIterations: 50}
@@ -52,7 +57,8 @@ var corpus = []struct {
 	}},
 }
 
-func truthsPath() string { return filepath.Join("testdata", "truths.json") }
+func truthsPath() string  { return filepath.Join("testdata", "truths.json") }
+func digestsPath() string { return filepath.Join("testdata", "digests.json") }
 
 // TestGoldenTruths infers every applicable method over every corpus
 // dataset and diffs the truth vector against the blessed golden. Exact
@@ -138,4 +144,112 @@ func diffTruths(t *testing.T, method string, numeric bool, got, want []float64) 
 			t.Errorf("%s: task %d = %v, golden %v", method, i, got[i], want[i])
 		}
 	}
+}
+
+// TestGoldenDigests pins every corpus result bit for bit: for each
+// applicable method on each corpus dataset, testdata/digests.json holds a
+// SHA-256 over the float64 bits of every Result field. TestGoldenTruths
+// catches a changed label; this catches any changed bit, which is the
+// contract of kernel rewrites that must not move outputs (columnar sweeps,
+// transcendentals hoisted out of inner loops). Run it after
+// TestGoldenTruths, which regenerates the datasets under -update.
+//
+// The digests are pinned on amd64 only. Elsewhere the compiler fuses
+// multiply-adds and math.Exp is pure Go, so last bits legitimately
+// differ. On amd64, math.Exp takes its FMA path when the CPU has AVX and
+// FMA, as every current x86-64 server does.
+func TestGoldenDigests(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("result digests are pinned on amd64; on %s fused multiply-adds and the pure-Go math.Exp change last bits", runtime.GOARCH)
+	}
+	digests := map[string]map[string]string{}
+	if !*update {
+		data, err := os.ReadFile(digestsPath())
+		if err != nil {
+			t.Fatalf("golden digests missing (run with -update to bless): %v", err)
+		}
+		if err := json.Unmarshal(data, &digests); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, c := range corpus {
+		t.Run(c.name, func(t *testing.T) {
+			d, err := ti.LoadDataset(filepath.Join("testdata", c.name))
+			if err != nil {
+				t.Fatalf("load corpus dataset (run with -update to bless): %v", err)
+			}
+			if *update {
+				digests[c.name] = map[string]string{}
+			}
+			for _, m := range ti.MethodsForType(d.Type) {
+				res, err := m.Infer(d, goldenOptions)
+				if err != nil {
+					t.Errorf("%s: %v", m.Name(), err)
+					continue
+				}
+				got := resultDigest(res)
+				if *update {
+					digests[c.name][m.Name()] = got
+					continue
+				}
+				want, ok := digests[c.name][m.Name()]
+				switch {
+				case !ok:
+					t.Errorf("%s: no golden digest recorded (run with -update to bless)", m.Name())
+				case got != want:
+					t.Errorf("%s: result digest %s, golden %s: some output bit changed", m.Name(), got, want)
+				}
+			}
+		})
+	}
+	if *update {
+		data, err := json.MarshalIndent(digests, "", " ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(digestsPath(), append(data, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// resultDigest hashes every field of r: float64s by their IEEE bits,
+// each slice behind its length so that no two different results share a
+// byte stream.
+func resultDigest(r *ti.Result) string {
+	h := sha256.New()
+	var buf []byte
+	word := func(x uint64) { buf = binary.LittleEndian.AppendUint64(buf, x) }
+	vec := func(xs []float64) {
+		word(uint64(len(xs)))
+		for _, x := range xs {
+			word(math.Float64bits(x))
+		}
+	}
+	vec(r.Truth)
+	word(uint64(len(r.Posterior)))
+	for _, row := range r.Posterior {
+		vec(row)
+	}
+	vec(r.WorkerQuality)
+	vec(r.WorkerVariance)
+	word(uint64(len(r.Confusion)))
+	for _, m := range r.Confusion {
+		word(uint64(len(m)))
+		for _, row := range m {
+			vec(row)
+		}
+	}
+	word(uint64(len(r.Community)))
+	for _, c := range r.Community {
+		word(uint64(c))
+	}
+	word(uint64(r.Iterations))
+	converged := uint64(0)
+	if r.Converged {
+		converged = 1
+	}
+	word(converged)
+	h.Write(buf)
+	return hex.EncodeToString(h.Sum(nil))
 }
