@@ -269,28 +269,39 @@ func MaxAbsDiff(a, b []float64) float64 {
 
 // ArgmaxTieBreak returns the index of the maximum of w; exact ties are
 // broken by pick, which receives the number of tied candidates and returns
-// the chosen rank (callers pass rng.Intn for random tie-breaks, or a
-// deterministic function in tests). A single maximum never invokes pick.
+// the chosen rank among them in index order (callers pass rng.Intn for
+// random tie-breaks, or a deterministic function in tests). A single
+// maximum never invokes pick. It allocates nothing: one pass finds the
+// maximum and the tie count, and a second pass (ties only) locates the
+// picked rank.
 func ArgmaxTieBreak(w []float64, pick func(n int) int) int {
 	if len(w) == 0 {
 		return -1
 	}
 	best := w[0]
-	ties := []int{0}
+	first, ties := 0, 1
 	for i, x := range w[1:] {
 		switch {
 		case x > best:
 			best = x
-			ties = ties[:1]
-			ties[0] = i + 1
+			first = i + 1
+			ties = 1
 		case x == best:
-			ties = append(ties, i+1)
+			ties++
 		}
 	}
-	if len(ties) == 1 {
-		return ties[0]
+	if ties == 1 {
+		return first
 	}
-	return ties[pick(len(ties))]
+	rank := pick(ties)
+	for i := first; ; i++ {
+		if w[i] == best {
+			if rank == 0 {
+				return i
+			}
+			rank--
+		}
+	}
 }
 
 // ArgmaxHashTie returns the index of the maximum of w with exact ties

@@ -54,6 +54,44 @@ func TestArgmaxTieBreak(t *testing.T) {
 	}
 }
 
+// TestArgmaxTieBreakRanksTies checks every vector of length 1–5 over
+// {0, 1, 2, NaN} and every pick rank: the result is the rank-th index
+// (in index order) of the tie list that the running maximum builds, pick
+// sees the tie count, and nothing is allocated.
+func TestArgmaxTieBreakRanksTies(t *testing.T) {
+	alphabet := []float64{0, 1, 2, math.NaN()}
+	for n := 1; n <= 5; n++ {
+		w := make([]float64, n)
+		for code := 0; code < int(math.Pow(4, float64(n))); code++ {
+			for i, c := 0, code; i < n; i, c = i+1, c/4 {
+				w[i] = alphabet[c%4]
+			}
+			// The tie list: reset on every new running maximum,
+			// extended on every value equal to it.
+			best, ties := w[0], []int{0}
+			for i := 1; i < n; i++ {
+				if w[i] > best {
+					best, ties = w[i], []int{i}
+				} else if w[i] == best {
+					ties = append(ties, i)
+				}
+			}
+			for rank := range ties {
+				seen := 0
+				got := ArgmaxTieBreak(w, func(k int) int { seen = k; return rank })
+				if got != ties[rank] || (len(ties) > 1 && seen != len(ties)) {
+					t.Fatalf("ArgmaxTieBreak(%v) with rank %d = %d (pick saw %d), want %d of ties %v",
+						w, rank, got, seen, ties[rank], ties)
+				}
+			}
+		}
+	}
+	w := []float64{2, 1, 2, 2}
+	if allocs := testing.AllocsPerRun(10, func() { ArgmaxTieBreak(w, func(k int) int { return k - 1 }) }); allocs != 0 {
+		t.Errorf("ArgmaxTieBreak allocates %.0f times on a tie", allocs)
+	}
+}
+
 func TestPosteriorLabelsHonorsGolden(t *testing.T) {
 	post := [][]float64{{0.9, 0.1}, {0.2, 0.8}}
 	golden := map[int]float64{0: 1}

@@ -94,9 +94,7 @@ func (m *BCC) Infer(d *dataset.Dataset, opts core.Options) (*core.Result, error)
 	samples := 0
 
 	for sweep := 0; sweep < sweeps; sweep++ {
-		g.sampleConfusions(int64(sweep), nil, 0)
-		g.sampleClassPrior(int64(sweep))
-		g.sampleLabels(int64(sweep))
+		g.step(int64(sweep))
 		if sweep >= burn {
 			samples++
 			for i, z := range g.labels {
@@ -137,143 +135,190 @@ func (m *BCC) Infer(d *dataset.Dataset, opts core.Options) (*core.Result, error)
 }
 
 // gibbsState holds the chain's variables; it is shared with the CBCC
-// implementation in cbcc.go, which reuses the same chassis.
+// implementation in cbcc.go, which reuses the same chassis. The sweeps
+// read the dataset's CSR arrays, whose rows keep ascending answer order,
+// and allocate nothing: the per-goroutine streams and scratch and the
+// step functions handed to the pool are all built once per Infer.
 type gibbsState struct {
-	d          *dataset.Dataset
-	seed       int64        // base seed for per-(sweep, entity) RNG streams
-	pool       *engine.Pool // fans sweep inner loops out over workers/tasks
-	labels     []int        // current z_i
-	conf       *confusion   // current per-worker confusion matrices
-	classProbs []float64    // current class prior ρ
+	c     *dataset.CSR
+	ell   int
+	seed  int64        // base seed for per-(sweep, entity) RNG streams
+	pool  *engine.Pool // fans sweep inner loops out over workers/tasks
+	sweep int64        // the sweep being sampled, read by the step functions
+
+	labels     []int      // current z_i
+	conf       *confusion // current per-worker confusion matrices
+	classProbs []float64  // current class prior ρ
 	// counts[w][j][k]: worker w's answers k on tasks currently labeled j.
 	counts *confusion
+	// logConf and logPrior hold the logs of conf and classProbs, taken
+	// once per sweep right after each draw, so the label step takes no
+	// log per answer.
+	logConf  *confusion
+	logPrior []float64
+
+	// comm, when non-nil (CBCC), replaces the flat diagonal prior of each
+	// worker's confusion rows with its community's representative rows.
+	comm *communities
+
+	classAlpha []float64   // class-prior Dirichlet parameters
+	slots      []gibbsSlot // one per pool goroutine slot
+
+	countStep, confStep, labelStep func(slot, lo, hi int)
+}
+
+// gibbsSlot is one pool goroutine's RNG stream and scratch.
+type gibbsSlot struct {
+	rng   *randx.Stream
+	alpha []float64 // Dirichlet parameters of one confusion row
+	logw  []float64 // log weights of one task's label
 }
 
 func newGibbsState(d *dataset.Dataset, rng *rand.Rand, seed int64, pool *engine.Pool) *gibbsState {
+	ell := d.NumChoices
 	g := &gibbsState{
-		d:          d,
+		c:          dataset.BuildCSR(d),
+		ell:        ell,
 		seed:       seed,
 		pool:       pool,
 		labels:     make([]int, d.NumTasks),
-		conf:       newConfusion(d.NumWorkers, d.NumChoices),
-		classProbs: make([]float64, d.NumChoices),
-		counts:     newConfusion(d.NumWorkers, d.NumChoices),
+		conf:       newConfusion(d.NumWorkers, ell),
+		classProbs: make([]float64, ell),
+		counts:     newConfusion(d.NumWorkers, ell),
+		logConf:    newConfusion(d.NumWorkers, ell),
+		logPrior:   make([]float64, ell),
+		classAlpha: make([]float64, ell),
+		slots:      make([]gibbsSlot, pool.Workers()),
 	}
+	for s := range g.slots {
+		g.slots[s] = gibbsSlot{rng: randx.NewStream(), alpha: make([]float64, ell), logw: make([]float64, ell)}
+	}
+	g.countStep, g.confStep, g.labelStep = g.countRows, g.drawConfusions, g.drawLabels
+
 	// Initialize labels by majority vote with random tie-breaks: a good
 	// chain start that matches the EM methods' initialization.
-	votes := make([]float64, d.NumChoices)
+	c := g.c
+	votes := make([]float64, ell)
 	for i := 0; i < d.NumTasks; i++ {
 		for k := range votes {
 			votes[k] = 0
 		}
-		idxs := d.TaskAnswers(i)
-		for _, ai := range idxs {
-			votes[d.Answers[ai].Label()]++
-		}
-		if len(idxs) == 0 {
-			g.labels[i] = rng.Intn(d.NumChoices)
+		if c.TaskDegree(i) == 0 {
+			g.labels[i] = rng.Intn(ell)
 			continue
+		}
+		for p := c.TaskOff[i]; p < c.TaskOff[i+1]; p++ {
+			votes[c.TaskLabel[p]]++
 		}
 		g.labels[i] = core.ArgmaxTieBreak(votes, rng.Intn)
 	}
 	for k := range g.classProbs {
-		g.classProbs[k] = 1 / float64(d.NumChoices)
+		g.classProbs[k] = 1 / float64(ell)
 	}
 	return g
+}
+
+// step runs one Gibbs sweep: every worker's confusion rows, the class
+// prior, then every task's label.
+func (g *gibbsState) step(sweep int64) {
+	g.sweep = sweep
+	g.refreshCounts()
+	g.pool.ForSlot(g.c.NumWorkers, g.confStep)
+	g.sampleClassPrior()
+	g.pool.ForSlot(g.c.NumTasks, g.labelStep)
 }
 
 // refreshCounts rebuilds the (label, answer) count tensor from the current
 // labels, fanned out over workers (each goroutine owns disjoint count
 // rows).
-func (g *gibbsState) refreshCounts() {
-	g.pool.For(g.d.NumWorkers, func(wlo, whi int) {
-		for w := wlo; w < whi; w++ {
-			base := w * g.counts.ell * g.counts.ell
-			rows := g.counts.flat[base : base+g.counts.ell*g.counts.ell]
-			for i := range rows {
-				rows[i] = 0
-			}
-			for _, ai := range g.d.WorkerAnswers(w) {
-				a := g.d.Answers[ai]
-				g.counts.row(w, g.labels[a.Task])[a.Label()]++
-			}
+func (g *gibbsState) refreshCounts() { g.pool.ForSlot(g.c.NumWorkers, g.countStep) }
+
+func (g *gibbsState) countRows(_, wlo, whi int) {
+	c, ell := g.c, g.ell
+	for w := wlo; w < whi; w++ {
+		rows := g.counts.block(w)
+		for x := range rows {
+			rows[x] = 0
 		}
-	})
+		for q := c.WorkerOff[w]; q < c.WorkerOff[w+1]; q++ {
+			rows[g.labels[c.WorkerTask[q]]*ell+int(c.WorkerLabel[q])]++
+		}
+	}
 }
 
-// sampleConfusions draws each worker's confusion rows from their Dirichlet
-// posteriors, fanned out over workers — worker w's rows come from the
-// (seed, sweep, saltConfusion, w) stream, so the draw is independent of
-// every other worker's. When communityPrior is non-nil (the CBCC
-// extension), the prior pseudo-counts of worker w's row j are
-// strength·community[cw[w]].row(j) instead of the flat diagonal prior.
-func (g *gibbsState) sampleConfusions(sweep int64, communityPrior func(w, j int) []float64, strength float64) {
-	g.refreshCounts()
-	ell := g.d.NumChoices
-	g.pool.For(g.d.NumWorkers, func(wlo, whi int) {
-		alpha := make([]float64, ell)
-		for w := wlo; w < whi; w++ {
-			rng := randx.Derived(g.seed, sweep, saltConfusion, int64(w))
-			for j := 0; j < ell; j++ {
-				cnt := g.counts.row(w, j)
-				if communityPrior != nil {
-					base := communityPrior(w, j)
-					for k := 0; k < ell; k++ {
-						alpha[k] = strength*base[k] + cnt[k]
-						if alpha[k] <= 0 {
-							alpha[k] = 1e-3
-						}
-					}
-				} else {
-					for k := 0; k < ell; k++ {
-						p := rowPriorOff
-						if j == k {
-							p = rowPriorDiag
-						}
-						alpha[k] = p + cnt[k]
+// drawConfusions draws each worker's confusion rows from their Dirichlet
+// posteriors, then logs the worker's block — worker w's rows come from
+// the (seed, sweep, saltConfusion, w) stream, so the draw is independent
+// of every other worker's. Under CBCC the prior pseudo-counts of worker
+// w's row j are CommunityStrength times its community's row j instead of
+// the flat diagonal prior.
+func (g *gibbsState) drawConfusions(slot, wlo, whi int) {
+	ell, sc := g.ell, &g.slots[slot]
+	alpha := sc.alpha
+	for w := wlo; w < whi; w++ {
+		rng := sc.rng.Reseed(g.seed, g.sweep, saltConfusion, int64(w))
+		for j := 0; j < ell; j++ {
+			cnt := g.counts.row(w, j)
+			if g.comm != nil {
+				base := g.comm.rep.row(g.comm.membership[w], j)
+				for k := 0; k < ell; k++ {
+					alpha[k] = CommunityStrength*base[k] + cnt[k]
+					if alpha[k] <= 0 {
+						alpha[k] = 1e-3
 					}
 				}
-				row := randx.Dirichlet(rng, alpha)
-				copy(g.conf.row(w, j), row)
+			} else {
+				for k := 0; k < ell; k++ {
+					p := rowPriorOff
+					if j == k {
+						p = rowPriorDiag
+					}
+					alpha[k] = p + cnt[k]
+				}
 			}
+			randx.DirichletInto(rng, alpha, g.conf.row(w, j))
 		}
-	})
+		logBlock(g.logConf.block(w), g.conf.block(w))
+	}
 }
 
-// sampleClassPrior draws ρ from its Dirichlet posterior.
-func (g *gibbsState) sampleClassPrior(sweep int64) {
-	ell := g.d.NumChoices
-	alpha := make([]float64, ell)
-	for k := range alpha {
-		alpha[k] = classPrior
+// sampleClassPrior draws ρ from its Dirichlet posterior and logs it.
+func (g *gibbsState) sampleClassPrior() {
+	for k := range g.classAlpha {
+		g.classAlpha[k] = classPrior
 	}
 	for _, z := range g.labels {
-		alpha[z]++
+		g.classAlpha[z]++
 	}
-	copy(g.classProbs, randx.Dirichlet(randx.Derived(g.seed, sweep, saltClass), alpha))
+	randx.DirichletInto(g.slots[0].rng.Reseed(g.seed, g.sweep, saltClass), g.classAlpha, g.classProbs)
+	logBlock(g.logPrior, g.classProbs)
 }
 
-// sampleLabels draws each task's label from its full conditional, fanned
+// drawLabels draws each task's label from its full conditional, fanned
 // out over tasks — task i's draw comes from the (seed, sweep, saltLabel,
 // i) stream.
-func (g *gibbsState) sampleLabels(sweep int64) {
-	ell := g.d.NumChoices
-	g.pool.For(g.d.NumTasks, func(ilo, ihi int) {
-		logw := make([]float64, ell)
-		for i := ilo; i < ihi; i++ {
-			for k := 0; k < ell; k++ {
-				logw[k] = logOf(g.classProbs[k])
+func (g *gibbsState) drawLabels(slot, ilo, ihi int) {
+	c, ell, sc := g.c, g.ell, &g.slots[slot]
+	logw := sc.logw
+	for i := ilo; i < ihi; i++ {
+		copy(logw, g.logPrior)
+		for p := c.TaskOff[i]; p < c.TaskOff[i+1]; p++ {
+			lrows := g.logConf.block(int(c.TaskWorker[p]))
+			lab := int(c.TaskLabel[p])
+			for j := 0; j < ell; j++ {
+				logw[j] += lrows[j*ell+lab]
 			}
-			for _, ai := range g.d.TaskAnswers(i) {
-				a := g.d.Answers[ai]
-				for j := 0; j < ell; j++ {
-					logw[j] += logOf(g.conf.row(a.Worker, j)[a.Label()])
-				}
-			}
-			mathx.NormalizeLog(logw)
-			g.labels[i] = randx.Categorical(randx.Derived(g.seed, sweep, saltLabel, int64(i)), logw)
 		}
-	})
+		mathx.NormalizeLog(logw)
+		g.labels[i] = randx.Categorical(sc.rng.Reseed(g.seed, g.sweep, saltLabel, int64(i)), logw)
+	}
+}
+
+// logBlock sets dst[x] = logOf(src[x]).
+func logBlock(dst, src []float64) {
+	for x, v := range src {
+		dst[x] = logOf(v)
+	}
 }
 
 func logOf(x float64) float64 {
@@ -296,4 +341,11 @@ func newConfusion(workers, ell int) *confusion {
 func (c *confusion) row(worker, j int) []float64 {
 	base := (worker*c.ell + j) * c.ell
 	return c.flat[base : base+c.ell]
+}
+
+// block returns all ℓ rows of one worker's (or community's) matrix,
+// row j at [j·ℓ, (j+1)·ℓ).
+func (c *confusion) block(worker int) []float64 {
+	n := c.ell * c.ell
+	return c.flat[worker*n : (worker+1)*n]
 }

@@ -67,26 +67,8 @@ func (m *CBCC) Infer(d *dataset.Dataset, opts core.Options) (*core.Result, error
 
 	g := newGibbsState(d, rng, opts.Seed, opts.EnginePool())
 	ell := d.NumChoices
-
-	// Community state: representative matrices and worker memberships.
-	comm := newConfusion(M, ell)
-	for c := 0; c < M; c++ {
-		// Stagger the initial diagonals so communities start distinct
-		// (e.g. experts / average / spammers).
-		diag := 0.9 - 0.3*float64(c)/math.Max(1, float64(M-1))
-		off := (1 - diag) / float64(ell-1)
-		for j := 0; j < ell; j++ {
-			row := comm.row(c, j)
-			for k := range row {
-				if j == k {
-					row[k] = diag
-				} else {
-					row[k] = off
-				}
-			}
-		}
-	}
-	membership := make([]int, d.NumWorkers)
+	cm := newCommunities(g, M)
+	membership := cm.membership
 	for w := range membership {
 		membership[w] = rng.Intn(M)
 	}
@@ -96,14 +78,10 @@ func (m *CBCC) Infer(d *dataset.Dataset, opts core.Options) (*core.Result, error
 	memTally := make([]int, d.NumWorkers*M)
 	samples := 0
 
-	communityPrior := func(w, j int) []float64 { return comm.row(membership[w], j) }
-
 	for sweep := 0; sweep < sweeps; sweep++ {
-		g.sampleConfusions(int64(sweep), communityPrior, CommunityStrength)
-		g.sampleClassPrior(int64(sweep))
-		g.sampleLabels(int64(sweep))
-		sampleMemberships(int64(sweep), g, comm, membership)
-		updateCommunities(g, comm, membership)
+		g.step(int64(sweep))
+		cm.sampleMemberships()
+		cm.update()
 		if sweep >= burn {
 			samples++
 			for i, z := range g.labels {
@@ -158,55 +136,100 @@ func (m *CBCC) Infer(d *dataset.Dataset, opts core.Options) (*core.Result, error
 	}, nil
 }
 
-// sampleMemberships re-draws every worker's community from the categorical
-// likelihood of their current (label, answer) counts under each
-// community's representative matrix, fanned out over workers — worker w
-// draws from the (seed, sweep, saltMembership, w) stream.
-func sampleMemberships(sweep int64, g *gibbsState, comm *confusion, membership []int) {
-	g.refreshCounts()
-	M := len(comm.flat) / (comm.ell * comm.ell)
-	g.pool.For(g.d.NumWorkers, func(wlo, whi int) {
-		logw := make([]float64, M)
-		for w := wlo; w < whi; w++ {
-			for c := 0; c < M; c++ {
-				var ll float64
-				for j := 0; j < g.d.NumChoices; j++ {
-					cnt := g.counts.row(w, j)
-					rep := comm.row(c, j)
-					for k, n := range cnt {
-						if n > 0 {
-							ll += n * logOf(rep[k])
-						}
-					}
-				}
-				logw[c] = ll
-			}
-			mathx.NormalizeLog(logw)
-			membership[w] = randx.Categorical(randx.Derived(g.seed, sweep, saltMembership, int64(w)), logw)
-		}
-	})
+// communities is CBCC's state on top of the Gibbs chassis: each
+// community's representative confusion matrix, its logs (taken once per
+// sweep), every worker's current community, and reused scratch.
+type communities struct {
+	g          *gibbsState
+	m          int
+	rep        *confusion // representative matrices
+	logRep     *confusion // logOf(rep), refreshed by sampleMemberships
+	agg        *confusion // update's member-count aggregate
+	membership []int
+	logw       [][]float64 // per-slot log weights over communities
+	memberStep func(slot, lo, hi int)
 }
 
-// updateCommunities recomputes each community's representative matrix as
-// the smoothed aggregate of its members' counts.
-func updateCommunities(g *gibbsState, comm *confusion, membership []int) {
-	ell := g.d.NumChoices
-	M := len(comm.flat) / (ell * ell)
-	agg := newConfusion(M, ell)
+// newCommunities attaches m communities to g, with staggered initial
+// diagonals so they start distinct (e.g. experts / average / spammers).
+// Memberships start at community 0; the caller draws them.
+func newCommunities(g *gibbsState, m int) *communities {
+	ell := g.ell
+	cm := &communities{
+		g:          g,
+		m:          m,
+		rep:        newConfusion(m, ell),
+		logRep:     newConfusion(m, ell),
+		agg:        newConfusion(m, ell),
+		membership: make([]int, g.c.NumWorkers),
+		logw:       make([][]float64, len(g.slots)),
+	}
+	for s := range cm.logw {
+		cm.logw[s] = make([]float64, m)
+	}
+	cm.memberStep = cm.drawMemberships
+	for c := 0; c < m; c++ {
+		diag := 0.9 - 0.3*float64(c)/math.Max(1, float64(m-1))
+		off := (1 - diag) / float64(ell-1)
+		for j := 0; j < ell; j++ {
+			row := cm.rep.row(c, j)
+			for k := range row {
+				if j == k {
+					row[k] = diag
+				} else {
+					row[k] = off
+				}
+			}
+		}
+	}
+	g.comm = cm
+	return cm
+}
+
+// sampleMemberships re-draws every worker's community from the categorical
+// likelihood of their current (label, answer) counts under each
+// community's representative matrix, whose logs it takes once up front.
+func (cm *communities) sampleMemberships() {
+	cm.g.refreshCounts()
+	logBlock(cm.logRep.flat, cm.rep.flat)
+	cm.g.pool.ForSlot(cm.g.c.NumWorkers, cm.memberStep)
+}
+
+// drawMemberships is sampleMemberships fanned out over workers — worker
+// w draws from the (seed, sweep, saltMembership, w) stream.
+func (cm *communities) drawMemberships(slot, wlo, whi int) {
+	g, logw := cm.g, cm.logw[slot]
+	for w := wlo; w < whi; w++ {
+		cnt := g.counts.block(w)
+		for c := 0; c < cm.m; c++ {
+			lrep := cm.logRep.block(c)
+			var ll float64
+			for x, n := range cnt {
+				if n > 0 {
+					ll += n * lrep[x]
+				}
+			}
+			logw[c] = ll
+		}
+		mathx.NormalizeLog(logw)
+		cm.membership[w] = randx.Categorical(g.slots[slot].rng.Reseed(g.seed, g.sweep, saltMembership, int64(w)), logw)
+	}
+}
+
+// update recomputes each community's representative matrix as the
+// smoothed aggregate of its members' counts.
+func (cm *communities) update() {
+	g, ell, agg := cm.g, cm.g.ell, cm.agg
 	for i := range agg.flat {
 		agg.flat[i] = 0
 	}
-	for w := 0; w < g.d.NumWorkers; w++ {
-		c := membership[w]
-		for j := 0; j < ell; j++ {
-			cnt := g.counts.row(w, j)
-			row := agg.row(c, j)
-			for k, n := range cnt {
-				row[k] += n
-			}
+	for w, c := range cm.membership {
+		row := agg.block(c)
+		for x, n := range g.counts.block(w) {
+			row[x] += n
 		}
 	}
-	for c := 0; c < M; c++ {
+	for c := 0; c < cm.m; c++ {
 		for j := 0; j < ell; j++ {
 			row := agg.row(c, j)
 			for k := range row {
@@ -217,7 +240,7 @@ func updateCommunities(g *gibbsState, comm *confusion, membership []int) {
 				row[k] += p
 			}
 			mathx.Normalize(row)
-			copy(comm.row(c, j), row)
+			copy(cm.rep.row(c, j), row)
 		}
 	}
 }

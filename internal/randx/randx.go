@@ -104,7 +104,13 @@ func Beta(rng *rand.Rand, a, b float64) float64 {
 // Dirichlet draws a probability vector from Dirichlet(alpha). The result
 // has the same length as alpha.
 func Dirichlet(rng *rand.Rand, alpha []float64) []float64 {
-	out := make([]float64, len(alpha))
+	return DirichletInto(rng, alpha, make([]float64, len(alpha)))
+}
+
+// DirichletInto is Dirichlet drawing into out, which must have alpha's
+// length and must not alias it; it returns out. Both consume the same
+// draws from rng, so they produce the same vector.
+func DirichletInto(rng *rand.Rand, alpha, out []float64) []float64 {
 	var sum float64
 	for i, a := range alpha {
 		g := Gamma(rng, a)
@@ -230,12 +236,30 @@ func (s *splitmixSource) Uint64() uint64  { return splitmix64(&s.state) }
 func (s *splitmixSource) Int63() int64    { return int64(s.Uint64() >> 1) }
 func (s *splitmixSource) Seed(seed int64) { s.state = uint64(seed) }
 
-// Derived returns a *rand.Rand seeded from Mix(parts...). It is the
-// per-entity RNG used by the parallel Gibbs sweeps: each (sweep, entity)
-// pair gets an independent deterministic stream, so entities can be
-// sampled concurrently without any draw-order dependence.
-func Derived(parts ...int64) *rand.Rand {
-	return rand.New(&splitmixSource{state: Mix(parts...)})
+// Stream is the per-entity RNG of the parallel Gibbs sweeps: Reseed
+// starts an independent deterministic stream keyed by its parts (seed,
+// sweep, salt, entity), so entities can be sampled concurrently without
+// any draw-order dependence. One Stream serves every entity a goroutine
+// samples, so reseeding allocates nothing. A Stream is not safe for
+// concurrent use.
+type Stream struct {
+	src splitmixSource
+	rng *rand.Rand
+}
+
+// NewStream returns a Stream; Reseed it before drawing.
+func NewStream() *Stream {
+	s := &Stream{}
+	s.rng = rand.New(&s.src)
+	return s
+}
+
+// Reseed restarts the stream at Mix(parts...) and returns it. Two
+// Reseeds with equal parts yield the same draws, whatever was drawn
+// before.
+func (s *Stream) Reseed(parts ...int64) *rand.Rand {
+	s.src.state = Mix(parts...)
+	return s.rng
 }
 
 // Zipf draws from a bounded Zipf-like distribution over {0,...,n-1} with

@@ -2,6 +2,7 @@ package randx
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -227,5 +228,36 @@ func TestHashPick3MatchesHashPick(t *testing.T) {
 	allocs := testing.AllocsPerRun(100, func() { HashPick3(5, 1, 2, 3) })
 	if allocs != 0 {
 		t.Fatalf("HashPick3 allocated %.1f times per call, want 0", allocs)
+	}
+}
+
+func TestDirichletIntoMatchesDirichlet(t *testing.T) {
+	alpha := []float64{0.5, 2, 7}
+	want := Dirichlet(New(3), alpha)
+	out := []float64{9, 9, 9}
+	got := DirichletInto(New(3), alpha, out)
+	for i := range want {
+		if got[i] != want[i] || out[i] != want[i] {
+			t.Fatalf("DirichletInto = %v (out %v), Dirichlet = %v", got, out, want)
+		}
+	}
+}
+
+// TestStreamReseedRestarts pins the property the Gibbs sweeps rely on: a
+// reseeded Stream yields exactly the draws of a fresh splitmix source at
+// Mix(parts...), whatever it drew before.
+func TestStreamReseedRestarts(t *testing.T) {
+	s := NewStream()
+	for _, parts := range [][]int64{{7, 0, 0x2A93, 4}, {7, 3, 0x3B17}, {7, 0, 0x2A93, 4}} {
+		fresh := rand.New(&splitmixSource{state: Mix(parts...)})
+		rng := s.Reseed(parts...)
+		for i := 0; i < 20; i++ {
+			if got, want := rng.NormFloat64(), fresh.NormFloat64(); got != want {
+				t.Fatalf("parts %v draw %d: %v, fresh source %v", parts, i, got, want)
+			}
+			if got, want := rng.Intn(5), fresh.Intn(5); got != want {
+				t.Fatalf("parts %v draw %d: Intn %d, fresh source %d", parts, i, got, want)
+			}
+		}
 	}
 }
