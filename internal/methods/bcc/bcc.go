@@ -164,6 +164,8 @@ type gibbsState struct {
 	classAlpha []float64   // class-prior Dirichlet parameters
 	slots      []gibbsSlot // one per pool goroutine slot
 
+	// The loop bodies handed to pool.ForSlot, as method values bound
+	// once: evaluating g.countRows at every call would allocate.
 	countStep, confStep, labelStep func(slot, lo, hi int)
 }
 

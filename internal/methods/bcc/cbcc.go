@@ -146,8 +146,8 @@ type communities struct {
 	logRep     *confusion // logOf(rep), refreshed by sampleMemberships
 	agg        *confusion // update's member-count aggregate
 	membership []int
-	logw       [][]float64 // per-slot log weights over communities
-	memberStep func(slot, lo, hi int)
+	logw       [][]float64            // per-slot log weights over communities
+	memberStep func(slot, lo, hi int) // drawMemberships, bound once
 }
 
 // newCommunities attaches m communities to g, with staggered initial

@@ -18,6 +18,7 @@ type Metrics struct {
 	quotaInFlight *telemetry.Gauge
 	epochSeconds  *telemetry.Histogram
 	epochs        *telemetry.Counter
+	epochFailures *telemetry.Counter
 	warmStarts    *telemetry.Counter
 	folded        *telemetry.Counter
 }
@@ -46,6 +47,9 @@ func NewMetrics(reg *telemetry.Registry, tenant, method string) *Metrics {
 			telemetry.LatencyBuckets, "tenant", "method").With(tenant, method),
 		epochs: reg.Counter("truthserve_epochs_total",
 			"Completed inference epochs, by tenant and method.",
+			"tenant", "method").With(tenant, method),
+		epochFailures: reg.Counter("truthserve_epoch_failures_total",
+			"Failed inference epochs (the error is in /stats last_error), by tenant and method.",
 			"tenant", "method").With(tenant, method),
 		warmStarts: reg.Counter("truthserve_warm_start_hits_total",
 			"Epochs that resumed from the previous posterior instead of cold init.",
@@ -90,6 +94,13 @@ func (m *Metrics) observeEpoch(d time.Duration, warm bool) {
 	if warm {
 		m.warmStarts.Inc()
 	}
+}
+
+func (m *Metrics) observeEpochFailure() {
+	if m == nil {
+		return
+	}
+	m.epochFailures.Inc()
 }
 
 func (m *Metrics) observeFolded(n int) {

@@ -279,7 +279,8 @@ func (s *Service) DurableTo(version uint64) (durableVersion uint64, durable bool
 // epoch runs at a time, and any number of batches arriving during a
 // running epoch collapse into exactly one follow-up (the queued flag is
 // held until the follow-up owns inferMu, so its snapshot covers them
-// all). Epoch errors are retained in Stats.LastError.
+// all). Epoch errors are retained in Stats.LastError and counted in
+// truthserve_epoch_failures_total.
 func (s *Service) refreshAsync() {
 	if !s.queued.CompareAndSwap(false, true) {
 		return
@@ -297,9 +298,7 @@ func (s *Service) refreshAsync() {
 		}
 		err := s.refreshLocked()
 		s.inferMu.Unlock()
-		s.mu.Lock()
-		s.lastErr = err
-		s.mu.Unlock()
+		s.setLastErr(err)
 	}()
 }
 
@@ -337,10 +336,20 @@ func (s *Service) Refresh() error {
 		return ErrClosed
 	}
 	err := s.refreshLocked()
+	s.setLastErr(err)
+	return err
+}
+
+// setLastErr publishes an epoch's outcome as Stats.LastError and counts
+// every failure other than ErrClosed on the epoch-failure counter, so a
+// failed epoch is visible in /metrics and not only in /stats.
+func (s *Service) setLastErr(err error) {
 	s.mu.Lock()
 	s.lastErr = err
 	s.mu.Unlock()
-	return err
+	if err != nil && !errors.Is(err, ErrClosed) {
+		s.cfg.Metrics.observeEpochFailure()
+	}
 }
 
 // refreshLocked runs one epoch; the caller holds inferMu.
