@@ -305,44 +305,16 @@ func ArgmaxTieBreak(w []float64, pick func(n int) int) int {
 }
 
 // ArgmaxHashTie returns the index of the maximum of w with exact ties
-// broken by randx.HashPick3(seed, iter, entity) — the allocation-free
-// equivalent of ArgmaxTieBreak with a HashPick closure, used by the
-// zero-allocation CSR truth sweeps of PM and CATD. For every input it
-// returns exactly what
+// broken by randx.HashPick3(seed, iter, entity), used by the
+// zero-allocation CSR truth sweeps of PM and CATD: the pick depends only
+// on (seed, iteration, entity), so it is identical at every parallelism
+// level. For every input it returns exactly what
 //
 //	ArgmaxTieBreak(w, func(n int) int { return randx.HashPick(n, seed, iter, entity) })
 //
-// returns, without materializing the tie list or the closure: one pass
-// finds the maximum and the tie count, and a second pass (ties only)
-// locates the picked rank.
+// returns; the closure does not escape, so it allocates nothing.
 func ArgmaxHashTie(w []float64, seed, iter, entity int64) int {
-	if len(w) == 0 {
-		return -1
-	}
-	best := w[0]
-	first, ties := 0, 1
-	for i, x := range w[1:] {
-		switch {
-		case x > best:
-			best = x
-			first = i + 1
-			ties = 1
-		case x == best:
-			ties++
-		}
-	}
-	if ties == 1 {
-		return first
-	}
-	rank := randx.HashPick3(ties, seed, iter, entity)
-	for i := first; ; i++ {
-		if w[i] == best {
-			if rank == 0 {
-				return i
-			}
-			rank--
-		}
-	}
+	return ArgmaxTieBreak(w, func(n int) int { return randx.HashPick3(n, seed, iter, entity) })
 }
 
 // PosteriorLabels converts a tasks × choices posterior into hard labels

@@ -57,7 +57,7 @@ func TestArgmaxTieBreak(t *testing.T) {
 // TestArgmaxTieBreakRanksTies checks every vector of length 1–5 over
 // {0, 1, 2, NaN} and every pick rank: the result is the rank-th index
 // (in index order) of the tie list that the running maximum builds, pick
-// sees the tie count, and nothing is allocated.
+// sees the tie count, and neither it nor ArgmaxHashTie allocates.
 func TestArgmaxTieBreakRanksTies(t *testing.T) {
 	alphabet := []float64{0, 1, 2, math.NaN()}
 	for n := 1; n <= 5; n++ {
@@ -87,8 +87,11 @@ func TestArgmaxTieBreakRanksTies(t *testing.T) {
 		}
 	}
 	w := []float64{2, 1, 2, 2}
-	if allocs := testing.AllocsPerRun(10, func() { ArgmaxTieBreak(w, func(k int) int { return k - 1 }) }); allocs != 0 {
-		t.Errorf("ArgmaxTieBreak allocates %.0f times on a tie", allocs)
+	if allocs := testing.AllocsPerRun(10, func() {
+		ArgmaxTieBreak(w, func(k int) int { return k - 1 })
+		ArgmaxHashTie(w, 7, 3, 1)
+	}); allocs != 0 {
+		t.Errorf("ArgmaxTieBreak or ArgmaxHashTie allocates %.0f times on a tie", allocs)
 	}
 }
 

@@ -157,13 +157,15 @@ func TestKernelMatchesMapImplementation(t *testing.T) {
 	}
 }
 
+type optionRow struct {
+	name string
+	opts core.Options
+}
+
 // optionRows returns base plus one variant per option path: every third
 // task pinned to its truth, qualification accuracies for all but every
 // third worker, and a warm start from a shorter run's Result.Warm().
-func optionRows(t *testing.T, d *dataset.Dataset, base core.Options) []struct {
-	name string
-	opts core.Options
-} {
+func optionRows(t *testing.T, d *dataset.Dataset, base core.Options) []optionRow {
 	t.Helper()
 	golden := base
 	golden.Golden = map[int]float64{}
@@ -186,10 +188,7 @@ func optionRows(t *testing.T, d *dataset.Dataset, base core.Options) []struct {
 	}
 	warm := base
 	warm.WarmStart = prev.Warm()
-	return []struct {
-		name string
-		opts core.Options
-	}{{"plain", base}, {"golden", golden}, {"qualification", qual}, {"warm start", warm}}
+	return []optionRow{{"plain", base}, {"golden", golden}, {"qualification", qual}, {"warm start", warm}}
 }
 
 // arrivalOrder returns d with its answers shuffled, so the answer order no
