@@ -231,18 +231,6 @@ func TestHashPick3MatchesHashPick(t *testing.T) {
 	}
 }
 
-func TestDirichletIntoMatchesDirichlet(t *testing.T) {
-	alpha := []float64{0.5, 2, 7}
-	want := Dirichlet(New(3), alpha)
-	out := []float64{9, 9, 9}
-	got := DirichletInto(New(3), alpha, out)
-	for i := range want {
-		if got[i] != want[i] || out[i] != want[i] {
-			t.Fatalf("DirichletInto = %v (out %v), Dirichlet = %v", got, out, want)
-		}
-	}
-}
-
 // TestStreamReseedRestarts pins the property the Gibbs sweeps rely on: a
 // reseeded Stream yields exactly the draws of a fresh splitmix source at
 // Mix(parts...), whatever it drew before.
