@@ -332,6 +332,9 @@ func PosteriorLabels(post [][]float64, golden map[int]float64, pick func(n int) 
 }
 
 // UniformPosterior allocates a tasks × choices matrix filled with 1/ℓ.
+// The rows share one flat backing array in row order, row i at
+// [i·ℓ, (i+1)·ℓ), and row 0's capacity spans it: post[0][:numTasks·ℓ] is
+// the whole matrix as one slice.
 func UniformPosterior(numTasks, numChoices int) [][]float64 {
 	flat := make([]float64, numTasks*numChoices)
 	u := 1 / float64(numChoices)

@@ -13,7 +13,9 @@ package core
 // joined the dataset after the state was captured, whose indices lie
 // beyond the stored slices.
 //
-// All accessors are nil-receiver safe, so method implementations can
+// A WarmState is read-only: Result.Warm aliases the result's slices, so
+// a method copies whatever it takes from the state and never writes to
+// it. All accessors are nil-receiver safe, so method implementations can
 // consult opts.WarmStart unconditionally.
 type WarmState struct {
 	// Posterior holds tasks × choices posterior probabilities from the
@@ -35,52 +37,19 @@ type WarmState struct {
 	Truth []float64
 }
 
-// Warm packages the result into a deep-copied WarmState suitable for
-// seeding the next epoch's run on a grown dataset.
+// Warm packages the result as a WarmState for seeding the next epoch's
+// run on a grown dataset. The state aliases the result's slices instead
+// of copying them, so neither may be modified while the other is in use.
 func (r *Result) Warm() *WarmState {
 	if r == nil {
 		return nil
 	}
-	w := &WarmState{
-		WorkerQuality:  append([]float64(nil), r.WorkerQuality...),
-		WorkerVariance: append([]float64(nil), r.WorkerVariance...),
-		Truth:          append([]float64(nil), r.Truth...),
-	}
-	if r.Posterior != nil {
-		w.Posterior = make([][]float64, len(r.Posterior))
-		for i, row := range r.Posterior {
-			w.Posterior[i] = append([]float64(nil), row...)
-		}
-	}
-	if r.Confusion != nil {
-		w.Confusion = make([][][]float64, len(r.Confusion))
-		for i, mat := range r.Confusion {
-			cp := make([][]float64, len(mat))
-			for j, row := range mat {
-				cp[j] = append([]float64(nil), row...)
-			}
-			w.Confusion[i] = cp
-		}
-	}
-	return w
-}
-
-// SeedPosterior copies warm posterior rows into post for every task the
-// state covers, skipping rows whose choice count differs (the dataset's ℓ
-// changed between epochs). Rows beyond the warm state keep their cold
-// initialization.
-func (w *WarmState) SeedPosterior(post [][]float64) {
-	if w == nil {
-		return
-	}
-	n := len(w.Posterior)
-	if n > len(post) {
-		n = len(post)
-	}
-	for i := 0; i < n; i++ {
-		if len(w.Posterior[i]) == len(post[i]) {
-			copy(post[i], w.Posterior[i])
-		}
+	return &WarmState{
+		Posterior:      r.Posterior,
+		WorkerQuality:  r.WorkerQuality,
+		WorkerVariance: r.WorkerVariance,
+		Confusion:      r.Confusion,
+		Truth:          r.Truth,
 	}
 }
 

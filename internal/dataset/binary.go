@@ -59,7 +59,7 @@ func (d *Dataset) MarshalBinary() ([]byte, error) {
 }
 
 // UnmarshalDataset decodes a dataset marshaled with MarshalBinary and
-// rebuilds (and thereby re-validates) its indices.
+// rebuilds (and thereby re-validates) its answer index.
 func UnmarshalDataset(data []byte) (*Dataset, error) {
 	c := cursor{data: data}
 	if string(c.take(len(binaryMagic))) != binaryMagic {
@@ -74,7 +74,7 @@ func UnmarshalDataset(data []byte) (*Dataset, error) {
 	d.NumChoices = int(c.uvarint())
 	d.NumTasks = int(c.uvarint())
 	d.NumWorkers = int(c.uvarint())
-	// Insanity guard: Build allocates per-task/per-worker index slots, so
+	// Insanity guard: Build allocates per-task/per-worker CSR offsets, so
 	// refuse dims no real dataset reaches before attempting that (the
 	// same cap stream.MaxDim enforces at ingest time).
 	const maxBinaryDim = 1 << 26

@@ -2,6 +2,8 @@ package dataset
 
 import (
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -46,14 +48,23 @@ func randomDataset(t *testing.T, typ TaskType, seed int64) *Dataset {
 	return d
 }
 
-// TestCSRMatchesIndices cross-checks both CSR layouts against the
-// dataset's own byTask/byWorker index slices: same rows, same in-row
-// answer order, same labels/values — the property the kernels' bit-exact
-// equivalence rests on.
+// TestCSRMatchesIndices cross-checks both layouts of the dataset's CSR
+// against a plain scan of Answers: same rows, answers in ascending index
+// order within a row, same labels/values — the property the kernels'
+// bit-exact equivalence rests on. A fresh BuildCSR equals the built one.
 func TestCSRMatchesIndices(t *testing.T) {
 	for _, typ := range []TaskType{Decision, SingleChoice, Numeric} {
 		d := randomDataset(t, typ, int64(typ)+1)
-		c := BuildCSR(d)
+		c := d.CSR()
+		if !reflect.DeepEqual(c, BuildCSR(d)) {
+			t.Fatalf("%v: BuildCSR differs from the dataset's CSR", typ)
+		}
+		byTask := make([][]int32, d.NumTasks)
+		byWorker := make([][]int32, d.NumWorkers)
+		for i, a := range d.Answers {
+			byTask[a.Task] = append(byTask[a.Task], int32(i))
+			byWorker[a.Worker] = append(byWorker[a.Worker], int32(i))
+		}
 		if c.NumTasks != d.NumTasks || c.NumWorkers != d.NumWorkers || c.NumChoices != d.NumChoices {
 			t.Fatalf("%v: dims (%d,%d,%d) != dataset (%d,%d,%d)", typ,
 				c.NumTasks, c.NumWorkers, c.NumChoices, d.NumTasks, d.NumWorkers, d.NumChoices)
@@ -62,7 +73,10 @@ func TestCSRMatchesIndices(t *testing.T) {
 			t.Fatalf("%v: offsets do not cover all %d answers", typ, len(d.Answers))
 		}
 		for i := 0; i < d.NumTasks; i++ {
-			idxs := d.TaskAnswers(i)
+			idxs := byTask[i]
+			if !slices.Equal(d.TaskAnswers(i), idxs) {
+				t.Fatalf("%v task %d: answers %v, want %v", typ, i, d.TaskAnswers(i), idxs)
+			}
 			if c.TaskDegree(i) != len(idxs) {
 				t.Fatalf("%v task %d: CSR degree %d, index degree %d", typ, i, c.TaskDegree(i), len(idxs))
 			}
@@ -82,7 +96,10 @@ func TestCSRMatchesIndices(t *testing.T) {
 			}
 		}
 		for w := 0; w < d.NumWorkers; w++ {
-			idxs := d.WorkerAnswers(w)
+			idxs := byWorker[w]
+			if !slices.Equal(d.WorkerAnswers(w), idxs) {
+				t.Fatalf("%v worker %d: answers %v, want %v", typ, w, d.WorkerAnswers(w), idxs)
+			}
 			if c.WorkerDegree(w) != len(idxs) {
 				t.Fatalf("%v worker %d: CSR degree %d, index degree %d", typ, w, c.WorkerDegree(w), len(idxs))
 			}

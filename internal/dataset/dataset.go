@@ -72,13 +72,12 @@ type Dataset struct {
 	// datasets only expose truth for a subset of tasks (Table 5).
 	Truth map[int]float64
 
-	byTask   [][]int // answer indices per task
-	byWorker [][]int // answer indices per worker
+	csr *CSR // the answer index, built by Build
 }
 
-// New constructs a dataset and builds its indices. It validates that every
-// answer references a task and worker inside the declared ranges and, for
-// categorical types, a choice in [0, ℓ).
+// New constructs a dataset and builds its answer index. It validates that
+// every answer references a task and worker inside the declared ranges
+// and, for categorical types, a choice in [0, ℓ).
 func New(name string, typ TaskType, numChoices, numTasks, numWorkers int, answers []Answer, truth map[int]float64) (*Dataset, error) {
 	d := &Dataset{
 		Name:       name,
@@ -95,9 +94,12 @@ func New(name string, typ TaskType, numChoices, numTasks, numWorkers int, answer
 	return d, nil
 }
 
-// Build validates the dataset and (re)builds the per-task and per-worker
-// indices. It must be called after any direct mutation of Answers.
+// Build validates the dataset and (re)builds its answer index, the CSR:
+// one counting pass that also validates every answer, then one scatter.
+// It must be called after any direct mutation of Answers or of the
+// declared ranges; on error the dataset has no index.
 func (d *Dataset) Build() error {
+	d.csr = nil
 	if d.NumTasks < 0 || d.NumWorkers < 0 {
 		return errors.New("dataset: negative task or worker count")
 	}
@@ -118,35 +120,49 @@ func (d *Dataset) Build() error {
 	default:
 		return fmt.Errorf("dataset %q: unknown task type %d", d.Name, int(d.Type))
 	}
-	d.byTask = make([][]int, d.NumTasks)
-	d.byWorker = make([][]int, d.NumWorkers)
-	for idx, a := range d.Answers {
-		if a.Task < 0 || a.Task >= d.NumTasks {
-			return fmt.Errorf("dataset %q: answer %d references task %d outside [0,%d)", d.Name, idx, a.Task, d.NumTasks)
-		}
-		if a.Worker < 0 || a.Worker >= d.NumWorkers {
-			return fmt.Errorf("dataset %q: answer %d references worker %d outside [0,%d)", d.Name, idx, a.Worker, d.NumWorkers)
-		}
-		if d.Type != Numeric {
-			l := a.Label()
-			if float64(l) != a.Value || l < 0 || l >= d.NumChoices {
-				return fmt.Errorf("dataset %q: answer %d has invalid label %v for %d choices", d.Name, idx, a.Value, d.NumChoices)
-			}
-		} else if math.IsNaN(a.Value) || math.IsInf(a.Value, 0) {
-			return fmt.Errorf("dataset %q: answer %d has non-finite numeric value", d.Name, idx)
-		}
-		d.byTask[a.Task] = append(d.byTask[a.Task], idx)
-		d.byWorker[a.Worker] = append(d.byWorker[a.Worker], idx)
+	c, err := buildCSR(d)
+	if err != nil {
+		return err
 	}
 	for t, v := range d.Truth {
-		if t < 0 || t >= d.NumTasks {
-			return fmt.Errorf("dataset %q: truth references task %d outside [0,%d)", d.Name, t, d.NumTasks)
+		if err := d.CheckTruth(t, v); err != nil {
+			return err
 		}
-		if d.Type != Numeric {
-			l := int(v)
-			if float64(l) != v || l < 0 || l >= d.NumChoices {
-				return fmt.Errorf("dataset %q: truth for task %d has invalid label %v", d.Name, t, v)
-			}
+	}
+	d.csr = c
+	return nil
+}
+
+// CheckAnswer validates one answer against the dataset's ranges and task
+// type, with the rules Build enforces.
+func (d *Dataset) CheckAnswer(a Answer) error {
+	if a.Task < 0 || a.Task >= d.NumTasks {
+		return fmt.Errorf("dataset %q: answer references task %d outside [0,%d)", d.Name, a.Task, d.NumTasks)
+	}
+	if a.Worker < 0 || a.Worker >= d.NumWorkers {
+		return fmt.Errorf("dataset %q: answer references worker %d outside [0,%d)", d.Name, a.Worker, d.NumWorkers)
+	}
+	if d.Type != Numeric {
+		l := a.Label()
+		if float64(l) != a.Value || l < 0 || l >= d.NumChoices {
+			return fmt.Errorf("dataset %q: answer has invalid label %v for %d choices", d.Name, a.Value, d.NumChoices)
+		}
+	} else if math.IsNaN(a.Value) || math.IsInf(a.Value, 0) {
+		return fmt.Errorf("dataset %q: answer has non-finite numeric value", d.Name)
+	}
+	return nil
+}
+
+// CheckTruth validates one ground truth against the dataset's task range
+// and task type, with the rules Build enforces on the Truth map.
+func (d *Dataset) CheckTruth(task int, v float64) error {
+	if task < 0 || task >= d.NumTasks {
+		return fmt.Errorf("dataset %q: truth references task %d outside [0,%d)", d.Name, task, d.NumTasks)
+	}
+	if d.Type != Numeric {
+		l := int(v)
+		if float64(l) != v || l < 0 || l >= d.NumChoices {
+			return fmt.Errorf("dataset %q: truth for task %d has invalid label %v", d.Name, task, v)
 		}
 	}
 	return nil
@@ -156,12 +172,24 @@ func (d *Dataset) Build() error {
 // single-choice tasks (as opposed to numeric ones).
 func (d *Dataset) Categorical() bool { return d.Type != Numeric }
 
-// TaskAnswers returns the indices into Answers for task i (W_i in the
-// paper's notation, as answer records).
-func (d *Dataset) TaskAnswers(task int) []int { return d.byTask[task] }
+// CSR returns the dataset's answer index, built by Build. Every reader of
+// the dataset shares it, so it is read-only.
+func (d *Dataset) CSR() *CSR { return d.csr }
 
-// WorkerAnswers returns the indices into Answers for worker w (T^w).
-func (d *Dataset) WorkerAnswers(worker int) []int { return d.byWorker[worker] }
+// TaskAnswers returns the indices into Answers of task i's answers (W_i
+// in the paper's notation, as answer records), in ascending order. The
+// slice is a read-only view of the CSR.
+func (d *Dataset) TaskAnswers(task int) []int32 {
+	lo, hi := d.csr.TaskOff[task], d.csr.TaskOff[task+1]
+	return d.csr.TaskAnswer[lo:hi:hi]
+}
+
+// WorkerAnswers returns the indices into Answers of worker w's answers
+// (T^w), in ascending order. The slice is a read-only view of the CSR.
+func (d *Dataset) WorkerAnswers(worker int) []int32 {
+	lo, hi := d.csr.WorkerOff[worker], d.csr.WorkerOff[worker+1]
+	return d.csr.WorkerAnswer[lo:hi:hi]
+}
 
 // Redundancy returns |V|/n, the average number of answers per task
 // (Table 5's |V|/n column). It is zero for an empty dataset.
@@ -175,15 +203,13 @@ func (d *Dataset) Redundancy() float64 {
 // MaxRedundancy returns the largest number of answers any task received.
 func (d *Dataset) MaxRedundancy() int {
 	m := 0
-	for _, idxs := range d.byTask {
-		if len(idxs) > m {
-			m = len(idxs)
-		}
+	for i := 0; i < d.NumTasks; i++ {
+		m = max(m, d.csr.TaskDegree(i))
 	}
 	return m
 }
 
-// Clone returns a deep copy of the dataset, including indices.
+// Clone returns a deep copy of the dataset with its own answer index.
 func (d *Dataset) Clone() *Dataset {
 	cp := &Dataset{
 		Name:       d.Name,
@@ -213,9 +239,9 @@ func (d *Dataset) SampleRedundancy(r int, rng *rand.Rand) *Dataset {
 		r = 0
 	}
 	keep := make([]Answer, 0, min(len(d.Answers), r*d.NumTasks))
-	perm := make([]int, 0, 64)
+	perm := make([]int32, 0, 64)
 	for task := 0; task < d.NumTasks; task++ {
-		idxs := d.byTask[task]
+		idxs := d.TaskAnswers(task)
 		if len(idxs) <= r {
 			for _, ai := range idxs {
 				keep = append(keep, d.Answers[ai])
@@ -282,11 +308,4 @@ func (d *Dataset) TruthVector() []float64 {
 		out[t] = v
 	}
 	return out
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -3,6 +3,7 @@ package dataset
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -53,21 +54,54 @@ func TestNewValidation(t *testing.T) {
 		{"single-choice with 1 choice", func() (*Dataset, error) {
 			return New("x", SingleChoice, 1, 1, 1, nil, nil)
 		}},
+		// Labels are uint16 codes in the CSR, so a store declaring more
+		// choices is refused when it is created, not when it first
+		// indexes an answer.
+		{"choices beyond MaxChoices, no answers", func() (*Dataset, error) {
+			return New("x", SingleChoice, 70000, 0, 0, nil, nil)
+		}},
+		{"choices beyond MaxChoices", func() (*Dataset, error) {
+			return New("x", SingleChoice, MaxChoices+1, 1, 1, []Answer{{Task: 0, Worker: 0, Value: 1}}, nil)
+		}},
 	}
 	for _, c := range cases {
 		if _, err := c.fn(); err == nil {
 			t.Errorf("%s: expected error", c.name)
 		}
 	}
+	// MaxChoices itself is indexable, up to its last label.
+	d, err := New("x", SingleChoice, MaxChoices, 1, 1, []Answer{{Task: 0, Worker: 0, Value: MaxChoices - 1}}, nil)
+	if err != nil {
+		t.Fatalf("MaxChoices rejected: %v", err)
+	}
+	if got := d.CSR().TaskLabel[0]; int(got) != MaxChoices-1 {
+		t.Errorf("label code %d, want %d", got, MaxChoices-1)
+	}
+}
+
+func TestCheckTruthValidates(t *testing.T) {
+	d := small(t)
+	if err := d.CheckTruth(1, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.CheckTruth(3, 0); err == nil {
+		t.Error("out-of-range task accepted")
+	}
+	if err := d.CheckTruth(0, 0.5); err == nil {
+		t.Error("fractional label accepted for categorical task")
+	}
+	if err := d.CheckTruth(0, 2); err == nil {
+		t.Error("label beyond the choices accepted")
+	}
 }
 
 func TestIndices(t *testing.T) {
 	d := small(t)
-	if got := len(d.TaskAnswers(0)); got != 2 {
-		t.Errorf("task 0 has %d answers, want 2", got)
+	if got := d.TaskAnswers(0); !slices.Equal(got, []int32{0, 1}) {
+		t.Errorf("task 0 answers %v, want [0 1]", got)
 	}
-	if got := len(d.WorkerAnswers(1)); got != 2 {
-		t.Errorf("worker 1 has %d answers, want 2", got)
+	if got := d.WorkerAnswers(1); !slices.Equal(got, []int32{1, 3}) {
+		t.Errorf("worker 1 answers %v, want [1 3]", got)
 	}
 	if got := d.Redundancy(); math.Abs(got-4.0/3) > 1e-12 {
 		t.Errorf("redundancy %v, want 4/3", got)

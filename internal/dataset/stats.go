@@ -49,7 +49,7 @@ func Consistency(d *Dataset) float64 {
 		var total float64
 		counts := make([]float64, d.NumChoices)
 		for task := 0; task < d.NumTasks; task++ {
-			idxs := d.byTask[task]
+			idxs := d.TaskAnswers(task)
 			if len(idxs) == 0 {
 				continue
 			}
@@ -74,7 +74,7 @@ func Consistency(d *Dataset) float64 {
 	var total float64
 	vals := make([]float64, 0, 64)
 	for task := 0; task < d.NumTasks; task++ {
-		idxs := d.byTask[task]
+		idxs := d.TaskAnswers(task)
 		if len(idxs) == 0 {
 			continue
 		}
@@ -98,7 +98,7 @@ func Consistency(d *Dataset) float64 {
 func WorkerRedundancy(d *Dataset) []int {
 	out := make([]int, d.NumWorkers)
 	for w := range out {
-		out[w] = len(d.byWorker[w])
+		out[w] = d.csr.WorkerDegree(w)
 	}
 	return out
 }
@@ -143,7 +143,7 @@ func WorkerAccuracy(d *Dataset) []float64 {
 	out := make([]float64, d.NumWorkers)
 	for w := 0; w < d.NumWorkers; w++ {
 		correct, total := 0, 0
-		for _, ai := range d.byWorker[w] {
+		for _, ai := range d.WorkerAnswers(w) {
 			a := d.Answers[ai]
 			tv, ok := d.Truth[a.Task]
 			if !ok {
@@ -171,7 +171,7 @@ func WorkerRMSE(d *Dataset) []float64 {
 	for w := 0; w < d.NumWorkers; w++ {
 		var ss float64
 		total := 0
-		for _, ai := range d.byWorker[w] {
+		for _, ai := range d.WorkerAnswers(w) {
 			a := d.Answers[ai]
 			tv, ok := d.Truth[a.Task]
 			if !ok {

@@ -43,9 +43,17 @@ func LogSumExp(xs []float64) float64 {
 	if math.IsInf(m, -1) {
 		return m
 	}
+	// An entry equal to a finite maximum adds exp(0), which is exactly 1.
+	// A +Inf or NaN maximum keeps the exp (exp(+Inf − +Inf) is NaN), so
+	// such inputs still yield NaN.
+	finite := !math.IsInf(m, 1) && !math.IsNaN(m)
 	var s float64
 	for _, x := range xs {
-		s += math.Exp(x - m)
+		if x == m && finite {
+			s++
+		} else {
+			s += math.Exp(x - m)
+		}
 	}
 	return m + math.Log(s)
 }

@@ -69,7 +69,35 @@ func TestLogSumExp(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+	// Non-finite entries: -Inf adds nothing, and a +Inf or NaN maximum,
+	// or a NaN beside a finite one, yields NaN. NaN never compares above
+	// -Inf, so an all -Inf-or-NaN slice led by -Inf stays -Inf.
+	inf, nan := math.Inf(1), math.NaN()
+	for _, c := range []struct {
+		xs   []float64
+		want float64
+	}{
+		{[]float64{-inf, 0}, 0},
+		{[]float64{1, 1, -inf}, 1 + math.Log(2)},
+		{[]float64{-inf, -inf}, -inf},
+		{[]float64{-inf, nan}, -inf},
+		{[]float64{inf, 0}, nan},
+		{[]float64{0, inf}, nan},
+		{[]float64{inf, inf}, nan},
+		{[]float64{inf, -inf}, nan},
+		{[]float64{nan, 0}, nan},
+		{[]float64{0, nan}, nan},
+		{[]float64{nan, -inf}, nan},
+		{[]float64{inf, nan}, nan},
+	} {
+		if got := LogSumExp(c.xs); !same(got, c.want) {
+			t.Errorf("LogSumExp(%v) = %v, want %v", c.xs, got, c.want)
+		}
+	}
 }
+
+// same reports whether a and b are equal or both NaN.
+func same(a, b float64) bool { return a == b || (math.IsNaN(a) && math.IsNaN(b)) }
 
 func TestNormalizeLogProducesDistribution(t *testing.T) {
 	f := func(xs []float64) bool {
@@ -98,6 +126,25 @@ func TestNormalizeLogProducesDistribution(t *testing.T) {
 	NormalizeLog(logw)
 	if logw[0] != 0.5 || logw[1] != 0.5 {
 		t.Errorf("NormalizeLog(-Inf,-Inf) = %v, want uniform", logw)
+	}
+	// Non-finite entries, following LogSumExp's rows above.
+	inf, nan := math.Inf(1), math.NaN()
+	for _, c := range []struct{ in, want []float64 }{
+		{[]float64{-inf, 0}, []float64{0, 1}},
+		{[]float64{-inf, nan}, []float64{0.5, 0.5}},
+		{[]float64{inf, 0}, []float64{nan, nan}},
+		{[]float64{inf, inf}, []float64{nan, nan}},
+		{[]float64{nan, 0}, []float64{nan, nan}},
+		{[]float64{0, nan}, []float64{nan, nan}},
+	} {
+		got := append([]float64(nil), c.in...)
+		NormalizeLog(got)
+		for k := range got {
+			if !same(got[k], c.want[k]) {
+				t.Errorf("NormalizeLog(%v) = %v, want %v", c.in, got, c.want)
+				break
+			}
+		}
 	}
 }
 

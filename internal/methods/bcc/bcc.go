@@ -179,7 +179,7 @@ type gibbsSlot struct {
 func newGibbsState(d *dataset.Dataset, rng *rand.Rand, seed int64, pool *engine.Pool) *gibbsState {
 	ell := d.NumChoices
 	g := &gibbsState{
-		c:          dataset.BuildCSR(d),
+		c:          d.CSR(),
 		ell:        ell,
 		seed:       seed,
 		pool:       pool,

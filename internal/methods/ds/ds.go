@@ -77,7 +77,7 @@ func run(d *dataset.Dataset, opts core.Options, priors func(worker, j, k int) fl
 	rng := randx.New(opts.Seed)
 	pool := opts.EnginePool()
 	ell := d.NumChoices
-	c := dataset.BuildCSR(d)
+	c := d.CSR()
 
 	conf := newConfusion(d.NumWorkers, ell)
 	initConfusion(conf, d, opts)
@@ -122,17 +122,26 @@ func run(d *dataset.Dataset, opts core.Options, priors func(worker, j, k int) fl
 		mathx.Normalize(row)
 	}
 	core.PinGolden(post, opts.Golden)
+	// Every write to post lands in place in UniformPosterior's flat
+	// backing array, which the M-step reads without loading a row header
+	// per answer.
+	var postFlat []float64
+	if d.NumTasks > 0 {
+		postFlat = post[0][:d.NumTasks*ell]
+	}
 
 	flatPrev := make([]float64, d.NumWorkers*ell*ell)
 	logPrior := make([]float64, ell)
 	logConf := newConfusion(d.NumWorkers, ell)
 
 	// M-step: confusion matrices from posteriors, fanned out over
-	// workers — each goroutine owns a disjoint band of conf.flat.
+	// workers — each goroutine owns a disjoint band of conf.flat. Cell
+	// (j, k) of the worker's block is blk[j*ell+k].
 	mStep := func(_, wlo, whi int) {
 		for w := wlo; w < whi; w++ {
+			blk := conf.workerRows(w)
 			for j := 0; j < ell; j++ {
-				row := conf.row(w, j)
+				row := blk[j*ell : (j+1)*ell]
 				for k := range row {
 					row[k] = Smoothing
 					if priors != nil {
@@ -141,14 +150,14 @@ func run(d *dataset.Dataset, opts core.Options, priors func(worker, j, k int) fl
 				}
 			}
 			for p := c.WorkerOff[w]; p < c.WorkerOff[w+1]; p++ {
-				pr := post[c.WorkerTask[p]]
-				lab := c.WorkerLabel[p]
-				for j := 0; j < ell; j++ {
-					conf.row(w, j)[lab] += pr[j]
+				t := int(c.WorkerTask[p]) * ell
+				lab := int(c.WorkerLabel[p])
+				for j, pj := range postFlat[t : t+ell] {
+					blk[j*ell+lab] += pj
 				}
 			}
 			for j := 0; j < ell; j++ {
-				mathx.Normalize(conf.row(w, j))
+				mathx.Normalize(blk[j*ell : (j+1)*ell])
 			}
 		}
 	}

@@ -81,7 +81,7 @@ func (m *GLAD) Infer(d *dataset.Dataset, opts core.Options) (*core.Result, error
 	logBeta := make([]float64, d.NumTasks) // log task easiness, β = e^{logBeta}
 
 	pool := opts.EnginePool()
-	c := dataset.BuildCSR(d)
+	c := d.CSR()
 	post := core.UniformPosterior(d.NumTasks, d.NumChoices)
 	prevAlpha := make([]float64, d.NumWorkers)
 	gradAlpha := make([]float64, d.NumWorkers)
@@ -207,9 +207,9 @@ func (m *GLAD) Infer(d *dataset.Dataset, opts core.Options) (*core.Result, error
 }
 
 // taskPositions maps each worker-major CSR position to the task-major
-// position of the same answer. BuildCSR fills both layouts by a stable
-// scatter in ascending answer order, so replaying that scatter pairs the
-// two positions of every answer.
+// position of the same answer. Both CSR layouts list each row's answers
+// in ascending answer order (a stable scatter), so replaying that
+// scatter pairs the two positions of every answer.
 func taskPositions(d *dataset.Dataset, c *dataset.CSR) []int32 {
 	taskCur := append([]int32(nil), c.TaskOff[:d.NumTasks]...)
 	workerCur := append([]int32(nil), c.WorkerOff[:d.NumWorkers]...)

@@ -113,7 +113,7 @@ func (m *LFCN) Infer(d *dataset.Dataset, opts core.Options) (*core.Result, error
 	if err := core.CheckSupport(m, d, opts); err != nil {
 		return nil, err
 	}
-	c := dataset.BuildCSR(d)
+	c := d.CSR()
 	// Initialize truth with per-task means and variances at the global
 	// answer variance (or the qualification-test error when provided).
 	// A warm start resumes the previous epoch's truth estimates instead.

@@ -74,7 +74,7 @@ func (m *ZC) Infer(d *dataset.Dataset, opts core.Options) (*core.Result, error) 
 	}
 
 	pool := opts.EnginePool()
-	c := dataset.BuildCSR(d)
+	c := d.CSR()
 	post := core.UniformPosterior(d.NumTasks, d.NumChoices)
 	prevQ := make([]float64, d.NumWorkers)
 	logCorrect := make([]float64, d.NumWorkers)

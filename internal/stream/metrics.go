@@ -19,9 +19,15 @@ type Metrics struct {
 	epochSeconds  *telemetry.Histogram
 	epochs        *telemetry.Counter
 	epochFailures *telemetry.Counter
+	iterations    *telemetry.Histogram
+	nonConverged  *telemetry.Counter
 	warmStarts    *telemetry.Counter
 	folded        *telemetry.Counter
 }
+
+// iterationBuckets spans one iteration to ten times the default cap of
+// the Algorithm-1 loop, in powers of two.
+var iterationBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}
 
 // NewMetrics registers the stream service's instruments on reg with
 // per-tenant labels (the epoch histogram also carries the serving
@@ -50,6 +56,12 @@ func NewMetrics(reg *telemetry.Registry, tenant, method string) *Metrics {
 			"tenant", "method").With(tenant, method),
 		epochFailures: reg.Counter("truthserve_epoch_failures_total",
 			"Failed inference epochs (the error is in /stats last_error), by tenant and method.",
+			"tenant", "method").With(tenant, method),
+		iterations: reg.Histogram("truthserve_epoch_iterations",
+			"Algorithm-1 iterations each completed epoch ran, by tenant and method.",
+			iterationBuckets, "tenant", "method").With(tenant, method),
+		nonConverged: reg.Counter("truthserve_epoch_nonconverged_total",
+			"Completed epochs that hit the iteration cap before converging, by tenant and method.",
 			"tenant", "method").With(tenant, method),
 		warmStarts: reg.Counter("truthserve_warm_start_hits_total",
 			"Epochs that resumed from the previous posterior instead of cold init.",
@@ -85,12 +97,16 @@ func (m *Metrics) quotaReserve(n int64) {
 	m.quotaInFlight.Add(float64(n))
 }
 
-func (m *Metrics) observeEpoch(d time.Duration, warm bool) {
+func (m *Metrics) observeEpoch(d time.Duration, warm bool, iterations int, converged bool) {
 	if m == nil {
 		return
 	}
 	m.epochSeconds.Observe(d.Seconds())
 	m.epochs.Inc()
+	m.iterations.Observe(float64(iterations))
+	if !converged {
+		m.nonConverged.Inc()
+	}
 	if warm {
 		m.warmStarts.Inc()
 	}

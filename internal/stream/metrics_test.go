@@ -67,3 +67,40 @@ func TestEpochFailuresCounted(t *testing.T) {
 		t.Errorf("after a good epoch: LastError %q, %d epochs; want empty and 1", st.LastError, st.Epochs)
 	}
 }
+
+// TestEpochConvergenceMetrics pins the convergence series: an epoch
+// capped at one D&S iteration lands one observation of 1 in
+// truthserve_epoch_iterations and counts on
+// truthserve_epoch_nonconverged_total.
+func TestEpochConvergenceMetrics(t *testing.T) {
+	d := testutil.Categorical(testutil.CrowdSpec{NumTasks: 20, NumWorkers: 5, Redundancy: 3, Seed: 1})
+	store, err := NewStore(d.Name, d.Type, d.NumChoices)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := telemetry.NewRegistry()
+	m := ds.New()
+	svc, err := NewService(store, Config{Method: m, Options: core.Options{MaxIterations: 1},
+		Metrics: NewMetrics(reg, "t1", m.Name())})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { svc.Close() })
+	if _, err := svc.Ingest(splitBatches(d, 1)[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.Refresh(); err != nil {
+		t.Fatal(err)
+	}
+	if st := svc.Stats(); st.Converged || st.Iterations != 1 {
+		t.Fatalf("capped epoch: converged %v after %d iterations, want false after 1", st.Converged, st.Iterations)
+	}
+	iters := reg.Histogram("truthserve_epoch_iterations", "", iterationBuckets, "tenant", "method").With("t1", m.Name())
+	if iters.Count() != 1 || iters.Sum() != 1 {
+		t.Errorf("epoch_iterations: count %d, sum %v; want 1 and 1", iters.Count(), iters.Sum())
+	}
+	nonConverged := reg.Counter("truthserve_epoch_nonconverged_total", "", "tenant", "method").With("t1", m.Name())
+	if got := nonConverged.Value(); got != 1 {
+		t.Errorf("epoch_nonconverged_total = %d, want 1", got)
+	}
+}

@@ -379,7 +379,7 @@ func (s *Service) refreshLocked() error {
 		return fmt.Errorf("stream: %s epoch failed: %w", s.method.Name(), err)
 	}
 	elapsed := time.Since(start)
-	s.cfg.Metrics.observeEpoch(elapsed, opts.WarmStart != nil)
+	s.cfg.Metrics.observeEpoch(elapsed, opts.WarmStart != nil, res.Iterations, res.Converged)
 
 	s.mu.Lock()
 	if s.res != nil {

@@ -245,7 +245,7 @@ func (s *Store) Ingest(b Batch) (version uint64, firstNew int, err error) {
 		}
 	}
 	for t, v := range b.Truth {
-		if err := checkTruth(&probe, t, v); err != nil {
+		if err := probe.CheckTruth(t, v); err != nil {
 			return 0, 0, fmt.Errorf("stream: %w", err)
 		}
 	}
@@ -304,20 +304,6 @@ func (s *Store) touchedShards(b Batch) []int {
 	return touched
 }
 
-// checkTruth mirrors dataset.SetTruth validation without mutating.
-func checkTruth(d *dataset.Dataset, task int, v float64) error {
-	if task < 0 || task >= d.NumTasks {
-		return fmt.Errorf("truth references task %d outside [0,%d)", task, d.NumTasks)
-	}
-	if d.Type != dataset.Numeric {
-		l := int(v)
-		if float64(l) != v || l < 0 || l >= d.NumChoices {
-			return fmt.Errorf("truth for task %d has invalid label %v", task, v)
-		}
-	}
-	return nil
-}
-
 // Pin returns a consistent (version, answer count) pair for a
 // non-materializing read: every answer with global index < answers is
 // part of the pinned view, everything at or beyond it is newer. The
@@ -373,7 +359,8 @@ const parallelCopyThreshold = 1 << 14
 // together with the store version it reflects. All shard read locks are
 // held while the shards copy their partitions in parallel into the
 // global answer order; re-inference runs on snapshots so ingestion never
-// blocks behind a long EM run.
+// blocks behind a long EM run. The dataset's answer index is built once,
+// after the locks are released, and every method of the epoch reads it.
 func (s *Store) Snapshot() (*dataset.Dataset, uint64) {
 	for i := range s.shards {
 		s.shards[i].mu.RLock()
@@ -388,18 +375,9 @@ func (s *Store) Snapshot() (*dataset.Dataset, uint64) {
 	s.seq.Unlock()
 
 	answers := make([]dataset.Answer, total)
-	truths := make([]map[int]float64, len(s.shards))
 	copyShard := func(i int) {
-		sh := &s.shards[i]
-		for _, e := range sh.log {
+		for _, e := range s.shards[i].log {
 			answers[e.idx] = e.ans
-		}
-		if len(sh.truth) > 0 {
-			cp := make(map[int]float64, len(sh.truth))
-			for t, v := range sh.truth {
-				cp[t] = v
-			}
-			truths[i] = cp
 		}
 	}
 	if total >= parallelCopyThreshold && len(s.shards) > 1 {
@@ -430,16 +408,18 @@ func (s *Store) Snapshot() (*dataset.Dataset, uint64) {
 			copyShard(i)
 		}
 	}
+	nTruth := 0
 	for i := range s.shards {
+		nTruth += len(s.shards[i].truth)
+	}
+	truth := make(map[int]float64, nTruth)
+	for i := range s.shards {
+		for t, v := range s.shards[i].truth {
+			truth[t] = v
+		}
 		s.shards[i].mu.RUnlock()
 	}
 
-	truth := map[int]float64{}
-	for _, m := range truths {
-		for t, v := range m {
-			truth[t] = v
-		}
-	}
 	d, err := dataset.New(s.name, s.typ, s.numChoices, tasks, workers, answers, truth)
 	if err != nil {
 		// Every committed batch was validated against its target dims, so
@@ -447,14 +427,6 @@ func (s *Store) Snapshot() (*dataset.Dataset, uint64) {
 		panic("stream: snapshot of consistent store failed: " + err.Error())
 	}
 	return d, version
-}
-
-// View runs f over a consistent materialized copy of the store. f must
-// not retain the dataset beyond the call. It costs a full Snapshot; the
-// per-task O(redundancy) read path is TaskValues.
-func (s *Store) View(f func(d *dataset.Dataset)) {
-	d, _ := s.Snapshot()
-	f(d)
 }
 
 // TaskValues returns a copy of one task's answer values in global append

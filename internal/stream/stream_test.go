@@ -17,6 +17,7 @@ import (
 	"truthinference/internal/methods/vi"
 	"truthinference/internal/methods/zc"
 	"truthinference/internal/simulate"
+	"truthinference/internal/testutil"
 )
 
 // splitBatches cuts the dataset's answer stream into k contiguous batches.
@@ -359,6 +360,29 @@ func TestStoreRejectsOversizedBatch(t *testing.T) {
 	}
 	if v := store.Version(); v != 0 {
 		t.Errorf("rejected oversized batch bumped the version to %d", v)
+	}
+}
+
+// TestSnapshotAllocationsConstant pins that Store.Snapshot allocates a
+// fixed number of objects whatever the store's size: the answer copy,
+// one truth map and the CSR's columns, with no per-task or per-worker
+// index rows. Two task counts with the same truths stay under one bound;
+// the larger one takes the parallel copy path. The race runtime changes
+// allocator behaviour, so the test skips under -race.
+func TestSnapshotAllocationsConstant(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	const maxAllocs = 32
+	for _, tasks := range []int{2000, 20000} {
+		d := testutil.Categorical(testutil.CrowdSpec{NumTasks: tasks, NumWorkers: 100, NumChoices: 4, Redundancy: 5, Seed: 3})
+		d.Truth = map[int]float64{0: 1, 7: 2, 1999: 0}
+		store := NewStoreFrom(d)
+		allocs := testing.AllocsPerRun(5, func() { store.Snapshot() })
+		t.Logf("%d tasks: %.0f allocations per Snapshot", tasks, allocs)
+		if allocs > maxAllocs {
+			t.Errorf("%d tasks: Snapshot made %.0f allocations, want at most %d", tasks, allocs, maxAllocs)
+		}
 	}
 }
 

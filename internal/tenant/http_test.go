@@ -134,6 +134,38 @@ func TestAdminErrorsOverHTTP(t *testing.T) {
 	}
 }
 
+// TestCreateRefusesUnindexableChoices pins that a project whose answers
+// the CSR cannot index (labels are uint16 codes) is refused at create
+// time with a 4xx, instead of being created and then panicking on its
+// first auto-refresh epoch — which took down every tenant in the daemon.
+func TestCreateRefusesUnindexableChoices(t *testing.T) {
+	_, ts := startServer(t)
+	status, body := doJSON(t, "POST", ts.URL+"/v1/admin/projects",
+		`{"id":"wide","config":{"method":"D&S","task_type":"single-choice","choices":70000}}`)
+	if status != http.StatusUnprocessableEntity {
+		t.Fatalf("create with 70000 choices: HTTP %d %v, want 422", status, body)
+	}
+	if status, _ := doJSON(t, "GET", ts.URL+"/v1/projects/wide/stats", ""); status != http.StatusNotFound {
+		t.Errorf("refused project routes: HTTP %d, want 404", status)
+	}
+	// The daemon keeps serving: a D&S project is created, ingests and
+	// serves its first epoch.
+	if status, body := doJSON(t, "POST", ts.URL+"/v1/admin/projects",
+		`{"id":"narrow","config":{"method":"D&S","task_type":"single-choice","choices":3,"no_auto_refresh":true}}`); status != http.StatusCreated {
+		t.Fatalf("create with 3 choices: HTTP %d %v", status, body)
+	}
+	if status, body := doJSON(t, "POST", ts.URL+"/v1/projects/narrow/ingest",
+		`{"answers":[{"task":0,"worker":0,"value":2}]}`); status != http.StatusOK {
+		t.Fatalf("ingest: HTTP %d %v", status, body)
+	}
+	if status, body := doJSON(t, "POST", ts.URL+"/v1/projects/narrow/refresh", ""); status != http.StatusOK {
+		t.Fatalf("refresh: HTTP %d %v", status, body)
+	}
+	if status, truth := doJSON(t, "GET", ts.URL+"/v1/projects/narrow/truth/0", ""); status != http.StatusOK || truth["truth"].(float64) != 2 {
+		t.Errorf("truth: HTTP %d %v", status, truth)
+	}
+}
+
 // TestDeleteWhileRequestInFlight pins the ErrClosed → 410 mapping: a
 // handler held across a delete answers Gone for mutations instead of
 // tearing anything.

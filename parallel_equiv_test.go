@@ -10,8 +10,12 @@ package truthinference
 
 import (
 	"fmt"
+	"math"
+	"reflect"
+	"slices"
 	"testing"
 
+	"truthinference/internal/dataset"
 	"truthinference/internal/simulate"
 )
 
@@ -114,4 +118,70 @@ func TestParallelMatchesSequentialWithGolden(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestInferLeavesWarmSourceAndCSRUntouched pins two read-only contracts:
+// Result.Warm aliases the previous result instead of copying it, and
+// every method reads the dataset's one shared CSR (the experiment
+// harness runs concurrent cells on one dataset). A cold Infer followed
+// by a warm-started one must leave both the warm source result and
+// d.CSR() bit-identical.
+func TestInferLeavesWarmSourceAndCSRUntouched(t *testing.T) {
+	for _, kind := range simulate.Kinds {
+		d := simulate.GenerateScaled(kind, 1, equivScale)
+		fresh := dataset.BuildCSR(d)
+		for _, name := range parallelMethods {
+			m, err := GetMethod(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !m.Capabilities().SupportsType(d.Type) {
+				continue
+			}
+			t.Run(fmt.Sprintf("%s/%s", d.Name, name), func(t *testing.T) {
+				opts := Options{Seed: 7, MaxIterations: 5, Parallelism: 2}
+				prev, err := m.Infer(d, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := resultBits(prev)
+				opts.WarmStart = prev.Warm()
+				if _, err := m.Infer(d, opts); err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(resultBits(prev), want) {
+					t.Error("warm-started Infer modified the result its WarmStart aliases")
+				}
+				if !reflect.DeepEqual(d.CSR(), fresh) {
+					t.Error("Infer modified the dataset's CSR")
+				}
+			})
+		}
+	}
+}
+
+// resultBits flattens every slice of a Result into its lengths and bits.
+func resultBits(r *Result) []uint64 {
+	var out []uint64
+	add := func(xs []float64) {
+		out = append(out, uint64(len(xs)))
+		for _, x := range xs {
+			out = append(out, math.Float64bits(x))
+		}
+	}
+	add(r.Truth)
+	for _, row := range r.Posterior {
+		add(row)
+	}
+	add(r.WorkerQuality)
+	add(r.WorkerVariance)
+	for _, mat := range r.Confusion {
+		for _, row := range mat {
+			add(row)
+		}
+	}
+	for _, c := range r.Community {
+		out = append(out, uint64(c))
+	}
+	return out
 }
