@@ -36,7 +36,7 @@ func main() {
 	var jsonOut, requireBackpressure, version bool
 	var requireMinRate float64
 	flag.StringVar(&cfg.BaseURL, "url", "http://127.0.0.1:8080", "truthserve base URL")
-	flag.StringVar(&cfg.Project, "project", "default", "project id (empty = legacy unprefixed routes)")
+	flag.StringVar(&cfg.Project, "project", "default", "project id on a truthserve daemon (empty = the bare /v1/... routes of a lone service handler)")
 	flag.IntVar(&cfg.Workers, "workers", 4, "concurrent client goroutines")
 	flag.DurationVar(&cfg.Duration, "duration", 5*time.Second, "how long to drive traffic")
 	flag.Float64Var(&cfg.SingleRatio, "single-ratio", 0, "fraction of requests sent as single-answer JSON POSTs (0 = all batched)")

@@ -7,29 +7,18 @@
 //
 // Usage:
 //
-//	truthserve -method D&S [-addr :8080] [-type decision] [-choices 2]
-//	           [-seed 1] [-maxiter 0] [-parallelism 0] [-shards 8]
-//	           [-cold] [-auto-refresh=true] [-data path/to/base]
-//	           [-wal-dir dir] [-snapshot-every 256]
-//	           [-assign-policy uncertainty] [-budget 0] [-redundancy 3]
-//	           [-lease-ttl 1m] [-golden-pass 0] [-golden-fails 0]
-//	           [-min-quality 0] [-quality-drop 0] [-quality-min-answers 0]
-//	           [-collusion-threshold 0] [-collusion-overlap 0]
-//	           [-collusion-partners 0] [-down-weight-only]
-//	           [-projects projects.json]
-//	           [-ingest-rate 0] [-ingest-burst 0] [-max-answers 0]
-//	           [-version]
+//	truthserve [-addr :8080] [-wal-dir dir] [-projects projects.json]
+//	           [-debug-addr 127.0.0.1:6060] [-slow-request 1s] [-version]
 //
-// The per-project flags above configure the reserved *default* project,
-// which serves the legacy unprefixed routes — a single-project
-// deployment upgrades in place with no flag changes. Additional projects
-// come from -projects (a JSON object mapping project id → config, the
-// same shape the admin API accepts) and from the admin API at runtime;
-// when durable they are recorded in <wal-dir>/projects.json and
-// recovered on the next boot. Each project's config carries what the
-// flags carry: method, task_type, choices, seed, max_iter, parallelism,
-// shards, cold_start, no_auto_refresh, data, snapshot_every, and an
-// optional assign block {policy, redundancy, budget, lease_ttl}.
+// A project is configured only by a tenant.Config: declared at boot in
+// the -projects file (a JSON object mapping project id → config) or
+// created at runtime through the admin API, which accepts the same
+// shape. Each config carries method, task_type, choices, seed,
+// max_iter, parallelism, shards, cold_start, no_auto_refresh, data,
+// snapshot_every, limits and an optional assign block (policy,
+// redundancy, budget, lease_ttl, defense). When durable, projects are
+// recorded in <wal-dir>/projects.json and recovered on the next boot;
+// a recovered project wins over a boot-file entry of the same id.
 //
 // The API (see internal/stream, internal/assign and internal/tenant for
 // the wire formats):
@@ -48,10 +37,10 @@
 //	                        worker quality and ledger state (internal/query)
 //	  GET  ../truth/{task}, ../truths, ../worker/{id}, ../stats, ../healthz
 //	  GET  ../assign, POST ../complete, GET ../assignstats  (with assign config)
-//	*      /v1/...                   legacy routes → the default project
-//	                                 (DEPRECATED: responses carry a
-//	                                 Deprecation header; use
-//	                                 /v1/projects/default/...)
+//	GET    /v1/healthz, /v1/readyz, /metrics
+//
+// Any other path, or a known path with the wrong method, answers 404 in
+// the JSON error envelope.
 //
 // On SIGINT/SIGTERM the daemon drains gracefully: the HTTP listener
 // stops accepting, in-flight requests finish, and every project drains
@@ -74,148 +63,25 @@ import (
 	"syscall"
 	"time"
 
-	"truthinference/internal/assign"
 	"truthinference/internal/buildinfo"
-	"truthinference/internal/stream"
 	"truthinference/internal/tenant"
 )
 
 // config is the parsed flag set; run is driven by it so tests can start
 // the daemon without a process boundary.
 type config struct {
-	method        string
-	taskType      string
-	choices       int
-	seed          int64
-	maxIter       int
-	parallelism   int
-	shards        int
-	cold          bool
-	autoRefresh   bool
-	data          string
-	walDir        string
-	snapshotEvery int
-	assignPolicy  string
-	budget        int
-	redundancy    int
-	leaseTTL      time.Duration
-	// defense flags (the assignment ledger's adversarial-crowd
-	// defenses; they require -assign-policy)
-	goldenPass         int
-	goldenFails        int
-	minQuality         float64
-	qualityDrop        float64
-	qualityMinAnswers  int
-	collusionThreshold float64
-	collusionOverlap   int
-	collusionPartners  int
-	downWeightOnly     bool
-	projectsFile       string
-	ratePerSec         float64
-	rateBurst          int
-	maxAnswers         int
-	debugAddr          string
-	slowRequest        time.Duration
-}
-
-// defaultProject maps the legacy per-daemon flags onto the default
-// project's config — the backward-compatibility bridge: old flag sets
-// keep meaning exactly what they meant.
-func (c config) defaultProject() tenant.Config {
-	pc := tenant.Config{
-		Method:        c.method,
-		TaskType:      c.taskType,
-		Choices:       c.choices,
-		Seed:          c.seed,
-		MaxIter:       c.maxIter,
-		Parallelism:   c.parallelism,
-		Shards:        c.shards,
-		ColdStart:     c.cold,
-		NoAutoRefresh: !c.autoRefresh,
-		Data:          c.data,
-		SnapshotEvery: c.snapshotEvery,
-	}
-	if pc.SnapshotEvery == 0 {
-		pc.SnapshotEvery = -1 // flag 0 meant "only on shutdown"
-	}
-	if c.assignPolicy != "" {
-		pc.Assign = &assign.Spec{
-			Policy:     c.assignPolicy,
-			Redundancy: c.redundancy,
-			Budget:     c.budget,
-			LeaseTTL:   assign.Duration(c.leaseTTL),
-			// The -budget flag has always counted per daemon run
-			// (operators pass the remaining budget on restart); only
-			// config-defined projects get the charge-existing semantics,
-			// because their manifest recovery leaves no place to pass a
-			// remainder.
-			NoChargeExisting: true,
-			Defense:          c.defenseSpec(),
-		}
-	}
-	if c.ratePerSec > 0 || c.maxAnswers > 0 {
-		pc.Limits = &stream.Limits{
-			RatePerSec: c.ratePerSec,
-			Burst:      c.rateBurst,
-			MaxAnswers: c.maxAnswers,
-		}
-	}
-	return pc
-}
-
-// defenseSpec maps the defense flags onto the default project's
-// DefenseSpec, or nil when no detector is armed.
-func (c config) defenseSpec() *assign.DefenseSpec {
-	spec := &assign.DefenseSpec{
-		GoldenPass:          c.goldenPass,
-		GoldenFails:         c.goldenFails,
-		MinQuality:          c.minQuality,
-		QualityDrop:         c.qualityDrop,
-		QualityMinAnswers:   c.qualityMinAnswers,
-		CollusionThreshold:  c.collusionThreshold,
-		CollusionMinOverlap: c.collusionOverlap,
-		CollusionPartners:   c.collusionPartners,
-		DownWeightOnly:      c.downWeightOnly,
-	}
-	if !spec.Enabled() {
-		return nil
-	}
-	return spec
+	walDir       string
+	projectsFile string
+	debugAddr    string
+	slowRequest  time.Duration
 }
 
 func main() {
 	var cfg config
 	var addr string
 	flag.StringVar(&addr, "addr", ":8080", "listen address")
-	flag.StringVar(&cfg.method, "method", "D&S", "default project's method (see truthinfer -list)")
-	flag.StringVar(&cfg.taskType, "type", "decision", "default project's task type: decision, single-choice, numeric")
-	flag.IntVar(&cfg.choices, "choices", 2, "number of choices for single-choice stores")
-	flag.Int64Var(&cfg.seed, "seed", 1, "random seed (fixed per project so epochs are reproducible)")
-	flag.IntVar(&cfg.maxIter, "maxiter", 0, "iteration cap per epoch (0 = method default)")
-	flag.IntVar(&cfg.parallelism, "parallelism", 0, "worker goroutines for the EM hot loops (0 = all CPUs, 1 = sequential)")
-	flag.IntVar(&cfg.shards, "shards", 0, "store shard count (0 = default; contention only, state is shard-count independent)")
-	flag.BoolVar(&cfg.cold, "cold", false, "disable warm starts; re-run every epoch from cold initialization")
-	flag.BoolVar(&cfg.autoRefresh, "auto-refresh", true, "re-infer in the background after every ingested batch")
-	flag.StringVar(&cfg.data, "data", "", "optional dataset base path to preload (expects <base>.answers.tsv)")
 	flag.StringVar(&cfg.walDir, "wal-dir", "", "root directory for per-project write-ahead logs + snapshots (empty = not durable)")
-	flag.IntVar(&cfg.snapshotEvery, "snapshot-every", 256, "batches between compacted snapshots when -wal-dir is set (0 = only on shutdown)")
-	flag.StringVar(&cfg.assignPolicy, "assign-policy", "", "enable the default project's assignment endpoints with this policy: random, least-answered, uncertainty (empty = disabled)")
-	flag.IntVar(&cfg.budget, "budget", 0, "global answer budget for assignment, counted per daemon run (0 = unlimited; on restart pass the remaining budget)")
-	flag.IntVar(&cfg.redundancy, "redundancy", assign.DefaultRedundancy, "per-task answer cap for assignment")
-	flag.DurationVar(&cfg.leaseTTL, "lease-ttl", assign.DefaultLeaseTTL, "how long a worker holds an assignment before it is reclaimed")
-	flag.IntVar(&cfg.goldenPass, "golden-pass", 0, "golden tasks a worker must answer correctly before earning real assignments (0 = gate off; needs -assign-policy and ingested golden truth)")
-	flag.IntVar(&cfg.goldenFails, "golden-fails", 0, "wrong golden answers before a worker is banned (0 = default when the gate is on)")
-	flag.Float64Var(&cfg.minQuality, "min-quality", 0, "ban workers whose estimated probability-correct stays below this floor (0 = off; needs -assign-policy)")
-	flag.Float64Var(&cfg.qualityDrop, "quality-drop", 0, "ban workers whose estimated quality stays this far below its peak — the sleeper detector (0 = off; needs -assign-policy)")
-	flag.IntVar(&cfg.qualityMinAnswers, "quality-min-answers", 0, "minimum delivered answers before the quality detectors judge a worker (0 = default)")
-	flag.Float64Var(&cfg.collusionThreshold, "collusion-threshold", 0, "flag worker pairs whose wrong-agreement rate reaches this fraction (0 = off; needs -assign-policy)")
-	flag.IntVar(&cfg.collusionOverlap, "collusion-overlap", 0, "minimum co-answered tasks before a pair can be flagged for collusion (0 = default)")
-	flag.IntVar(&cfg.collusionPartners, "collusion-partners", 0, "distinct flagged partners that trigger the action on a worker (0 = default)")
-	flag.BoolVar(&cfg.downWeightOnly, "down-weight-only", false, "quality/collusion detections down-weight workers instead of banning them (golden-gate failures always ban)")
-	flag.StringVar(&cfg.projectsFile, "projects", "", "optional JSON file of additional projects to create at boot (id -> config)")
-	flag.Float64Var(&cfg.ratePerSec, "ingest-rate", 0, "default project's sustained ingest admission rate in answers/sec (0 = unlimited); violations shed with 429 + Retry-After")
-	flag.IntVar(&cfg.rateBurst, "ingest-burst", 0, "token-bucket burst capacity in answers for -ingest-rate (0 = one second's worth)")
-	flag.IntVar(&cfg.maxAnswers, "max-answers", 0, "default project's lifetime answer quota (0 = unlimited)")
+	flag.StringVar(&cfg.projectsFile, "projects", "", "JSON file of projects to create at boot (id -> config)")
 	flag.StringVar(&cfg.debugAddr, "debug-addr", "", "private listen address for net/http/pprof and a second /metrics mount (empty = disabled; keep off the public network)")
 	flag.DurationVar(&cfg.slowRequest, "slow-request", time.Second, "log requests slower than this threshold (0 = disabled)")
 	version := flag.Bool("version", false, "print build info and exit")
@@ -248,17 +114,9 @@ func run(ctx context.Context, cfg config, ln net.Listener, logger *slog.Logger) 
 	}
 	logger.Info("starting", "build", buildinfo.String("truthserve"))
 
-	// The default project's config is validated before anything else so a
-	// typoed flag is immediately actionable.
-	if cfg.assignPolicy == "" && cfg.defenseSpec() != nil {
-		return errors.New("defense flags need -assign-policy: the defenses live in the assignment ledger")
-	}
-	defCfg := cfg.defaultProject()
-	if err := defCfg.Validate(); err != nil {
-		return err
-	}
 	// Boot-file projects are parsed and validated before the registry
-	// opens any durable state, for the same fail-fast reason.
+	// opens any durable state, so a typoed config is immediately
+	// actionable.
 	var boot map[string]tenant.Config
 	if cfg.projectsFile != "" {
 		data, err := os.ReadFile(cfg.projectsFile)
@@ -278,9 +136,6 @@ func run(ctx context.Context, cfg config, ln net.Listener, logger *slog.Logger) 
 			reg.Close()
 		}
 	}()
-	if err := reg.Bootstrap(defCfg); err != nil {
-		return err
-	}
 	// Manifest projects recover first (they carry the config a previous
 	// run persisted), then the boot file fills in any that are new.
 	if err := reg.Recover(); err != nil {

@@ -16,7 +16,9 @@
 // telemetry middleware) joins the failure to the server's structured
 // logs. 429
 // responses always carry a Retry-After header (seconds) — backpressure
-// is actionable, not just an error.
+// is actionable, not just an error. A request no route matches — an
+// unknown path, or a known path with the wrong method — is a 404
+// (NoRoute), in the envelope like every other failure.
 //
 // # Body caps
 //
@@ -130,6 +132,13 @@ func RateLimited(w http.ResponseWriter, retryAfter time.Duration, err error) {
 	}
 	w.Header().Set("Retry-After", fmt.Sprintf("%d", secs))
 	Error(w, http.StatusTooManyRequests, err)
+}
+
+// NoRoute answers a request no route matched with a 404 in the error
+// envelope. The serving muxes mount it at "/", so a wrong method on a
+// known route lands here too, not on the mux's plain-text 405.
+func NoRoute(w http.ResponseWriter, r *http.Request) {
+	Error(w, http.StatusNotFound, fmt.Errorf("no route for %s %s", r.Method, r.RequestURI))
 }
 
 // DecodeJSON decodes one JSON body into v with unknown fields rejected

@@ -17,7 +17,7 @@
 //     datasets and daemon restarts are covered).
 //
 // The budget is accounted per ledger instance by default; with
-// Config.ChargeExisting (the Spec config layer's default) it instead
+// Config.ChargeExisting (which the Spec config layer always sets) it instead
 // caps the store's live answer total, so the accounting is continuous
 // across restarts and a durable deployment rebooted with the same
 // config resumes with exactly the remaining budget.
@@ -105,8 +105,8 @@ type Config struct {
 	// count, so a durable deployment rebooted with the same config
 	// resumes with exactly the remaining budget — no manual
 	// remaining-budget arithmetic. The multi-tenant config layer
-	// (assign.Spec) sets it unless Spec.NoChargeExisting opts back into
-	// per-instance accounting.
+	// (assign.Spec) always sets it; the closed-loop simulator builds
+	// per-instance ledgers from Config directly.
 	ChargeExisting bool
 	// LeaseTTL is how long a worker holds an assignment before it is
 	// reclaimed and re-issuable. 0 means DefaultLeaseTTL.
@@ -190,7 +190,7 @@ type Ledger struct {
 // budgetCommittedLocked returns the spend counted against the budget:
 // with ChargeExisting, the store's live answer total (recovered,
 // preloaded, direct and routed alike) plus outstanding leases; without
-// it, the legacy per-instance count of routed answers.
+// it, the per-instance count of routed answers.
 func (l *Ledger) budgetCommittedLocked() int {
 	if l.cfg.ChargeExisting {
 		_, _, answers := l.src.Dims()

@@ -23,12 +23,6 @@ type Spec struct {
 	// that restarts under the same config resumes with the remaining
 	// budget rather than a fresh cap. 0 = unlimited.
 	Budget int `json:"budget,omitempty"`
-	// NoChargeExisting restores the legacy per-instance budget
-	// accounting: answers already in the store are NOT charged, and the
-	// operator passes the remaining budget on each restart. The daemon
-	// sets it for the flag-configured default project, whose -budget
-	// flag has always meant per-run spend.
-	NoChargeExisting bool `json:"no_charge_existing,omitempty"`
 	// LeaseTTL is how long a worker holds an assignment, as a Go
 	// duration string like "45s" (empty = DefaultLeaseTTL).
 	LeaseTTL Duration `json:"lease_ttl,omitempty"`
@@ -85,7 +79,7 @@ func (sp Spec) Ledger(src Source, seed int64, m *Metrics) (*Ledger, error) {
 		Policy:         policy,
 		Redundancy:     sp.Redundancy,
 		Budget:         sp.Budget,
-		ChargeExisting: !sp.NoChargeExisting,
+		ChargeExisting: true,
 		LeaseTTL:       time.Duration(sp.LeaseTTL),
 		Seed:           seed,
 		PriorQuality:   sp.PriorQuality,

@@ -15,7 +15,7 @@ import (
 // functions of the request context — the ledger relies on that for its
 // deterministic replayability.
 type Policy interface {
-	// Name is the registry key (`-assign-policy` value).
+	// Name is the registry key (the `policy` value of a Spec).
 	Name() string
 	// Score returns the desirability of routing task to the requesting
 	// worker. Only the ordering within one request matters.
@@ -209,7 +209,7 @@ func QualityToProb(quality float64, ell int) float64 {
 	return quality
 }
 
-// policies is the registry behind ParsePolicy and the -assign-policy flag.
+// policies is the registry behind ParsePolicy and Spec.Policy.
 var policies = map[string]func() Policy{
 	"random":         func() Policy { return Random{} },
 	"least-answered": func() Policy { return LeastAnswered{} },
@@ -227,7 +227,7 @@ func PolicyNames() []string {
 }
 
 // ParsePolicy resolves a policy name; an unknown name errors with the
-// full registry so a flag typo is immediately actionable.
+// full registry so a typo is immediately actionable.
 func ParsePolicy(name string) (Policy, error) {
 	if mk, ok := policies[name]; ok {
 		return mk(), nil

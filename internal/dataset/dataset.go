@@ -200,15 +200,6 @@ func (d *Dataset) Redundancy() float64 {
 	return float64(len(d.Answers)) / float64(d.NumTasks)
 }
 
-// MaxRedundancy returns the largest number of answers any task received.
-func (d *Dataset) MaxRedundancy() int {
-	m := 0
-	for i := 0; i < d.NumTasks; i++ {
-		m = max(m, d.csr.TaskDegree(i))
-	}
-	return m
-}
-
 // Clone returns a deep copy of the dataset with its own answer index.
 func (d *Dataset) Clone() *Dataset {
 	cp := &Dataset{
@@ -295,17 +286,4 @@ func (d *Dataset) SplitGolden(p float64, rng *rand.Rand) (golden map[int]float64
 		}
 	}
 	return golden, eval
-}
-
-// TruthVector returns the truth as a dense slice with NaN for tasks whose
-// truth is unknown.
-func (d *Dataset) TruthVector() []float64 {
-	out := make([]float64, d.NumTasks)
-	for i := range out {
-		out[i] = math.NaN()
-	}
-	for t, v := range d.Truth {
-		out[t] = v
-	}
-	return out
 }

@@ -106,9 +106,6 @@ func TestIndices(t *testing.T) {
 	if got := d.Redundancy(); math.Abs(got-4.0/3) > 1e-12 {
 		t.Errorf("redundancy %v, want 4/3", got)
 	}
-	if got := d.MaxRedundancy(); got != 2 {
-		t.Errorf("max redundancy %d, want 2", got)
-	}
 }
 
 func TestCloneIsDeep(t *testing.T) {
@@ -196,17 +193,6 @@ func TestSplitGoldenPartition(t *testing.T) {
 				t.Fatalf("golden truth corrupted for task %d", id)
 			}
 		}
-	}
-}
-
-func TestTruthVector(t *testing.T) {
-	d := small(t)
-	v := d.TruthVector()
-	if v[0] != 1 || v[2] != 1 {
-		t.Errorf("TruthVector = %v", v)
-	}
-	if !math.IsNaN(v[1]) {
-		t.Errorf("unknown truth should be NaN, got %v", v[1])
 	}
 }
 

@@ -29,8 +29,9 @@ import (
 type Config struct {
 	// BaseURL is the daemon root, e.g. "http://127.0.0.1:8080".
 	BaseURL string
-	// Project addresses /v1/projects/{Project}/...; empty uses the
-	// legacy unprefixed /v1/... routes (the deprecated alias).
+	// Project addresses /v1/projects/{Project}/... on a truthserve
+	// daemon; empty drives the bare /v1/... routes of a single
+	// stream.Service handler (how the benchmark harness mounts one).
 	Project string
 	// Workers is the number of concurrent client goroutines.
 	Workers int

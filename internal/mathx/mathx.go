@@ -172,25 +172,6 @@ func GammaIncReg(a, x float64) float64 {
 	return 1 - gammaQContinuedFraction(a, x)
 }
 
-// GammaIncRegComp returns the complementary regularized incomplete gamma
-// Q(a, x) = 1 - P(a, x).
-func GammaIncRegComp(a, x float64) float64 {
-	switch {
-	case a <= 0 || math.IsNaN(a) || math.IsNaN(x):
-		return math.NaN()
-	case x < 0:
-		return math.NaN()
-	case x == 0:
-		return 1
-	case math.IsInf(x, 1):
-		return 0
-	}
-	if x < a+1 {
-		return 1 - gammaPSeries(a, x)
-	}
-	return gammaQContinuedFraction(a, x)
-}
-
 const (
 	gammaEps     = 1e-15
 	gammaMaxIter = 500

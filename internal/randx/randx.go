@@ -50,11 +50,6 @@ func Categorical(rng *rand.Rand, w []float64) int {
 	return len(w) - 1
 }
 
-// Bernoulli returns true with probability p.
-func Bernoulli(rng *rand.Rand, p float64) bool {
-	return rng.Float64() < p
-}
-
 // Gamma draws from the Gamma(shape, 1) distribution using the
 // Marsaglia–Tsang method, with the standard shape<1 boost.
 func Gamma(rng *rand.Rand, shape float64) float64 {

@@ -27,7 +27,8 @@ import (
 //	GET  /v1/stats         store + serving statistics
 //	GET  /v1/healthz       liveness probe
 //
-// Errors use the shared envelope from internal/api; both ingest
+// Errors use the shared envelope from internal/api, unmatched routes
+// included (api.NoRoute: 404, also for a wrong method); both ingest
 // endpoints enforce Config.Limits, shedding load with 429 + Retry-After
 // before committing anything — a rejected request acknowledges nothing.
 //
@@ -68,6 +69,7 @@ func (s *Service) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		api.WriteJSON(w, http.StatusOK, api.Health{Status: "ok"})
 	})
+	mux.HandleFunc("/", api.NoRoute)
 	return mux
 }
 

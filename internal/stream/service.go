@@ -240,26 +240,6 @@ func (s *Service) Ingest(b Batch) (uint64, error) {
 	return version, nil
 }
 
-// IngestDurable applies one batch like Ingest, then blocks until the
-// produced version is on stable storage, returning both the committed
-// version and the durable watermark at return time. The flush runs
-// outside the ingest lock, so concurrent callers coalesce into shared
-// fsyncs (group commit) instead of stalling each other's commits.
-// Without a DurablePersister configured, durable is false and the
-// watermark 0 — the caller is acknowledging data that would not
-// survive a crash, and must say so.
-func (s *Service) IngestDurable(b Batch) (version, durableVersion uint64, durable bool, err error) {
-	version, err = s.Ingest(b)
-	if err != nil {
-		return version, 0, false, err
-	}
-	durableVersion, durable, err = s.DurableTo(version)
-	if err != nil {
-		err = fmt.Errorf("stream: batch at version %d applied but not confirmed durable: %w", version, err)
-	}
-	return version, durableVersion, durable, err
-}
-
 // DurableTo blocks until every committed batch through version is on
 // stable storage and returns the durable watermark. durable is false
 // when no DurablePersister is configured — there is no stable storage

@@ -180,13 +180,6 @@ func newStore(name string, typ dataset.TaskType, numChoices, shards int) *Store 
 	return s
 }
 
-// NewStoreFrom wraps an existing dataset (e.g. a preloaded benchmark
-// file) as the store's initial state, at version 1. The dataset is
-// copied into the shards; the caller keeps ownership of d.
-func NewStoreFrom(d *dataset.Dataset) *Store {
-	return NewStoreAt(d, 1, DefaultShards)
-}
-
 // NewStoreAt builds a store whose state is exactly d at the given
 // version — the recovery constructor internal/stream/wal uses to resume
 // from a snapshot before replaying newer WAL records on top.

@@ -377,7 +377,7 @@ func TestSnapshotAllocationsConstant(t *testing.T) {
 	for _, tasks := range []int{2000, 20000} {
 		d := testutil.Categorical(testutil.CrowdSpec{NumTasks: tasks, NumWorkers: 100, NumChoices: 4, Redundancy: 5, Seed: 3})
 		d.Truth = map[int]float64{0: 1, 7: 2, 1999: 0}
-		store := NewStoreFrom(d)
+		store := NewStoreAt(d, 1, DefaultShards)
 		allocs := testing.AllocsPerRun(5, func() { store.Snapshot() })
 		t.Logf("%d tasks: %.0f allocations per Snapshot", tasks, allocs)
 		if allocs > maxAllocs {

@@ -12,10 +12,9 @@ import (
 	"truthinference/internal/stream/wal"
 )
 
-// Config is one project's serving configuration — the JSON shape stored
-// in the registry manifest, accepted by the admin API and by the
-// -projects boot file. It carries exactly what the legacy per-daemon
-// flags carried, per project.
+// Config is one project's serving configuration and the only way to
+// configure one — the JSON shape stored in the registry manifest,
+// accepted by the admin API and by the daemon's -projects boot file.
 type Config struct {
 	// Method is the truth-inference method to serve (see truthinfer
 	// -list). Required.
@@ -39,7 +38,7 @@ type Config struct {
 	// ColdStart disables warm starts (every epoch from cold init).
 	ColdStart bool `json:"cold_start,omitempty"`
 	// NoAutoRefresh disables background re-inference after each batch
-	// (the default, like the legacy -auto-refresh flag, is on).
+	// (by default it is on).
 	NoAutoRefresh bool `json:"no_auto_refresh,omitempty"`
 	// Data optionally preloads a <base>.answers.tsv dataset from the
 	// daemon's filesystem. Recovery replays the WAL on top of it, so the
@@ -60,7 +59,7 @@ type Config struct {
 }
 
 // DefaultSnapshotEvery is the WAL compaction cadence used when a project
-// config leaves SnapshotEvery at 0 (matches the legacy flag default).
+// config leaves SnapshotEvery at 0.
 const DefaultSnapshotEvery = 256
 
 // Validate fails fast on everything that would otherwise surface
@@ -138,8 +137,8 @@ func (c Config) snapshotEvery() int {
 	}
 }
 
-// ParseTaskType maps the config/flag task-type names onto the dataset
-// task families.
+// ParseTaskType maps the config's task-type names onto the dataset task
+// families.
 func ParseTaskType(s string) (dataset.TaskType, error) {
 	switch s {
 	case "decision":
@@ -179,8 +178,9 @@ func DecodeConfig(data []byte) (Config, error) {
 	return c, nil
 }
 
-// DecodeProjects parses a boot-time project set: a JSON object mapping
-// project id → config, with every id and config validated.
+// DecodeProjects parses a project set — the -projects boot file or the
+// registry manifest: a JSON object mapping project id → config, with
+// every id and config validated.
 func DecodeProjects(data []byte) (map[string]Config, error) {
 	var raw map[string]json.RawMessage
 	dec := json.NewDecoder(bytes.NewReader(data))
@@ -192,9 +192,6 @@ func DecodeProjects(data []byte) (map[string]Config, error) {
 	for id, msg := range raw {
 		if err := ValidateID(id); err != nil {
 			return nil, err
-		}
-		if id == DefaultProjectID {
-			return nil, fmt.Errorf("tenant: %q is reserved — the default project is configured by the daemon flags", id)
 		}
 		c, err := DecodeConfig(msg)
 		if err != nil {

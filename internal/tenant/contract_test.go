@@ -32,7 +32,7 @@ import (
 func contractServer(t *testing.T) (*httptest.Server, assign.Lease) {
 	t.Helper()
 	reg := NewRegistry("", nil)
-	if err := reg.Bootstrap(Config{
+	if _, err := reg.Create("default", Config{
 		Method:        "MV",
 		NoAutoRefresh: true,
 		Assign:        &assign.Spec{Policy: "random", Redundancy: 3},
@@ -170,6 +170,13 @@ func TestHTTPContract(t *testing.T) {
 			`{"id":"x","config":{"method":"NOPE"}}`, http.StatusBadRequest, false},
 		{"admin create oversized", "POST", "/v1/admin/projects", "application/json",
 			`{"id":"x","config":{"method":"` + strings.Repeat("M", api.MaxAdminBody+1) + `"}}`, http.StatusRequestEntityTooLarge, false},
+
+		// unmatched routes: the registry's and the project's catch-alls.
+		// A wrong method on a known route is a 404 too, not a 405.
+		{"unprefixed route", "GET", "/v1/stats", "", "", http.StatusNotFound, false},
+		{"unknown path", "GET", "/nope", "", "", http.StatusNotFound, false},
+		{"unknown project route", "GET", "/v1/projects/default/bogus", "", "", http.StatusNotFound, false},
+		{"wrong method", "GET", "/v1/projects/default/ingest", "", "", http.StatusNotFound, false},
 	}
 
 	for _, tc := range cases {
@@ -267,50 +274,5 @@ func TestQueryPlaneThroughTenantRouter(t *testing.T) {
 		if row[1] != 3 {
 			t.Fatalf("task %v holds %v answers, want 3", row[0], row[1])
 		}
-	}
-}
-
-// TestLegacyRoutesCarryDeprecation pins the migration contract: the
-// unprefixed /v1/... alias still serves the default project but flags
-// every response as deprecated with a pointer at the replacement, while
-// the /v1/projects/default/... routes stay unflagged.
-func TestLegacyRoutesCarryDeprecation(t *testing.T) {
-	srv, _ := contractServer(t)
-	resp, err := srv.Client().Get(srv.URL + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("legacy /v1/stats → %d", resp.StatusCode)
-	}
-	if resp.Header.Get("Deprecation") != "true" {
-		t.Fatal("legacy route response has no Deprecation header")
-	}
-	if link := resp.Header.Get("Link"); !strings.Contains(link, "/v1/projects/default/") {
-		t.Fatalf("legacy route Link %q does not point at the successor routes", link)
-	}
-
-	resp, err = srv.Client().Get(srv.URL + "/v1/projects/default/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/v1/projects/default/stats → %d", resp.StatusCode)
-	}
-	if resp.Header.Get("Deprecation") != "" {
-		t.Fatal("prefixed route wrongly flagged deprecated")
-	}
-
-	// The registry's own daemon-level liveness probe is not a legacy
-	// alias and must not be flagged either.
-	resp, err = srv.Client().Get(srv.URL + "/v1/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || resp.Header.Get("Deprecation") != "" {
-		t.Fatalf("/v1/healthz → %d, Deprecation=%q", resp.StatusCode, resp.Header.Get("Deprecation"))
 	}
 }

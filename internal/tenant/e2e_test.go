@@ -21,9 +21,6 @@ import (
 func TestTwoProjectsConcurrentIsolationAndRecovery(t *testing.T) {
 	root := t.TempDir()
 	reg := NewRegistry(root, testutil.Logger(t))
-	if err := reg.Bootstrap(Config{Method: "MV", Seed: 1}); err != nil {
-		t.Fatal(err)
-	}
 	// alpha: categorical MV behind the uncertainty router; small
 	// snapshot cadence so compaction runs mid-test.
 	alphaCfg := Config{
@@ -176,9 +173,6 @@ func TestTwoProjectsConcurrentIsolationAndRecovery(t *testing.T) {
 
 	reg2 := NewRegistry(root, testutil.Logger(t))
 	defer reg2.Close()
-	if err := reg2.Bootstrap(Config{Method: "MV", Seed: 1}); err != nil {
-		t.Fatal(err)
-	}
 	if err := reg2.Recover(); err != nil {
 		t.Fatal(err)
 	}

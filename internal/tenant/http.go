@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net/http"
 	"strings"
-	"sync"
 
 	"truthinference/internal/api"
 	"truthinference/internal/telemetry"
@@ -17,24 +16,15 @@ import (
 //	GET    /v1/admin/projects        list every project + stats
 //	GET    /v1/admin/projects/{id}   one project's stats
 //	DELETE /v1/admin/projects/{id}   close + delete a project
-//	*      /v1/projects/{id}/...     that project's full API (the same
-//	                                 /v1/... routes the single-tenant
-//	                                 daemon served)
-//	*      /v1/...                   legacy unprefixed routes → the
-//	                                 default project (DEPRECATED: every
-//	                                 response carries a Deprecation
-//	                                 header pointing at
-//	                                 /v1/projects/default/...)
+//	*      /v1/projects/{id}/...     that project's full API
+//	GET    /v1/healthz, /v1/readyz   daemon liveness and readiness
+//	GET    /metrics                  Prometheus scrape
 //
-// Project APIs are exactly the stream + assign handlers; the registry
-// only rewrites /v1/projects/{id}/ingest to /v1/ingest and dispatches to
-// the addressed project, so per-tenant behavior stays byte-identical to
-// the single-tenant daemon. Errors use the shared envelope from
-// internal/api.
-
-// deprecationNote is logged once per process, on the first legacy
-// unprefixed request.
-const deprecationNote = "tenant: unprefixed /v1/... routes are deprecated; use /v1/projects/default/... (the alias will be removed in a future release)"
+// Project APIs are exactly the stream + assign + query handlers; the
+// registry only rewrites /v1/projects/{id}/ingest to /v1/ingest and
+// dispatches to the addressed project. Errors use the shared envelope
+// from internal/api; any other path, or a known path with the wrong
+// method, answers 404 (api.NoRoute).
 
 // Handler returns the registry's full HTTP surface.
 func (r *Registry) Handler() http.Handler {
@@ -53,9 +43,8 @@ func (r *Registry) Handler() http.Handler {
 	})
 	mux.HandleFunc("DELETE /v1/admin/projects/{id}", r.handleDelete)
 	mux.HandleFunc("/v1/projects/{id}/{rest...}", r.route)
-	// Daemon-level liveness: answered by the registry itself (same shape
-	// as the per-project probes), so /v1/healthz stays live even if the
-	// default project is somehow absent.
+	// Daemon-level liveness: answered by the registry itself, in the
+	// same shape as the per-project probes.
 	mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		api.WriteJSON(w, http.StatusOK, api.Health{Status: "ok"})
 	})
@@ -72,23 +61,7 @@ func (r *Registry) Handler() http.Handler {
 	})
 	// The scrape endpoint for the daemon-wide metrics registry.
 	mux.Handle("GET /metrics", r.tel.Handler())
-	// Everything else is a legacy unprefixed route against the default
-	// project: still served, but flagged deprecated on every response
-	// and logged once at first use.
-	var deprecatedOnce sync.Once
-	mux.HandleFunc("/", func(w http.ResponseWriter, req *http.Request) {
-		deprecatedOnce.Do(func() { r.logger.Warn(deprecationNote) })
-		// RFC 8594-style deprecation signal plus a human-readable
-		// pointer at the replacement routes.
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", `</v1/projects/default/>; rel="successor-version"`)
-		p, ok := r.Get(DefaultProjectID)
-		if !ok {
-			api.Error(w, http.StatusNotFound, errors.New("tenant: no default project"))
-			return
-		}
-		p.Handler().ServeHTTP(w, req)
-	})
+	mux.HandleFunc("/", api.NoRoute)
 	// Every request flows through the telemetry middleware: request-ID
 	// stamping (minted or accepted from X-Request-ID), per-route/tenant
 	// count + latency, and slow-request logging above r.SlowRequest.
@@ -117,9 +90,6 @@ func (r *Registry) routeLabel(req *http.Request) (route, tenant string) {
 		rest := strings.TrimPrefix(path, "/v1/projects/")
 		id, sub, _ := strings.Cut(rest, "/")
 		return "/v1/projects/{id}" + subRoute(sub), r.tenantLabel(id)
-	case strings.HasPrefix(path, "/v1/"):
-		// Legacy unprefixed alias of the default project.
-		return "/v1" + subRoute(strings.TrimPrefix(path, "/v1/")), DefaultProjectID
 	default:
 		return "/other", ""
 	}

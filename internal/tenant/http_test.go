@@ -17,9 +17,6 @@ import (
 func startServer(t *testing.T) (*Registry, *httptest.Server) {
 	t.Helper()
 	r := NewRegistry("", nil)
-	if err := r.Bootstrap(Config{Method: "MV"}); err != nil {
-		t.Fatal(err)
-	}
 	ts := httptest.NewServer(r.Handler())
 	t.Cleanup(func() { ts.Close(); r.Close() })
 	return r, ts
@@ -111,7 +108,6 @@ func TestAdminErrorsOverHTTP(t *testing.T) {
 		`{"id":"x","config":{"method":"Oops"}}`: http.StatusBadRequest,
 		`{"id":"x","config":{"method":"MV","wat":1}}`: http.StatusBadRequest,
 		`{"id":"UPPER","config":{"method":"MV"}}`:     http.StatusUnprocessableEntity,
-		`{"id":"default","config":{"method":"MV"}}`:   http.StatusUnprocessableEntity,
 	} {
 		if status, _ := doJSON(t, "POST", ts.URL+"/v1/admin/projects", body); status != want {
 			t.Errorf("create %q: HTTP %d, want %d", body, status, want)
@@ -124,9 +120,9 @@ func TestAdminErrorsOverHTTP(t *testing.T) {
 	if status, _ := doJSON(t, "POST", ts.URL+"/v1/admin/projects", `{"id":"dup","config":{"method":"MV"}}`); status != http.StatusConflict {
 		t.Errorf("duplicate create: HTTP %d, want 409", status)
 	}
-	// Legacy healthz still answers on the default project.
+	// The daemon-level healthz answers with no project at all.
 	if status, m := doJSON(t, "GET", ts.URL+"/v1/healthz", ""); status != http.StatusOK || m["status"] != "ok" {
-		t.Errorf("legacy healthz: HTTP %d %v", status, m)
+		t.Errorf("daemon healthz: HTTP %d %v", status, m)
 	}
 	// Per-project healthz answers through the prefix too.
 	if status, _ := doJSON(t, "GET", ts.URL+"/v1/projects/dup/healthz", ""); status != http.StatusOK {

@@ -3,10 +3,10 @@
 // answer store (own shard count), inference service (own method, seed
 // and epoch configuration), optional assignment ledger (own policy and
 // budget) and — when the registry is durable — its own write-ahead log
-// namespace. Projects are created, listed and deleted at runtime through
-// the admin API (http.go) and addressed as /v1/projects/{id}/...; the
-// legacy unprefixed routes keep working against a reserved default
-// project, so a single-project deployment upgrades in place.
+// namespace. A project is configured only by its Config: declared in
+// the daemon's boot file, or created, listed and deleted at runtime
+// through the admin API (http.go), and addressed as
+// /v1/projects/{id}/.... No id is reserved.
 //
 // # Lock discipline
 //
@@ -24,16 +24,15 @@
 //
 // # Durability layout
 //
-//	<root>/truthserve.{wal,snap}        the default project (the exact
-//	                                    layout the single-tenant daemon
-//	                                    used, so old state recovers)
-//	<root>/projects.json                the manifest: id → Config for
-//	                                    every non-default project
+//	<root>/projects.json                   the manifest: id → Config for
+//	                                       every project
 //	<root>/projects/<id>/store.{wal,snap}  one namespace per project
 //
 // Recover opens every manifest project at boot (replaying each WAL on
 // top of its snapshot) and warns about orphaned namespaces no manifest
-// entry claims.
+// entry claims. It refuses a root that still holds the single-project
+// layout of earlier releases, <root>/truthserve.{wal,snap}, and prints
+// the commands that move it into a "default" project namespace.
 package tenant
 
 import (
@@ -46,6 +45,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -59,11 +59,6 @@ import (
 	"truthinference/internal/telemetry"
 )
 
-// DefaultProjectID is the reserved id of the project the legacy
-// unprefixed routes (/v1/ingest, /v1/assign, ...) are served by. It is
-// created from the daemon's legacy flags and cannot be deleted.
-const DefaultProjectID = "default"
-
 // ErrNotFound is returned when a project id is not registered.
 var ErrNotFound = errors.New("tenant: no such project")
 
@@ -71,8 +66,7 @@ var ErrNotFound = errors.New("tenant: no such project")
 var ErrExists = errors.New("tenant: project id already exists")
 
 // Project is one tenant: a store, a serving service, an optional
-// assignment ledger and an optional durability layer, wired exactly like
-// the single-tenant daemon used to wire its globals.
+// assignment ledger and an optional durability layer.
 type Project struct {
 	id      string
 	cfg     Config
@@ -109,7 +103,7 @@ func (p *Project) Handler() http.Handler { return p.handler }
 // Durable reports whether the project has a write-ahead log attached.
 func (p *Project) Durable() bool { return p.persist != nil }
 
-// Close drains the project the way the single-tenant daemon drained on
+// Close drains the project, as the daemon does for every project on
 // SIGTERM: finish the in-flight epoch and flush the WAL (Service.Close),
 // compact a final snapshot, and close the log. Idempotent; later calls
 // return the first result.
@@ -155,10 +149,9 @@ func (p *Project) Info() Info {
 // file base path ("" = not durable; the registry namespaces it per
 // project), and tel is the registry's shared metrics registry (nil =
 // uninstrumented) the project's per-tenant instrument bundles register
-// on. The wiring mirrors the original single-tenant daemon: fail fast on
-// config errors, recover (or build) the store, attach the service,
-// publish an initial result when the store has state, and mount the
-// ledger endpoints next to the streaming API.
+// on. It fails fast on config errors, recovers (or builds) the store,
+// attaches the service, publishes an initial result when the store has
+// state, and mounts the ledger endpoints next to the streaming API.
 func openProject(id string, cfg Config, base string, logger *slog.Logger, tel *telemetry.Registry) (*Project, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -334,7 +327,7 @@ type Registry struct {
 }
 
 // NewRegistry builds an empty registry. root is the durable root
-// directory (the legacy -wal-dir; "" disables durability for every
+// directory (the daemon's -wal-dir; "" disables durability for every
 // project). logger receives structured operational logging; nil
 // discards it.
 func NewRegistry(root string, logger *slog.Logger) *Registry {
@@ -360,7 +353,7 @@ func (r *Registry) Telemetry() *telemetry.Registry { return r.tel }
 
 // SetReady marks boot-time recovery complete: GET /v1/readyz starts
 // answering 200 and the truthserve_ready gauge flips to 1. The daemon
-// calls it once Bootstrap, Recover, and boot-file creates have finished.
+// calls it once Recover and the boot-file creates have finished.
 func (r *Registry) SetReady() {
 	r.ready.Store(true)
 	r.readyGauge.Set(1)
@@ -372,25 +365,17 @@ func (r *Registry) Ready() bool { return r.ready.Load() }
 // Durable reports whether the registry persists project state.
 func (r *Registry) Durable() bool { return r.root != "" }
 
-// manifestPath is the on-disk index of non-default projects.
+// manifestPath is the on-disk index of every project.
 func (r *Registry) manifestPath() string { return filepath.Join(r.root, "projects.json") }
 
-// projectsDir holds one namespace directory per non-default project.
+// projectsDir holds one namespace directory per project.
 func (r *Registry) projectsDir() string { return filepath.Join(r.root, "projects") }
 
 // baseFor returns the durable file base for a project ("" when the
-// registry is memory-only), creating its namespace directory. The
-// default project keeps the exact single-tenant layout so pre-existing
-// state recovers unchanged.
+// registry is memory-only), creating its namespace directory.
 func (r *Registry) baseFor(id string) (string, error) {
 	if r.root == "" {
 		return "", nil
-	}
-	if id == DefaultProjectID {
-		if err := os.MkdirAll(r.root, 0o755); err != nil {
-			return "", err
-		}
-		return filepath.Join(r.root, "truthserve"), nil
 	}
 	dir, err := wal.NamespaceDir(r.projectsDir(), id)
 	if err != nil {
@@ -400,29 +385,6 @@ func (r *Registry) baseFor(id string) (string, error) {
 		return "", err
 	}
 	return filepath.Join(dir, "store"), nil
-}
-
-// Bootstrap creates the default project from cfg. Unlike Create it does
-// not touch the manifest — the default project is defined by the
-// daemon's flags on every boot, never by persisted config, so legacy
-// deployments keep their "flags win" behavior.
-func (r *Registry) Bootstrap(cfg Config) error {
-	base, err := r.baseFor(DefaultProjectID)
-	if err != nil {
-		return err
-	}
-	p, err := openProject(DefaultProjectID, cfg, base, r.logger, r.tel)
-	if err != nil {
-		return err
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.projects[DefaultProjectID]; ok {
-		p.Close()
-		return ErrExists
-	}
-	r.projects[DefaultProjectID] = p
-	return nil
 }
 
 // reserve claims id for a slow create/delete. It fails if the id is
@@ -467,9 +429,6 @@ func (r *Registry) release(id string, publish *Project) {
 func (r *Registry) Create(id string, cfg Config) (*Project, error) {
 	if err := ValidateID(id); err != nil {
 		return nil, err
-	}
-	if id == DefaultProjectID {
-		return nil, fmt.Errorf("tenant: %q is reserved for the legacy default project", id)
 	}
 	if err := r.reserve(id); err != nil {
 		return nil, err
@@ -529,17 +488,13 @@ func (r *Registry) Create(id string, cfg Config) (*Project, error) {
 }
 
 // Delete closes a project, removes it from the manifest, and deletes its
-// durable namespace. The default project cannot be deleted. In-flight
-// requests against the project finish against its closed service
-// (mutations get ErrClosed → HTTP 410). The drain and directory removal
-// run outside the registry lock; the id stays reserved meanwhile, and —
-// if removing the durable state fails — stays reserved for the
-// registry's lifetime, so a later create of the same id can never boot
-// on top of the half-deleted project's data.
+// durable namespace. In-flight requests against the project finish
+// against its closed service (mutations get ErrClosed → HTTP 410). The
+// drain and directory removal run outside the registry lock; the id
+// stays reserved meanwhile, and — if removing the durable state fails —
+// stays reserved for the registry's lifetime, so a later create of the
+// same id can never boot on top of the half-deleted project's data.
 func (r *Registry) Delete(id string) error {
-	if id == DefaultProjectID {
-		return fmt.Errorf("tenant: the default project cannot be deleted")
-	}
 	r.mu.Lock()
 	p, ok := r.projects[id]
 	if !ok {
@@ -577,8 +532,7 @@ func (r *Registry) Get(id string) (*Project, bool) {
 	return p, ok
 }
 
-// List returns every live project's info row, sorted by id (the default
-// project first).
+// List returns every live project's info row, sorted by id.
 func (r *Registry) List() []Info {
 	r.mu.RLock()
 	projects := make([]*Project, 0, len(r.projects))
@@ -586,17 +540,39 @@ func (r *Registry) List() []Info {
 		projects = append(projects, p)
 	}
 	r.mu.RUnlock()
-	sort.Slice(projects, func(i, j int) bool {
-		if (projects[i].id == DefaultProjectID) != (projects[j].id == DefaultProjectID) {
-			return projects[i].id == DefaultProjectID
-		}
-		return projects[i].id < projects[j].id
-	})
+	sort.Slice(projects, func(i, j int) bool { return projects[i].id < projects[j].id })
 	out := make([]Info, len(projects))
 	for i, p := range projects {
 		out[i] = p.Info()
 	}
 	return out
+}
+
+// legacyDefaultEntry is the manifest entry the legacy-layout migration
+// asks for: the config the single-project daemon's flag defaults built.
+const legacyDefaultEntry = `"default": {"method": "D&S", "seed": 1}`
+
+// refuseLegacyLayout fails when root still holds the single-project
+// layout of earlier releases, <root>/truthserve.{wal,snap}, and names
+// the exact steps that make it the namespace of a project "default".
+// The manifest entry is part of the steps because Create refuses a
+// namespace no manifest entry claims.
+func (r *Registry) refuseLegacyLayout() error {
+	dir := filepath.Join(r.projectsDir(), "default")
+	var moves []string
+	for _, ext := range []string{"wal", "snap"} {
+		old := filepath.Join(r.root, "truthserve."+ext)
+		if _, err := os.Stat(old); err == nil {
+			moves = append(moves, fmt.Sprintf("  mv %s %s", old, filepath.Join(dir, "store."+ext)))
+		}
+	}
+	if len(moves) == 0 {
+		return nil
+	}
+	return fmt.Errorf("tenant: %s holds the single-project layout truthserve.{wal,snap}, which is no longer read; to serve it as the project \"default\", run\n"+
+		"  mkdir -p %s\n%s\n"+
+		"then add this entry to the JSON object in %s (create the file as {} if it is missing), with the method and settings the old flags gave:\n  %s",
+		r.root, dir, strings.Join(moves, "\n"), r.manifestPath(), legacyDefaultEntry)
 }
 
 // Recover opens every project the manifest records (replaying each WAL
@@ -605,6 +581,9 @@ func (r *Registry) List() []Info {
 func (r *Registry) Recover() error {
 	if r.root == "" {
 		return nil
+	}
+	if err := r.refuseLegacyLayout(); err != nil {
+		return err
 	}
 	manifest, err := r.readManifest()
 	if err != nil {
@@ -679,7 +658,10 @@ func (r *Registry) Close() error {
 	return errors.Join(errs...)
 }
 
-// readManifest loads the manifest, treating a missing file as empty.
+// readManifest loads the manifest, treating a missing file as empty. It
+// decodes with DecodeProjects, the boot file's and admin API's strict
+// decoder, so a hand-edited entry with an unknown field fails instead of
+// being dropped.
 func (r *Registry) readManifest() (map[string]Config, error) {
 	data, err := os.ReadFile(r.manifestPath())
 	if os.IsNotExist(err) {
@@ -688,12 +670,9 @@ func (r *Registry) readManifest() (map[string]Config, error) {
 	if err != nil {
 		return nil, err
 	}
-	var m map[string]Config
-	if err := json.Unmarshal(data, &m); err != nil {
+	m, err := DecodeProjects(data)
+	if err != nil {
 		return nil, fmt.Errorf("tenant: manifest %s: %w", r.manifestPath(), err)
-	}
-	if m == nil {
-		m = map[string]Config{}
 	}
 	return m, nil
 }

@@ -28,9 +28,7 @@ func mustCreate(t *testing.T, r *Registry, id string, cfg Config) *Project {
 func TestRegistryCreateGetDelete(t *testing.T) {
 	r := NewRegistry("", nil)
 	defer r.Close()
-	if err := r.Bootstrap(Config{Method: "MV"}); err != nil {
-		t.Fatal(err)
-	}
+	mustCreate(t, r, "default", Config{Method: "MV"})
 	p := mustCreate(t, r, "alpha", Config{Method: "Mean", TaskType: "numeric", Seed: 7})
 
 	if got, ok := r.Get("alpha"); !ok || got != p {
@@ -44,7 +42,7 @@ func TestRegistryCreateGetDelete(t *testing.T) {
 	}
 
 	infos := r.List()
-	if len(infos) != 2 || infos[0].ID != DefaultProjectID || infos[1].ID != "alpha" {
+	if len(infos) != 2 || infos[0].ID != "alpha" || infos[1].ID != "default" {
 		t.Fatalf("List = %+v", infos)
 	}
 
@@ -57,8 +55,9 @@ func TestRegistryCreateGetDelete(t *testing.T) {
 	if err := r.Delete("alpha"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("double delete: %v, want ErrNotFound", err)
 	}
-	if err := r.Delete(DefaultProjectID); err == nil {
-		t.Fatal("default project was deletable")
+	// "default" is an ordinary id: no reservation, no undeletable project.
+	if err := r.Delete("default"); err != nil {
+		t.Fatalf("delete default: %v", err)
 	}
 }
 
@@ -77,7 +76,6 @@ func TestRegistryRejectsBadCreates(t *testing.T) {
 		{"../up", Config{Method: "MV"}},                         // traversal id
 		{"Has Space", Config{Method: "MV"}},                     // bad id chars
 		{"", Config{Method: "MV"}},                              // empty id
-		{DefaultProjectID, Config{Method: "MV"}},                // reserved
 		{"ok-id", Config{Method: "MV", Assign: &assign.Spec{}}}, // no policy
 		{"ok-id", Config{Method: "MV", Assign: &assign.Spec{Policy: "qasca"}}},
 		{"ok-id", Config{Method: "MV", Assign: &assign.Spec{Policy: "random", Redundancy: -2}}},
@@ -288,10 +286,13 @@ func TestBudgetChargedAcrossRestart(t *testing.T) {
 	}
 }
 
-// TestLegacySnapshotRenamedToProjectID: snapshots written before the
-// multi-tenant layer persisted the old hardcoded store name ("live");
-// recovering one must rename the store to its project id so stats (and
-// future snapshots) self-describe.
+// TestLegacySnapshotRenamedToProjectID walks the legacy-layout
+// migration. Recover refuses a root that still holds the single-project
+// <root>/truthserve.snap and prints the steps; after exactly those
+// steps, the snapshot serves as the project "default". Snapshots of
+// that era also persisted the old hardcoded store name ("live"), so
+// recovery must rename the store to its project id for stats (and
+// future snapshots) to self-describe.
 func TestLegacySnapshotRenamedToProjectID(t *testing.T) {
 	root := t.TempDir()
 	d, err := dataset.New("live", dataset.Decision, 2, 2, 2,
@@ -299,20 +300,81 @@ func TestLegacySnapshotRenamedToProjectID(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := wal.WriteSnapshot(filepath.Join(root, "truthserve.snap"), d, 1); err != nil {
+	legacy := filepath.Join(root, "truthserve.snap")
+	if err := wal.WriteSnapshot(legacy, d, 1); err != nil {
+		t.Fatal(err)
+	}
+	r := NewRegistry(root, testutil.Logger(t))
+	err = r.Recover()
+	r.Close()
+	if err == nil {
+		t.Fatal("Recover accepted the legacy layout")
+	}
+	dir := filepath.Join(root, "projects", "default")
+	manifest := filepath.Join(root, "projects.json")
+	for _, step := range []string{
+		"mkdir -p " + dir,
+		"mv " + legacy + " " + filepath.Join(dir, "store.snap"),
+		manifest,
+		legacyDefaultEntry,
+	} {
+		if !strings.Contains(err.Error(), step) {
+			t.Errorf("error does not print %q:\n%v", step, err)
+		}
+	}
+	// Only the files that exist get a mv: no truthserve.wal was written.
+	if strings.Contains(err.Error(), "truthserve.wal ") {
+		t.Errorf("error moves a truthserve.wal that does not exist:\n%v", err)
+	}
+
+	// Run exactly those steps.
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(legacy, filepath.Join(dir, "store.snap")); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(manifest, []byte("{"+legacyDefaultEntry+"}"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r = NewRegistry(root, testutil.Logger(t))
+	defer r.Close()
+	if err := r.Recover(); err != nil {
+		t.Fatalf("Recover after the migration steps: %v", err)
+	}
+	p, ok := r.Get("default")
+	if !ok {
+		t.Fatal("migrated project default not recovered")
+	}
+	if got := p.Service().Stats().Name; got != "default" {
+		t.Fatalf("recovered legacy store reports name %q, want %q", got, "default")
+	}
+	if v := p.Store().Version(); v != 1 {
+		t.Fatalf("migrated store at version %d, want the snapshot's 1", v)
+	}
+	if _, _, answers := p.Store().Dims(); answers != 1 {
+		t.Fatalf("legacy snapshot data lost: %d answers", answers)
+	}
+}
+
+// TestRecoverRejectsUnknownManifestField: the manifest is decoded as
+// strictly as the boot file and the admin API, so a misspelled or
+// retired field in a hand-edited entry fails the boot and is named,
+// instead of being dropped silently.
+func TestRecoverRejectsUnknownManifestField(t *testing.T) {
+	root := t.TempDir()
+	if err := os.WriteFile(filepath.Join(root, "projects.json"),
+		[]byte(`{"p1": {"method": "MV", "assign": {"policy": "random", "no_charge_existing": true}}}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	r := NewRegistry(root, testutil.Logger(t))
 	defer r.Close()
-	if err := r.Bootstrap(Config{Method: "MV"}); err != nil {
-		t.Fatal(err)
+	err := r.Recover()
+	if err == nil || !strings.Contains(err.Error(), `"no_charge_existing"`) {
+		t.Fatalf("Recover with an unknown manifest field: %v, want an error naming it", err)
 	}
-	p, _ := r.Get(DefaultProjectID)
-	if got := p.Service().Stats().Name; got != DefaultProjectID {
-		t.Fatalf("recovered legacy store reports name %q, want %q", got, DefaultProjectID)
-	}
-	if _, _, answers := p.Store().Dims(); answers != 1 {
-		t.Fatalf("legacy snapshot data lost: %d answers", answers)
+	if len(r.List()) != 0 {
+		t.Fatalf("rejected manifest recovered projects: %+v", r.List())
 	}
 }
 
