@@ -342,6 +342,47 @@ func TestStatsReportsShardsAndWALOverHTTP(t *testing.T) {
 	}
 }
 
+// TestRunFailsFastOnBadConfig keeps daemon-level config errors fatal (and
+// readable) rather than silently serving a misconfigured daemon. Project
+// config errors are TestRunFailsFastOnBadProjectsFile's.
+func TestRunFailsFastOnBadConfig(t *testing.T) {
+	legacy := t.TempDir()
+	if err := os.WriteFile(filepath.Join(legacy, "truthserve.wal"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	notDir := filepath.Join(t.TempDir(), "wal")
+	if err := os.WriteFile(notDir, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	corrupt := t.TempDir()
+	if err := os.WriteFile(filepath.Join(corrupt, "projects.json"), []byte("not json"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name, want string
+		cfg        config
+	}{
+		{"single-project wal-dir layout", "mkdir -p", config{walDir: legacy}},
+		{"wal-dir is a file", "not a directory", config{walDir: notDir}},
+		{"corrupt manifest", "manifest", config{walDir: corrupt}},
+		{"bad debug addr", "debug listener", config{debugAddr: "127.0.0.1:notaport"}},
+	} {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		err = run(ctx, tc.cfg, ln, nil)
+		cancel()
+		ln.Close()
+		if err == nil {
+			t.Errorf("%s: run succeeded, want config error", tc.name)
+		} else if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
+		}
+	}
+}
+
 // TestProjectsFileBootsTenants boots the daemon with a -projects file
 // declaring two projects and drives each through its
 // /v1/projects/{id}/... routes: "default" is an ordinary id.
