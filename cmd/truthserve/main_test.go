@@ -481,6 +481,7 @@ func TestRunFailsFastOnBadProjectsFile(t *testing.T) {
 		"bad id":         `{"p 1": {"method": "MV"}}`,
 		"negative budget": `{"p1": {"method": "MV",
 			"assign": {"policy": "random", "budget": -1}}}`,
+		"two objects": `{"p1": {"method": "MV"}} {"p2": {"method": "MV"}}`,
 	}
 	for name, body := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -490,7 +491,9 @@ func TestRunFailsFastOnBadProjectsFile(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer ln.Close()
-			ctx, cancel := context.WithCancel(context.Background())
+			// A file run wrongly accepts boots the daemon, which then
+			// serves until the deadline and returns nil.
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 			defer cancel()
 			err = run(ctx, config{projectsFile: file}, ln, nil)
 			if err == nil {

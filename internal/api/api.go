@@ -32,6 +32,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"time"
 )
@@ -141,15 +142,33 @@ func NoRoute(w http.ResponseWriter, r *http.Request) {
 	Error(w, http.StatusNotFound, fmt.Errorf("no route for %s %s", r.Method, r.RequestURI))
 }
 
-// DecodeJSON decodes one JSON body into v with unknown fields rejected
-// and the body capped at maxBytes. On failure it writes the error
-// response itself (413 for an oversized body, 400 otherwise) and
-// returns false; handlers simply return on false.
-func DecodeJSON(w http.ResponseWriter, r *http.Request, maxBytes int64, v any) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, maxBytes)
-	dec := json.NewDecoder(r.Body)
+// DecodeStrict decodes exactly one JSON value from r into v. Unknown
+// object fields are an error, and so is anything but whitespace after
+// the value: a second concatenated value is refused, not silently
+// dropped.
+func DecodeStrict(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	switch _, err := dec.Token(); {
+	case err == io.EOF:
+		return nil
+	case err != nil:
+		return fmt.Errorf("after the JSON value: %w", err)
+	default:
+		return errors.New("unexpected data after the JSON value")
+	}
+}
+
+// DecodeJSON decodes one JSON body into v with DecodeStrict, the body
+// capped at maxBytes. On failure it writes the error response itself
+// (413 for an oversized body, 400 otherwise) and returns false;
+// handlers simply return on false.
+func DecodeJSON(w http.ResponseWriter, r *http.Request, maxBytes int64, v any) bool {
+	r.Body = http.MaxBytesReader(w, r.Body, maxBytes)
+	if err := DecodeStrict(r.Body, v); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			Error(w, http.StatusRequestEntityTooLarge,

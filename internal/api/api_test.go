@@ -155,6 +155,37 @@ func TestDecodeJSON(t *testing.T) {
 	})
 }
 
+// TestDecodeStrict pins the one-value rule: whitespace may follow the
+// value, anything else may not, so a second concatenated value is an
+// error instead of being dropped.
+func TestDecodeStrict(t *testing.T) {
+	cases := []struct {
+		in string
+		ok bool
+	}{
+		{`{"n":7}`, true},
+		{"{\"n\":7}\n\t ", true},
+		{`{"n":7}{"n":8}`, false},
+		{`{"n":7} 8`, false},
+		{`{"n":7}]`, false},
+		{`{"n":7} x`, false},
+		{`{"n":7,"zzz":1}`, false},
+		{``, false},
+	}
+	for _, c := range cases {
+		var v struct {
+			N int `json:"n"`
+		}
+		err := DecodeStrict(strings.NewReader(c.in), &v)
+		if (err == nil) != c.ok {
+			t.Errorf("DecodeStrict(%q) = %v, want ok=%v", c.in, err, c.ok)
+		}
+		if c.ok && v.N != 7 {
+			t.Errorf("DecodeStrict(%q) decoded n=%d, want 7", c.in, v.N)
+		}
+	}
+}
+
 func TestWriteJSON(t *testing.T) {
 	rec := httptest.NewRecorder()
 	WriteJSON(rec, http.StatusCreated, IngestResponse{Version: 3, Ingested: 2})

@@ -2,8 +2,8 @@
 // live truthserve and measures what the server actually sustained:
 // answers/sec accepted, requests shed with 429, and whether every shed
 // response honored the Retry-After contract. cmd/loadgen wraps it as a
-// binary; internal/benchjson reuses it in-process for the BENCH
-// trajectory's HTTP ingest measurement.
+// binary, which CI's loadgen smoke uses to gate the batched ingest
+// floor, batched-over-single throughput and backpressure.
 package loadgen
 
 import (
@@ -31,7 +31,7 @@ type Config struct {
 	BaseURL string
 	// Project addresses /v1/projects/{Project}/... on a truthserve
 	// daemon; empty drives the bare /v1/... routes of a single
-	// stream.Service handler (how the benchmark harness mounts one).
+	// stream.Service handler (how this package's tests mount one).
 	Project string
 	// Workers is the number of concurrent client goroutines.
 	Workers int

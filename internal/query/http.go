@@ -2,7 +2,6 @@ package query
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -70,9 +69,7 @@ func handleQuery(w http.ResponseWriter, r *http.Request, src Source, ledger Ledg
 		rel, err = View(cat, req.View)
 	} else {
 		var node Node
-		dec := json.NewDecoder(bytes.NewReader(req.Plan))
-		dec.DisallowUnknownFields()
-		if derr := dec.Decode(&node); derr != nil {
+		if derr := api.DecodeStrict(bytes.NewReader(req.Plan), &node); derr != nil {
 			api.Error(w, http.StatusBadRequest, fmt.Errorf("decode plan: %w", derr))
 			return
 		}

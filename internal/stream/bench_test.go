@@ -1,7 +1,13 @@
 package stream
 
 import (
+	"bytes"
 	"fmt"
+	"io"
+	"log/slog"
+	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"sync"
 	"testing"
 
@@ -11,6 +17,7 @@ import (
 	"truthinference/internal/methods/ds"
 	"truthinference/internal/methods/zc"
 	"truthinference/internal/simulate"
+	"truthinference/internal/telemetry"
 )
 
 // benchEpoch measures one re-inference epoch after a 20% answer delta:
@@ -137,6 +144,87 @@ func BenchmarkShardedIngest(b *testing.B) {
 					}(w)
 				}
 				wg.Wait()
+			}
+		})
+	}
+}
+
+// BenchmarkBatchedIngest measures one batched binary ingest request, 4
+// frames of 500 answers each, through a live MV service's handler.
+// "bare" has no instrumentation; "instrumented" wires the telemetry
+// plane as truthserve does: the tenant's stream metrics and the request
+// middleware with its HTTP histograms. CI runs both sides interleaved
+// and fails if the instrumented side's best ns/op is more than 3% over
+// the bare side's. It is a benchmark, not a test, because a 3% bound
+// inside a loaded test run is noise.
+func BenchmarkBatchedIngest(b *testing.B) {
+	const (
+		frames     = 4
+		batchSize  = 500
+		numTasks   = 2000
+		numWorkers = 200
+		rotation   = 64
+	)
+	// Encode a rotation of request bodies up front, so only the server
+	// side is timed.
+	rng := rand.New(rand.NewSource(1))
+	bodies := make([][]byte, rotation)
+	for i := range bodies {
+		batches := make([]Batch, frames)
+		for f := range batches {
+			batches[f] = Batch{NumTasks: numTasks, NumWorkers: numWorkers, Answers: make([]dataset.Answer, batchSize)}
+			for j := range batches[f].Answers {
+				batches[f].Answers[j] = dataset.Answer{
+					Task:   rng.Intn(numTasks),
+					Worker: rng.Intn(numWorkers),
+					Value:  float64(rng.Intn(2)),
+				}
+			}
+		}
+		body, err := EncodeBatchStream(batches)
+		if err != nil {
+			b.Fatal(err)
+		}
+		bodies[i] = body
+	}
+
+	for _, instrumented := range []bool{false, true} {
+		name := "bare"
+		if instrumented {
+			name = "instrumented"
+		}
+		b.Run(name, func(b *testing.B) {
+			store, err := NewStore("bench", dataset.Decision, 2)
+			if err != nil {
+				b.Fatal(err)
+			}
+			cfg := Config{Method: direct.NewMV(), Options: core.Options{Seed: 1}}
+			var reg *telemetry.Registry
+			if instrumented {
+				reg = telemetry.NewRegistry()
+				cfg.Metrics = NewMetrics(reg, "bench", "MV")
+			}
+			svc, err := NewService(store, cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer svc.Close()
+			h := http.Handler(svc.Handler())
+			if instrumented {
+				h = telemetry.Middleware(h, telemetry.NewHTTPMetrics(reg, "truthserve"),
+					slog.New(slog.NewTextHandler(io.Discard, nil)), 0,
+					func(*http.Request) (string, string) { return "/v1/ingest-batch", "bench" })
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				req := httptest.NewRequest("POST", "/v1/ingest-batch", bytes.NewReader(bodies[i%rotation]))
+				req.Header.Set("Content-Type", "application/octet-stream")
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, req)
+				if rec.Code != http.StatusOK {
+					b.Fatalf("ingest-batch → %d: %s", rec.Code, rec.Body.String())
+				}
 			}
 		})
 	}

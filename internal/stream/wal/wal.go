@@ -243,9 +243,8 @@ func Replay(path string, fn func(version uint64, b stream.Batch) error) (goodOff
 }
 
 // WriteSnapshot atomically writes a compacted snapshot of d at the given
-// store version: the bytes go to a temp file, are fsynced, and replace
-// path in one rename, so a crash mid-write never damages an existing
-// snapshot.
+// store version through WriteFileAtomic, so a crash mid-write never
+// damages an existing snapshot.
 func WriteSnapshot(path string, d *dataset.Dataset, version uint64) error {
 	enc, err := d.MarshalBinary()
 	if err != nil {
@@ -256,13 +255,21 @@ func WriteSnapshot(path string, d *dataset.Dataset, version uint64) error {
 	buf = binary.LittleEndian.AppendUint64(buf, version)
 	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(enc))
 	buf = append(buf, enc...)
+	return WriteFileAtomic(path, buf)
+}
 
+// WriteFileAtomic replaces path with data: the bytes go to path+".tmp",
+// are fsynced, and replace path in one rename, followed by a
+// best-effort sync of the directory so the rename itself is durable. A
+// crash leaves either the old file or the new one, never a torn one; on
+// any error the temp file is removed and path is untouched.
+func WriteFileAtomic(path string, data []byte) error {
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(buf); err != nil {
+	if _, err := f.Write(data); err != nil {
 		f.Close()
 		os.Remove(tmp)
 		return err
@@ -280,7 +287,6 @@ func WriteSnapshot(path string, d *dataset.Dataset, version uint64) error {
 		os.Remove(tmp)
 		return err
 	}
-	// Best-effort directory sync so the rename itself is durable.
 	if dir, err := os.Open(filepath.Dir(path)); err == nil {
 		_ = dir.Sync()
 		dir.Close()

@@ -196,6 +196,48 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
+// TestWriteFileAtomic pins the replace-by-rename contract the snapshot
+// and the project manifest share: the content is replaced whole, a
+// stale temp file from a crash is overwritten, no temp file outlives
+// the call, and a rename that fails leaves the target as it was.
+func TestWriteFileAtomic(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "projects.json")
+	if err := os.WriteFile(path+".tmp", []byte("stale bytes left by a crash, longer than the new content"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"first", "second"} {
+		if err := WriteFileAtomic(path, []byte(want)); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := os.ReadFile(path); err != nil || string(got) != want {
+			t.Fatalf("content %q, %v; want %q", got, err, want)
+		}
+		if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+			t.Fatalf("temp file left behind: %v", err)
+		}
+	}
+
+	// A non-empty directory at the target makes the rename fail.
+	target := filepath.Join(dir, "occupied")
+	keep := filepath.Join(target, "keep")
+	if err := os.MkdirAll(target, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(keep, []byte("old"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteFileAtomic(target, []byte("new")); err == nil {
+		t.Fatal("rename onto a directory succeeded")
+	}
+	if got, err := os.ReadFile(keep); err != nil || string(got) != "old" {
+		t.Fatalf("failed rename disturbed the target: %q, %v", got, err)
+	}
+	if _, err := os.Stat(target + ".tmp"); !os.IsNotExist(err) {
+		t.Fatalf("failed rename left its temp file: %v", err)
+	}
+}
+
 func TestOpenRecoversSnapshotPlusWAL(t *testing.T) {
 	dir := t.TempDir()
 	base := filepath.Join(dir, "store")

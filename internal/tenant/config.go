@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	ti "truthinference"
+	"truthinference/internal/api"
 	"truthinference/internal/assign"
 	"truthinference/internal/dataset"
 	"truthinference/internal/stream"
@@ -63,8 +64,9 @@ type Config struct {
 const DefaultSnapshotEvery = 256
 
 // Validate fails fast on everything that would otherwise surface
-// mid-boot or mid-request: unknown method, unknown task type, a
-// method/type mismatch, and a bad assignment spec.
+// mid-boot or mid-request, or silently become a default: unknown
+// method, unknown task type, a method/type mismatch, a negative count
+// and a bad assignment spec.
 func (c Config) Validate() error {
 	m, err := ti.GetMethod(c.Method)
 	if err != nil {
@@ -84,6 +86,15 @@ func (c Config) Validate() error {
 	}
 	if c.Shards < 0 {
 		return fmt.Errorf("tenant: negative shards %d", c.Shards)
+	}
+	// core.Options reads a non-positive iteration cap as the default and
+	// a negative parallelism as all CPUs, so a negative value here would
+	// silently become a default.
+	if c.MaxIter < 0 {
+		return fmt.Errorf("tenant: negative max_iter %d", c.MaxIter)
+	}
+	if c.Parallelism < 0 {
+		return fmt.Errorf("tenant: negative parallelism %d", c.Parallelism)
 	}
 	if c.Assign != nil {
 		if err := c.Assign.Validate(); err != nil {
@@ -167,9 +178,7 @@ func ValidateID(id string) error {
 // validating the result.
 func DecodeConfig(data []byte) (Config, error) {
 	var c Config
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&c); err != nil {
+	if err := api.DecodeStrict(bytes.NewReader(data), &c); err != nil {
 		return Config{}, fmt.Errorf("tenant: decode project config: %w", err)
 	}
 	if err := c.Validate(); err != nil {
@@ -183,9 +192,7 @@ func DecodeConfig(data []byte) (Config, error) {
 // every id and config validated.
 func DecodeProjects(data []byte) (map[string]Config, error) {
 	var raw map[string]json.RawMessage
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&raw); err != nil {
+	if err := api.DecodeStrict(bytes.NewReader(data), &raw); err != nil {
 		return nil, fmt.Errorf("tenant: decode projects file: %w", err)
 	}
 	out := make(map[string]Config, len(raw))

@@ -121,6 +121,9 @@ func TestHTTPContract(t *testing.T) {
 		// stream surface
 		{"ingest malformed json", "POST", "/v1/projects/default/ingest", "application/json", `{"answers":`, http.StatusBadRequest, false},
 		{"ingest unknown field", "POST", "/v1/projects/default/ingest", "application/json", `{"bogus":1}`, http.StatusBadRequest, false},
+		{"ingest trailing data", "POST", "/v1/projects/default/ingest", "application/json",
+			`{"answers":[{"task":0,"worker":3,"value":1}]}{"answers":[{"task":1,"worker":3,"value":1}]}`,
+			http.StatusBadRequest, false},
 		{"ingest oversized body", "POST", "/v1/projects/default/ingest", "application/json",
 			`{"answers":[` + strings.Repeat(`{"task":0,"worker":0,"value":1},`, 300000) + `{"task":0,"worker":0,"value":1}]}`,
 			http.StatusRequestEntityTooLarge, false},
@@ -179,6 +182,7 @@ func TestHTTPContract(t *testing.T) {
 		{"wrong method", "GET", "/v1/projects/default/ingest", "", "", http.StatusNotFound, false},
 	}
 
+	before := storeVersion(t, srv, "default")
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			req, err := http.NewRequest(tc.method, srv.URL+tc.path, strings.NewReader(tc.body))
@@ -225,6 +229,26 @@ func TestHTTPContract(t *testing.T) {
 			}
 		})
 	}
+	// Every row fails, so none may have ingested into the default
+	// project: a refused request acks nothing.
+	if after := storeVersion(t, srv, "default"); after != before {
+		t.Fatalf("default project's store version moved from %d to %d across refused requests", before, after)
+	}
+}
+
+// storeVersion reads a project's store version from its stats route.
+func storeVersion(t *testing.T, srv *httptest.Server, project string) uint64 {
+	t.Helper()
+	resp, err := srv.Client().Get(srv.URL + "/v1/projects/" + project + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st stream.Stats
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("stats of %s → %d, %v", project, resp.StatusCode, err)
+	}
+	return st.StoreVersion
 }
 
 // TestQueryPlaneThroughTenantRouter drives the happy path of the query

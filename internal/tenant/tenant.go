@@ -678,7 +678,7 @@ func (r *Registry) readManifest() (map[string]Config, error) {
 }
 
 // writeManifest applies mutate to the on-disk manifest and writes it
-// back atomically (tmp + rename); manifestMu serializes the
+// back durably with wal.WriteFileAtomic; manifestMu serializes the
 // read-modify-write cycle.
 func (r *Registry) writeManifest(mutate func(map[string]Config)) error {
 	r.manifestMu.Lock()
@@ -695,13 +695,5 @@ func (r *Registry) writeManifest(mutate func(map[string]Config)) error {
 	if err := os.MkdirAll(r.root, 0o755); err != nil {
 		return err
 	}
-	tmp := r.manifestPath() + ".tmp"
-	if err := os.WriteFile(tmp, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, r.manifestPath()); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return nil
+	return wal.WriteFileAtomic(r.manifestPath(), append(data, '\n'))
 }
