@@ -19,6 +19,12 @@ if [ $# -lt 2 ]; then
 fi
 base=$1
 shift
+# A push event's base is the previous head, which a force-push leaves
+# out of the history; compare with the parent commit instead.
+if ! git cat-file -e "$base^{commit}" 2>/dev/null; then
+  echo "note: base '$base' is not a commit in this clone; comparing against HEAD^ instead" >&2
+  base=$(git rev-parse --verify HEAD^)
+fi
 pairs=3
 seconds=$(jq -r .run_seconds BENCHMARK.json)
 tree="$PWD/.bench_build/compare-base"
