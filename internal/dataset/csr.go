@@ -10,10 +10,10 @@ const MaxChoices = 1 << 16
 // graph: the bipartite task–worker adjacency flattened into two
 // CSR/CSC-style offset+value layouts, one task-major for E-steps and one
 // worker-major for M-steps. It is the dataset's one answer index: Build
-// constructs it once, TaskAnswers and WorkerAnswers are views of it, and
-// the iterative methods run their inner sweeps over its arrays (through
-// Dataset.CSR) — every sweep then reads contiguous memory with no
-// per-answer struct loads and no allocations.
+// or Extend constructs it once, TaskAnswers and WorkerAnswers are views
+// of it, and the iterative methods run their inner sweeps over its arrays
+// (through Dataset.CSR) — every sweep then reads contiguous memory with
+// no per-answer struct loads and no allocations.
 //
 // Task and worker ids are already dense ints in the data model
 // (Definitions 1–5 intern external ids at ingestion), so no id
@@ -57,25 +57,36 @@ type CSR struct {
 // one d.CSR returns. It never mutates d and panics on a dataset Build
 // would reject.
 func BuildCSR(d *Dataset) *CSR {
-	c, err := buildCSR(d)
+	c, err := extendCSR(d, emptyCSR, d.Answers)
 	if err != nil {
 		panic(err.Error())
 	}
 	return c
 }
 
-// buildCSR validates every answer and flattens d's answer graph. It is
-// O(answers): a counting pass that also validates, then a stable scatter.
-func buildCSR(d *Dataset) (*CSR, error) {
+// emptyCSR indexes no tasks, workers or answers. Build extends it by every
+// answer, so a full build and an Extend run the same code.
+var emptyCSR = &CSR{TaskOff: []int32{0}, WorkerOff: []int32{0}}
+
+// extendCSR returns the index of old's answers followed by delta over d's
+// ranges, which are at least old's: old indexes answers [0, n0) and delta
+// holds answers n0, n0+1, …. It validates each delta answer against d and
+// is O(ranges + answers), with old's n0 entries moved by block copies:
+// every row keeps its old entries, in order, and gains its new answers at
+// its end, where their larger indices belong. So each row lists its
+// answers in ascending index order whatever the split between old and
+// delta, and extending by a delta equals building over all the answers.
+func extendCSR(d *Dataset, old *CSR, delta []Answer) (*CSR, error) {
 	const maxID = 1<<31 - 2
-	if d.NumTasks > maxID || d.NumWorkers > maxID || len(d.Answers) > maxID {
+	n0 := len(old.TaskAnswer)
+	n := n0 + len(delta)
+	if d.NumTasks > maxID || d.NumWorkers > maxID || n > maxID {
 		return nil, fmt.Errorf("dataset %q: too large for int32 CSR ids (%d tasks, %d workers, %d answers)",
-			d.Name, d.NumTasks, d.NumWorkers, len(d.Answers))
+			d.Name, d.NumTasks, d.NumWorkers, n)
 	}
 	if d.Categorical() && d.NumChoices > MaxChoices {
 		return nil, fmt.Errorf("dataset %q: %d choices overflow uint16 label codes (at most %d)", d.Name, d.NumChoices, MaxChoices)
 	}
-	n := len(d.Answers)
 	c := &CSR{
 		NumTasks:     d.NumTasks,
 		NumWorkers:   d.NumWorkers,
@@ -95,37 +106,33 @@ func buildCSR(d *Dataset) (*CSR, error) {
 		c.WorkerValue = make([]float64, n)
 	}
 
-	// Counting pass: validate each answer and count row sizes into the
-	// offset slots shifted by one, so the prefix sum turns them into
-	// offsets in place.
-	for i := range d.Answers {
-		a := &d.Answers[i]
+	// Counting pass: validate each new answer and count it in its rows'
+	// own offset slots.
+	for i := range delta {
+		a := &delta[i]
 		if err := d.CheckAnswer(*a); err != nil {
-			return nil, fmt.Errorf("answer %d: %w", i, err)
+			return nil, fmt.Errorf("answer %d: %w", n0+i, err)
 		}
-		c.TaskOff[a.Task+1]++
-		c.WorkerOff[a.Worker+1]++
+		c.TaskOff[a.Task]++
+		c.WorkerOff[a.Worker]++
 	}
-	for i := 1; i <= d.NumTasks; i++ {
-		c.TaskOff[i] += c.TaskOff[i-1]
-	}
-	for w := 1; w <= d.NumWorkers; w++ {
-		c.WorkerOff[w] += c.WorkerOff[w-1]
-	}
+	c.byTask().place(old.byTask())
+	c.byWorker().place(old.byWorker())
 
-	// Fill pass in ascending answer order (a stable scatter), so each row
-	// lists its answers in ascending index order. Each row's start offset
-	// doubles as its fill cursor and ends at the next row's start, so
-	// shifting the offsets up one slot afterwards restores them.
-	for i := range d.Answers {
-		a := &d.Answers[i]
+	// Fill pass in ascending answer order (a stable scatter). Each row's
+	// first free slot doubles as its fill cursor and ends at the next
+	// row's start, so shifting the offsets up one slot afterwards turns
+	// them into row starts.
+	for i := range delta {
+		a := &delta[i]
 		ti, wi := c.TaskOff[a.Task], c.WorkerOff[a.Worker]
 		c.TaskOff[a.Task]++
 		c.WorkerOff[a.Worker]++
+		idx := int32(n0 + i)
 		c.TaskWorker[ti] = int32(a.Worker)
-		c.TaskAnswer[ti] = int32(i)
+		c.TaskAnswer[ti] = idx
 		c.WorkerTask[wi] = int32(a.Task)
-		c.WorkerAnswer[wi] = int32(i)
+		c.WorkerAnswer[wi] = idx
 		if c.TaskLabel != nil {
 			l := uint16(a.Label())
 			c.TaskLabel[ti] = l
@@ -140,6 +147,62 @@ func buildCSR(d *Dataset) (*CSR, error) {
 	copy(c.WorkerOff[1:], c.WorkerOff[:d.NumWorkers])
 	c.WorkerOff[0] = 0
 	return c, nil
+}
+
+// layout is one half of a CSR: rows of entries, each carrying the id at
+// its other end (the worker in a task row, the task in a worker row), its
+// answer index, and its label or value.
+type layout struct {
+	off, other, answer []int32
+	label              []uint16
+	value              []float64
+}
+
+func (c *CSR) byTask() layout {
+	return layout{c.TaskOff, c.TaskWorker, c.TaskAnswer, c.TaskLabel, c.TaskValue}
+}
+
+func (c *CSR) byWorker() layout {
+	return layout{c.WorkerOff, c.WorkerTask, c.WorkerAnswer, c.WorkerLabel, c.WorkerValue}
+}
+
+// place turns l.off, which holds each row's count of new answers in the
+// row's own slot, into each row's first free slot, and copies old's rows
+// in ahead of those slots. Rows beyond old's range start empty. All old
+// entries between two rows that gain answers shift by the same amount,
+// so they move as one block.
+func (l layout) place(old layout) {
+	oldRows := len(old.off) - 1
+	n0 := old.off[oldRows]
+	var lo, shift int32 // the pending block of old entries starts at lo and moves up by shift
+	for r := range len(l.off) - 1 {
+		hi := n0
+		if r < oldRows {
+			hi = old.off[r+1]
+		}
+		cnt := l.off[r]
+		l.off[r] = hi + shift
+		if cnt != 0 {
+			if lo < hi {
+				l.move(old, lo, hi, shift)
+			}
+			lo, shift = hi, shift+cnt
+		}
+	}
+	if lo < n0 {
+		l.move(old, lo, n0, shift)
+	}
+}
+
+// move copies old's entries [lo, hi) to [lo+shift, hi+shift).
+func (l layout) move(old layout, lo, hi, shift int32) {
+	copy(l.other[lo+shift:], old.other[lo:hi])
+	copy(l.answer[lo+shift:], old.answer[lo:hi])
+	if l.label != nil {
+		copy(l.label[lo+shift:], old.label[lo:hi])
+	} else {
+		copy(l.value[lo+shift:], old.value[lo:hi])
+	}
 }
 
 // TaskDegree returns the number of answers task i received.

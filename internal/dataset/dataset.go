@@ -12,6 +12,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"sync/atomic"
 )
 
 // TaskType enumerates the three task families studied in the paper.
@@ -58,8 +59,8 @@ func (a Answer) Label() int { return int(a.Value) }
 // ground truth for a subset of tasks. Tasks and workers are dense integer
 // ids 0..NumTasks-1 and 0..NumWorkers-1.
 //
-// The zero value is not usable; construct datasets with New or a loader
-// and always call Build (New does this) after mutating Answers.
+// The zero value is not usable; construct datasets with New, Extend or a
+// loader, and always call Build (New does this) after mutating Answers.
 type Dataset struct {
 	Name       string
 	Type       TaskType
@@ -72,7 +73,12 @@ type Dataset struct {
 	// datasets only expose truth for a subset of tasks (Table 5).
 	Truth map[int]float64
 
-	csr *CSR // the answer index, built by Build
+	csr *CSR // the answer index, built by Build or Extend
+
+	// tail is Answers with the spare capacity an Extend may append into
+	// in place; extended is set by the first Extend, which claims it.
+	tail     []Answer
+	extended atomic.Bool
 }
 
 // New constructs a dataset and builds its answer index. It validates that
@@ -94,10 +100,11 @@ func New(name string, typ TaskType, numChoices, numTasks, numWorkers int, answer
 	return d, nil
 }
 
-// Build validates the dataset and (re)builds its answer index, the CSR:
-// one counting pass that also validates every answer, then one scatter.
-// It must be called after any direct mutation of Answers or of the
-// declared ranges; on error the dataset has no index.
+// Build validates the dataset and (re)builds its answer index, the CSR,
+// by extending an empty index with every answer: one counting pass that
+// also validates every answer, then one scatter. It must be called after
+// any direct mutation of Answers or of the declared ranges; on error the
+// dataset has no index.
 func (d *Dataset) Build() error {
 	d.csr = nil
 	if d.NumTasks < 0 || d.NumWorkers < 0 {
@@ -120,16 +127,69 @@ func (d *Dataset) Build() error {
 	default:
 		return fmt.Errorf("dataset %q: unknown task type %d", d.Name, int(d.Type))
 	}
-	c, err := buildCSR(d)
+	c, err := extendCSR(d, emptyCSR, d.Answers)
 	if err != nil {
 		return err
 	}
+	if err := d.checkTruths(); err != nil {
+		return err
+	}
+	d.csr = c
+	d.tail = d.Answers[:len(d.Answers):len(d.Answers)] // the caller owns any spare capacity
+	return nil
+}
+
+// Extend returns the dataset New would build over d's answers followed by
+// delta, with numTasks × numWorkers ranges and truth as its ground truth:
+// the same Answers, Truth, ranges and CSR, bit for bit. The ranges may
+// only grow, so d's answers stay valid and only delta and truth are
+// validated; an invalid answer's error names its global index. d is left
+// unchanged, on error too.
+//
+// The cost is one copy of d's index plus O(ranges + len(delta)) work:
+// every CSR row keeps its old entries and gains its new answers at its
+// end (see extendCSR). The first Extend of d appends delta to d's answer
+// column in place when it has spare capacity; that is past every length
+// any dataset exposes, and every exposed Answers is capacity-clipped, so
+// no slice a dataset hands out is ever written. The result then shares
+// d's answers, read-only like the CSR. A second Extend of d copies them.
+func (d *Dataset) Extend(delta []Answer, numTasks, numWorkers int, truth map[int]float64) (*Dataset, error) {
+	if numTasks < d.NumTasks || numWorkers < d.NumWorkers {
+		return nil, fmt.Errorf("dataset %q: cannot extend %d tasks and %d workers to %d and %d: ranges only grow",
+			d.Name, d.NumTasks, d.NumWorkers, numTasks, numWorkers)
+	}
+	out := &Dataset{
+		Name:       d.Name,
+		Type:       d.Type,
+		NumChoices: d.NumChoices,
+		NumTasks:   numTasks,
+		NumWorkers: numWorkers,
+		Truth:      truth,
+	}
+	c, err := extendCSR(out, d.csr, delta)
+	if err != nil {
+		return nil, err
+	}
+	if err := out.checkTruths(); err != nil {
+		return nil, err
+	}
+	tail := d.tail
+	if d.extended.Swap(true) {
+		tail = tail[:len(tail):len(tail)] // the first Extend owns the spare capacity
+	}
+	out.tail = append(tail, delta...)
+	out.Answers = out.tail[:len(out.tail):len(out.tail)]
+	out.csr = c
+	return out, nil
+}
+
+// checkTruths validates every entry of the Truth map.
+func (d *Dataset) checkTruths() error {
 	for t, v := range d.Truth {
 		if err := d.CheckTruth(t, v); err != nil {
 			return err
 		}
 	}
-	d.csr = c
 	return nil
 }
 

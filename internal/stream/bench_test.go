@@ -63,6 +63,46 @@ func benchEpoch(b *testing.B, m core.Method) {
 func BenchmarkStreamEpochDS(b *testing.B) { benchEpoch(b, ds.New()) }
 func BenchmarkStreamEpochZC(b *testing.B) { benchEpoch(b, zc.New()) }
 
+// BenchmarkSnapshot measures Store.Snapshot, the full copy and index
+// that WAL compaction takes, on S_Rel at scale 1.0 (98,453 answers).
+func BenchmarkSnapshot(b *testing.B) {
+	store := NewStoreAt(simulate.Generate(simulate.SRel, 1), 1, DefaultShards)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		store.Snapshot()
+	}
+}
+
+// BenchmarkSnapshotSince measures an epoch's snapshot on the same store:
+// extending the previous epoch's snapshot by one 50-answer batch, the
+// refresh workload's delta. Ingest is outside the timer.
+func BenchmarkSnapshotSince(b *testing.B) {
+	d := simulate.Generate(simulate.SRel, 1)
+	store := NewStoreAt(d, 1, DefaultShards)
+	prev, _ := store.Snapshot()
+	rng := rand.New(rand.NewSource(1))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		if _, _, err := store.Ingest(Batch{Answers: randomAnswers(rng, 50, d.NumTasks, d.NumWorkers, d.NumChoices)}); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		prev, _ = store.snapshotSince(prev)
+	}
+}
+
+// randomAnswers draws n uniformly random answers over the given ranges.
+func randomAnswers(rng *rand.Rand, n, tasks, workers, choices int) []dataset.Answer {
+	out := make([]dataset.Answer, n)
+	for i := range out {
+		out[i] = dataset.Answer{Task: rng.Intn(tasks), Worker: rng.Intn(workers), Value: float64(rng.Intn(choices))}
+	}
+	return out
+}
+
 // BenchmarkIncrementalIngest measures the O(delta) path: folding one
 // 100-answer batch into a live MV service.
 func BenchmarkIncrementalIngest(b *testing.B) {

@@ -3,6 +3,7 @@ package stream
 import (
 	"encoding/binary"
 	"math"
+	"reflect"
 	"testing"
 
 	"truthinference/internal/dataset"
@@ -19,7 +20,11 @@ import (
 //   - an accepted batch bumps the version by exactly 1 and appends at
 //     the previous answer count;
 //   - the final store always snapshots to a structurally valid dataset
-//     whose answer count matches the reported dims.
+//     whose answer count matches the reported dims;
+//   - a running snapshot, extended by snapshotSince after every batch,
+//     accepted or rejected, equals a full Snapshot field for field, CSR
+//     included — so hostile, truth-only and dims-only batches all reach
+//     the epoch path's extend.
 //
 // The byte→batch mapping is generative (every input produces a batch),
 // so the fuzzer explores the validator and the shard commit path rather
@@ -40,6 +45,7 @@ func FuzzStoreIngest(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		running, _ := store.Snapshot()
 		r := fuzzReader{data: data}
 		for batches := 0; batches < 16 && !r.done(); batches++ {
 			b := nextFuzzBatch(&r)
@@ -54,13 +60,20 @@ func FuzzStoreIngest(f *testing.F) {
 					t.Fatalf("rejected batch tore the store: version %d→%d, dims %d/%d/%d → %d/%d/%d",
 						beforeVersion, v, beforeTasks, beforeWorkers, beforeAnswers, tasks, workers, answers)
 				}
-				continue
+			} else {
+				if version != beforeVersion+1 {
+					t.Fatalf("accepted batch moved version %d → %d, want +1", beforeVersion, version)
+				}
+				if firstNew != beforeAnswers {
+					t.Fatalf("firstNew = %d, want previous answer count %d", firstNew, beforeAnswers)
+				}
 			}
-			if version != beforeVersion+1 {
-				t.Fatalf("accepted batch moved version %d → %d, want +1", beforeVersion, version)
-			}
-			if firstNew != beforeAnswers {
-				t.Fatalf("firstNew = %d, want previous answer count %d", firstNew, beforeAnswers)
+
+			var runningVersion uint64
+			running, runningVersion = store.snapshotSince(running)
+			full, fullVersion := store.Snapshot()
+			if runningVersion != fullVersion || !reflect.DeepEqual(running, full) {
+				t.Fatalf("batch %d: the snapshot extended since the last batch differs from a full snapshot", batches)
 			}
 		}
 

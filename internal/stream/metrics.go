@@ -17,6 +17,8 @@ type Metrics struct {
 	shedQuota     *telemetry.Counter
 	quotaInFlight *telemetry.Gauge
 	epochSeconds  *telemetry.Histogram
+	snapshotStage *telemetry.Histogram
+	sweepStage    *telemetry.Histogram
 	epochs        *telemetry.Counter
 	epochFailures *telemetry.Counter
 	iterations    *telemetry.Histogram
@@ -30,8 +32,9 @@ type Metrics struct {
 var iterationBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}
 
 // NewMetrics registers the stream service's instruments on reg with
-// per-tenant labels (the epoch histogram also carries the serving
-// method). Returns nil — an inert bundle — for a nil registry.
+// per-tenant labels (the epoch series also carry the serving method, and
+// the stage histogram the stage, named as BENCHMARK.json's per_layer
+// metrics name it). Returns nil — an inert bundle — for a nil registry.
 func NewMetrics(reg *telemetry.Registry, tenant, method string) *Metrics {
 	if reg == nil {
 		return nil
@@ -39,6 +42,9 @@ func NewMetrics(reg *telemetry.Registry, tenant, method string) *Metrics {
 	shed := reg.Counter("truthserve_ingest_answers_shed_total",
 		"Answers rejected by ingest admission, by tenant and reason (rate|quota).",
 		"tenant", "reason")
+	stage := reg.Histogram("truthserve_stage_seconds",
+		"Time in each timed stage of the serving path in seconds, by tenant and stage: epoch.snapshot (the store snapshot, index included) and epoch.sweep (Method.Infer).",
+		telemetry.LatencyBuckets, "tenant", "stage")
 	return &Metrics{
 		admitted: reg.Counter("truthserve_ingest_answers_admitted_total",
 			"Answers that passed ingest admission, by tenant.",
@@ -49,8 +55,10 @@ func NewMetrics(reg *telemetry.Registry, tenant, method string) *Metrics {
 			"Answers reserved against the quota by admitted-but-uncommitted requests.",
 			"tenant").With(tenant),
 		epochSeconds: reg.Histogram("truthserve_epoch_seconds",
-			"Inference epoch latency in seconds, by tenant and method.",
+			"Method.Infer time of each completed epoch in seconds (its epoch.sweep stage; the snapshot before it is not included), by tenant and method.",
 			telemetry.LatencyBuckets, "tenant", "method").With(tenant, method),
+		snapshotStage: stage.With(tenant, "epoch.snapshot"),
+		sweepStage:    stage.With(tenant, "epoch.sweep"),
 		epochs: reg.Counter("truthserve_epochs_total",
 			"Completed inference epochs, by tenant and method.",
 			"tenant", "method").With(tenant, method),
@@ -95,6 +103,16 @@ func (m *Metrics) quotaReserve(n int64) {
 		return
 	}
 	m.quotaInFlight.Add(float64(n))
+}
+
+// observeStages records one epoch's time in its two stages, failed
+// sweeps included.
+func (m *Metrics) observeStages(snapshot, sweep time.Duration) {
+	if m == nil {
+		return
+	}
+	m.snapshotStage.Observe(snapshot.Seconds())
+	m.sweepStage.Observe(sweep.Seconds())
 }
 
 func (m *Metrics) observeEpoch(d time.Duration, warm bool, iterations int, converged bool) {

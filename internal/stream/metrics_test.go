@@ -104,3 +104,38 @@ func TestEpochConvergenceMetrics(t *testing.T) {
 		t.Errorf("epoch_nonconverged_total = %d, want 1", got)
 	}
 }
+
+// TestEpochStageMetrics pins the epoch's stage timers: one Refresh lands
+// one observation in each of truthserve_stage_seconds' epoch.snapshot and
+// epoch.sweep series, and truthserve_epoch_seconds times the sweep alone.
+func TestEpochStageMetrics(t *testing.T) {
+	d := testutil.Categorical(testutil.CrowdSpec{NumTasks: 20, NumWorkers: 5, Redundancy: 3, Seed: 1})
+	store, err := NewStore(d.Name, d.Type, d.NumChoices)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := telemetry.NewRegistry()
+	m := ds.New()
+	svc, err := NewService(store, Config{Method: m, Metrics: NewMetrics(reg, "t1", m.Name())})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { svc.Close() })
+	if _, err := svc.Ingest(splitBatches(d, 1)[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.Refresh(); err != nil {
+		t.Fatal(err)
+	}
+	stages := reg.Histogram("truthserve_stage_seconds", "", telemetry.LatencyBuckets, "tenant", "stage")
+	for _, stage := range []string{"epoch.snapshot", "epoch.sweep"} {
+		if h := stages.With("t1", stage); h.Count() != 1 || !(h.Sum() > 0) {
+			t.Errorf("stage %s: count %d, sum %v; want one positive observation", stage, h.Count(), h.Sum())
+		}
+	}
+	sweep := stages.With("t1", "epoch.sweep").Sum()
+	epoch := reg.Histogram("truthserve_epoch_seconds", "", telemetry.LatencyBuckets, "tenant", "method").With("t1", m.Name())
+	if epoch.Count() != 1 || epoch.Sum() != sweep {
+		t.Errorf("epoch_seconds: count %d, sum %v; want 1 and the sweep's %v", epoch.Count(), epoch.Sum(), sweep)
+	}
+}

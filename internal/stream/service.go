@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"truthinference/internal/core"
+	"truthinference/internal/dataset"
 	"truthinference/internal/engine"
 )
 
@@ -103,6 +104,11 @@ type Service struct {
 	needSync bool       // an epoch-boundary WAL flush is outstanding (guarded by inferMu)
 	queued   atomic.Bool
 	bg       sync.WaitGroup // tracks in-flight background refreshes so Close can drain them
+
+	// snap is the last epoch's store snapshot, which the next epoch
+	// extends by the answers that arrived since (guarded by inferMu;
+	// dropped on Close).
+	snap *dataset.Dataset
 
 	// closing flips before Close drains: Ingest and Refresh reject with
 	// ErrClosed from that point on, so no new epoch can be scheduled onto
@@ -337,16 +343,20 @@ func (s *Service) refreshLocked() error {
 	s.mu.RLock()
 	prev, prevVersion := s.res, s.resVersion
 	s.mu.RUnlock()
-	// Freshness is checked before the O(answers) snapshot clone so no-op
-	// refreshes cost nothing. A version bump between this check and the
-	// snapshot only makes the epoch serve newer data, never older. A
-	// fresh result still retries a failed epoch-boundary flush — Refresh
-	// is a documented durability boundary, so it must not report success
-	// while a Sync is outstanding.
+	// Freshness is checked before the snapshot so no-op refreshes cost
+	// nothing. A version bump between this check and the snapshot only
+	// makes the epoch serve newer data, never older. A fresh result still
+	// retries a failed epoch-boundary flush — Refresh is a documented
+	// durability boundary, so it must not report success while a Sync is
+	// outstanding.
 	if prev != nil && prevVersion == s.store.Version() {
 		return s.flushLocked()
 	}
-	snap, version := s.store.Snapshot()
+	// The snapshot extends the previous epoch's by the answers since, so
+	// its cost follows the delta and one copy of the index.
+	begin := time.Now()
+	snap, version := s.store.snapshotSince(s.snap)
+	s.snap = snap
 
 	opts := s.cfg.Options
 	opts.Pool = s.pool
@@ -355,10 +365,11 @@ func (s *Service) refreshLocked() error {
 	}
 	start := time.Now()
 	res, err := s.method.Infer(snap, opts)
+	elapsed := time.Since(start)
+	s.cfg.Metrics.observeStages(start.Sub(begin), elapsed)
 	if err != nil {
 		return fmt.Errorf("stream: %s epoch failed: %w", s.method.Name(), err)
 	}
-	elapsed := time.Since(start)
 	s.cfg.Metrics.observeEpoch(elapsed, opts.WarmStart != nil, res.Iterations, res.Converged)
 
 	s.mu.Lock()
@@ -614,6 +625,7 @@ func (s *Service) Close() error {
 		return nil
 	}
 	s.closed = true
+	s.snap = nil
 	var err error
 	if s.cfg.Persist != nil {
 		if serr := s.cfg.Persist.Sync(); serr != nil {

@@ -9,6 +9,17 @@
 // compacted snapshots) is layered on through the Persister hook,
 // implemented by internal/stream/wal.
 //
+// # Epoch snapshots
+//
+// Every epoch infers on a consistent snapshot of the store. The service
+// keeps the last epoch's snapshot and extends it (dataset.Extend) by the
+// answers that arrived since: only those are copied under the shard read
+// locks, and the new index is the old one's rows moved in blocks, each
+// new answer appended to its task row and its worker row. So an epoch's
+// fixed cost follows the delta and one copy of the index. No snapshot is
+// written once handed out. WAL compaction and the incremental methods'
+// first fold take full snapshots (Store.Snapshot).
+//
 // # Equivalence contract
 //
 // Streaming a dataset in any number of batches and then inferring yields
@@ -24,6 +35,7 @@ package stream
 import (
 	"fmt"
 	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -119,8 +131,9 @@ type shard struct {
 // deltas under the touched shards' locks only — plus one short global
 // critical section that assigns the batch's version and global answer
 // indices — so concurrent ingests of disjoint task ranges scale across
-// cores. Readers take consistent snapshots (all shard read locks,
-// reassembled in parallel) or run short per-task reads. Every successful
+// cores. Readers take consistent snapshots under all shard read locks
+// (a full copy reassembled in parallel, or an earlier snapshot extended
+// by the answers since) or run short per-task reads. Every successful
 // ingest bumps a monotonic version, which the serving and durability
 // layers use to report how fresh a published result is and which WAL
 // records a recovery must still replay.
@@ -343,18 +356,35 @@ func (s *Store) ScanShard(si, pos, beforeIdx int, dst []dataset.Answer) (n, next
 	return n, pos, pos >= len(sh.log)
 }
 
-// parallelCopyThreshold is the answer count below which Snapshot
-// reassembles the shards serially (goroutine fan-out costs more than it
-// saves on tiny stores).
+// parallelCopyThreshold is the answer count below which a snapshot
+// copies the shards serially (goroutine fan-out costs more than it saves
+// on a small copy).
 const parallelCopyThreshold = 1 << 14
 
 // Snapshot returns a consistent deep copy of the store as a dataset,
-// together with the store version it reflects. All shard read locks are
-// held while the shards copy their partitions in parallel into the
-// global answer order; re-inference runs on snapshots so ingestion never
-// blocks behind a long EM run. The dataset's answer index is built once,
-// after the locks are released, and every method of the epoch reads it.
+// together with the store version it reflects: every answer, copied
+// under all shard read locks, then indexed once by dataset.New after the
+// locks are released. WAL compaction and the incremental methods' first
+// fold take it; the epoch path extends its previous snapshot instead
+// (snapshotSince).
 func (s *Store) Snapshot() (*dataset.Dataset, uint64) {
+	return s.snapshotSince(nil)
+}
+
+// snapshotSince returns a consistent snapshot of the store, built by
+// extending prev, an earlier snapshot of this store: only the answers at
+// global index len(prev.Answers) or later are copied, together with the
+// truths, and prev.Extend appends them to prev's answers and index. A nil
+// prev takes a full snapshot. All shard read locks are held while the
+// shards copy their share in parallel into the global answer order; each
+// shard log is ascending in global index, so a binary search finds the
+// first new entry. Re-inference runs on snapshots, so ingestion never
+// blocks behind a long EM run.
+func (s *Store) snapshotSince(prev *dataset.Dataset) (*dataset.Dataset, uint64) {
+	from := 0
+	if prev != nil {
+		from = len(prev.Answers)
+	}
 	for i := range s.shards {
 		s.shards[i].mu.RLock()
 	}
@@ -367,13 +397,15 @@ func (s *Store) Snapshot() (*dataset.Dataset, uint64) {
 	total := int(s.numAnswers.Load())
 	s.seq.Unlock()
 
-	answers := make([]dataset.Answer, total)
+	answers := make([]dataset.Answer, total-from)
 	copyShard := func(i int) {
-		for _, e := range s.shards[i].log {
-			answers[e.idx] = e.ans
+		log := s.shards[i].log
+		log = log[sort.Search(len(log), func(k int) bool { return log[k].idx >= from }):]
+		for _, e := range log {
+			answers[e.idx-from] = e.ans
 		}
 	}
-	if total >= parallelCopyThreshold && len(s.shards) > 1 {
+	if len(answers) >= parallelCopyThreshold && len(s.shards) > 1 {
 		// Fan out at most one goroutine per CPU; each claims shards off a
 		// shared counter, so a high -shards value costs nothing extra.
 		workers := runtime.GOMAXPROCS(0)
@@ -413,7 +445,13 @@ func (s *Store) Snapshot() (*dataset.Dataset, uint64) {
 		s.shards[i].mu.RUnlock()
 	}
 
-	d, err := dataset.New(s.name, s.typ, s.numChoices, tasks, workers, answers, truth)
+	var d *dataset.Dataset
+	var err error
+	if prev == nil {
+		d, err = dataset.New(s.name, s.typ, s.numChoices, tasks, workers, answers, truth)
+	} else {
+		d, err = prev.Extend(answers, tasks, workers, truth)
+	}
 	if err != nil {
 		// Every committed batch was validated against its target dims, so
 		// a consistent store always snapshots to a valid dataset.

@@ -3,6 +3,9 @@ package stream
 import (
 	"errors"
 	"math"
+	"math/rand"
+	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -382,6 +385,46 @@ func TestSnapshotAllocationsConstant(t *testing.T) {
 		t.Logf("%d tasks: %.0f allocations per Snapshot", tasks, allocs)
 		if allocs > maxAllocs {
 			t.Errorf("%d tasks: Snapshot made %.0f allocations, want at most %d", tasks, allocs, maxAllocs)
+		}
+	}
+}
+
+// TestSnapshotSinceAllocationsConstant pins that an epoch's snapshot —
+// the previous one extended by a 50-answer batch — allocates a fixed
+// number of objects whatever the store's size: the new answers, one truth
+// map, the CSR's columns and, when the answer column is full, a larger
+// one. Each measured extend is the real epoch path, taken on the last
+// one's result. Two task counts stay under one bound. The race runtime
+// changes allocator behaviour, so the test skips under -race.
+func TestSnapshotSinceAllocationsConstant(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	const maxAllocs = 32
+	for _, tasks := range []int{2000, 20000} {
+		d := testutil.Categorical(testutil.CrowdSpec{NumTasks: tasks, NumWorkers: 100, NumChoices: 4, Redundancy: 5, Seed: 3})
+		d.Truth = map[int]float64{0: 1, 7: 2, 1999: 0}
+		store := NewStoreAt(d, 1, DefaultShards)
+		snap, _ := store.Snapshot()
+		rng := rand.New(rand.NewSource(3))
+		var most uint64
+		for run := 0; run < 5; run++ {
+			if _, _, err := store.Ingest(Batch{Answers: randomAnswers(rng, 50, tasks, 100, 4)}); err != nil {
+				t.Fatal(err)
+			}
+			var ms runtime.MemStats
+			runtime.ReadMemStats(&ms)
+			before := ms.Mallocs
+			snap, _ = store.snapshotSince(snap)
+			runtime.ReadMemStats(&ms)
+			most = max(most, ms.Mallocs-before)
+		}
+		t.Logf("%d tasks: at most %d allocations per 50-answer extend", tasks, most)
+		if most > maxAllocs {
+			t.Errorf("%d tasks: a 50-answer extend made %d allocations, want at most %d", tasks, most, maxAllocs)
+		}
+		if want, _ := store.Snapshot(); !reflect.DeepEqual(snap, want) {
+			t.Errorf("%d tasks: the extended snapshot differs from a full one", tasks)
 		}
 	}
 }
