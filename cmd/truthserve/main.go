@@ -14,9 +14,9 @@
 // the -projects file (a JSON object mapping project id → config) or
 // created at runtime through the admin API, which accepts the same
 // shape. Each config carries method, task_type, choices, seed,
-// max_iter, parallelism, shards, cold_start, no_auto_refresh, data,
-// snapshot_every, limits and an optional assign block (policy,
-// redundancy, budget, lease_ttl, defense). When durable, projects are
+// max_iter, parallelism, shards, no_auto_refresh, data, snapshot_every,
+// limits and an optional assign block (policy, redundancy, budget,
+// lease_ttl, defense). When durable, projects are
 // recorded in <wal-dir>/projects.json and recovered on the next boot;
 // a recovered project wins over a boot-file entry of the same id.
 //

@@ -179,6 +179,9 @@ func compileJoin(c *Catalog, n *Node) (plan, error) {
 	}
 	plans := make([]plan, len(n.Inputs))
 	for i, in := range n.Inputs {
+		if in == nil {
+			return plan{}, fmt.Errorf("query: join input %d is empty", i)
+		}
 		p, err := compile(c, in)
 		if err != nil {
 			return plan{}, err

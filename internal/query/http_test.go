@@ -90,6 +90,7 @@ func TestQueryEndpointStatusMapping(t *testing.T) {
 		{"malformed plan", `{"plan":{"op":"scan","surprise":1}}`, http.StatusBadRequest, api.CodeBadRequest},
 		{"unknown relation", `{"plan":{"op":"scan","relation":"secrets"}}`, http.StatusUnprocessableEntity, api.CodeUnprocessable},
 		{"hostile plan", `{"plan":{"op":"project","cols":["nope"],"input":{"op":"scan","relation":"answers"}}}`, http.StatusUnprocessableEntity, api.CodeUnprocessable},
+		{"null join input", `{"plan":{"op":"join","inputs":[null,{"op":"scan","relation":"answers"}]}}`, http.StatusUnprocessableEntity, api.CodeUnprocessable},
 		{"no ledger", `{"view":"spend-vs-budget"}`, http.StatusUnprocessableEntity, api.CodeUnprocessable},
 		{"limit out of range", `{"view":"disagreement","limit":1000000}`, http.StatusUnprocessableEntity, api.CodeUnprocessable},
 	}

@@ -73,12 +73,17 @@ func AppendBatchPayload(buf []byte, b Batch) []byte {
 
 // DecodeBatchPayload decodes one batch payload. It enforces wire shape
 // only; semantic validation (label ranges, finite numerics, dim caps)
-// happens in Store.Ingest.
+// happens in Store.Ingest. Ids travel as their two's-complement bits, so
+// a negative id decodes as sent and is rejected there; dims must fit in
+// an int, so whatever decodes re-encodes to the same batch.
 func DecodeBatchPayload(payload []byte) (Batch, error) {
 	var b Batch
 	c := cursor{data: payload}
-	b.NumTasks = int(c.uvarint())
-	b.NumWorkers = int(c.uvarint())
+	tasks, workers := c.uvarint(), c.uvarint()
+	if tasks > math.MaxInt || workers > math.MaxInt {
+		return Batch{}, fmt.Errorf("dims %d/%d beyond int range", tasks, workers)
+	}
+	b.NumTasks, b.NumWorkers = int(tasks), int(workers)
 	nAns := c.uvarint()
 	if nAns > uint64(c.remaining()/10) { // min 10 bytes per answer
 		return Batch{}, fmt.Errorf("answer count %d exceeds payload", nAns)

@@ -68,6 +68,13 @@ func TestDecodeBatchPayloadRejectsDamage(t *testing.T) {
 	if _, err := DecodeBatchPayload(huge); err == nil {
 		t.Error("oversized answer count decoded without error")
 	}
+	// A dim beyond int range would decode negative, which the encoder
+	// writes back as 0.
+	wide := binary.AppendUvarint(nil, 1<<63)
+	wide = append(wide, 0, 0, 0) // NumWorkers, answer count, truth count
+	if _, err := DecodeBatchPayload(wide); err == nil {
+		t.Error("a dim beyond int range decoded without error")
+	}
 }
 
 func TestBatchStreamRoundTrip(t *testing.T) {

@@ -1,7 +1,9 @@
 package stream
 
 import (
+	"bytes"
 	"encoding/binary"
+	"hash/crc32"
 	"math"
 	"reflect"
 	"testing"
@@ -143,4 +145,78 @@ func nextFuzzBatch(r *fuzzReader) Batch {
 		}
 	}
 	return b
+}
+
+// FuzzReadBatchStream feeds the batched-ingest decoder (the body of
+// POST .../ingest-batch) arbitrary bytes, both as a raw stream and as
+// the payload of one correctly framed stream, so mutations reach the
+// payload decoder past the CRC check. Any stream that decodes must
+// re-encode with EncodeBatchStream and decode to the same batches,
+// value bits included.
+func FuzzReadBatchStream(f *testing.F) {
+	valid, err := EncodeBatchStream([]Batch{codecBatch(3), {NumTasks: 1, NumWorkers: 1}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid)
+	f.Add(AppendBatchPayload(nil, codecBatch(2)))
+	f.Add([]byte(BatchStreamMagic))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		framed := binary.LittleEndian.AppendUint32([]byte(BatchStreamMagic), uint32(len(data)))
+		framed = binary.LittleEndian.AppendUint32(framed, crc32.ChecksumIEEE(data))
+		for _, body := range [][]byte{data, append(framed, data...)} {
+			batches, err := readBatches(body)
+			if err != nil {
+				continue
+			}
+			enc, err := EncodeBatchStream(batches)
+			if err != nil {
+				t.Fatalf("decoded batches do not re-encode: %v", err)
+			}
+			again, err := readBatches(enc)
+			if err != nil {
+				t.Fatalf("re-encoded stream does not decode: %v", err)
+			}
+			if !sameBatches(again, batches) {
+				t.Fatalf("round trip changed the batches:\n got %+v\nwant %+v", again, batches)
+			}
+		}
+	})
+}
+
+func readBatches(body []byte) ([]Batch, error) {
+	var out []Batch
+	_, err := ReadBatchStream(bytes.NewReader(body), func(b Batch) error {
+		out = append(out, b)
+		return nil
+	})
+	return out, err
+}
+
+// sameBatches compares batches field for field, values by their bits
+// (a NaN answer must survive the round trip as the same NaN).
+func sameBatches(a, b []Batch) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		x, y := a[i], b[i]
+		if x.NumTasks != y.NumTasks || x.NumWorkers != y.NumWorkers ||
+			len(x.Answers) != len(y.Answers) || len(x.Truth) != len(y.Truth) {
+			return false
+		}
+		for j, ax := range x.Answers {
+			ay := y.Answers[j]
+			if ax.Task != ay.Task || ax.Worker != ay.Worker || math.Float64bits(ax.Value) != math.Float64bits(ay.Value) {
+				return false
+			}
+		}
+		for task, v := range x.Truth {
+			if w, ok := y.Truth[task]; !ok || math.Float64bits(v) != math.Float64bits(w) {
+				return false
+			}
+		}
+	}
+	return true
 }

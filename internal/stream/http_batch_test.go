@@ -13,9 +13,10 @@ import (
 	"truthinference/internal/methods/direct"
 )
 
-// memPersister is an in-memory DurablePersister: Record buffers, SyncTo
+// memPersister is an in-memory Persister: Record buffers, SyncTo
 // advances the watermark, and the durable/recorded split is observable.
 type memPersister struct {
+	nopDurability
 	mu       sync.Mutex
 	recorded uint64
 	durable  uint64

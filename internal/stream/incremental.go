@@ -9,18 +9,18 @@ import (
 	"truthinference/internal/randx"
 )
 
-// incremental maintains the exact state of a direct-computation method
-// (MV, Mean or Median) under streaming appends: each ingested answer
-// updates per-task sufficient statistics (vote counts, running sums, or
-// nothing for Median, which re-reads the touched task through the
-// owning shard) and relabels only the touched tasks —
-// O(delta · redundancy) per batch, independent of the dataset's size.
+// incremental maintains the exact core.Result of a direct-computation
+// method (MV, Mean or Median) under streaming appends, which the Service
+// publishes: each ingested answer updates per-task sufficient statistics
+// (vote counts, running sums, or nothing for Median, which re-reads the
+// touched task through the owning shard) and relabels only the touched
+// tasks — O(delta · redundancy) per batch, independent of the dataset's
+// size. After every batch, res is bit-identical to the method's Infer
+// over the store's snapshot:
 //
-// The maintained truths are bit-identical to a one-shot batch run of the
-// same method on the final dataset:
-//
-//   - MV's vote counts are small integers (exact in float64) and its
-//     tie-break depends only on (seed, task);
+//   - MV's vote counts are small integers (exact in float64), its
+//     tie-break depends only on (seed, task), and each posterior row is
+//     the count row normalized with mathx.Normalize, as direct.MV does;
 //   - Mean accumulates each task's answers in append order — exactly the
 //     ascending answer-index order the batch method sums in;
 //   - Median sorts the task's answer multiset, which is order-free.
@@ -29,7 +29,7 @@ type incremental struct {
 	seed   int64
 	ell    int // choices (MV)
 
-	truth  []float64
+	res    *core.Result
 	counts []float64 // MV: task-major tasks×ℓ vote counts
 	sums   []float64 // Mean: per-task running sums
 	ns     []int     // Mean: per-task answer counts
@@ -40,34 +40,50 @@ type incremental struct {
 var incrementalMethods = map[string]bool{"MV": true, "Mean": true, "Median": true}
 
 func newIncremental(method string, seed int64, ell int) *incremental {
-	return &incremental{method: method, seed: seed, ell: ell}
+	res := &core.Result{Truth: []float64{}, WorkerQuality: []float64{}, Iterations: 1, Converged: true}
+	if method == "MV" {
+		res.Posterior = [][]float64{}
+	}
+	return &incremental{method: method, seed: seed, ell: ell, res: res}
 }
 
-// grow extends the per-task state to numTasks, labeling the new
-// answer-less tasks exactly as the batch method would (the MV tie-break
-// over an all-zero count row, or 0 for Mean and Median).
-func (inc *incremental) grow(numTasks int) {
-	for i := len(inc.truth); i < numTasks; i++ {
-		inc.truth = append(inc.truth, 0)
-		switch inc.method {
-		case "MV":
-			inc.counts = append(inc.counts, make([]float64, inc.ell)...)
+// grow extends the state to the store's task and worker ranges once per
+// batch, labeling the new answer-less tasks exactly as the batch method
+// would (the MV tie-break over an all-zero count row with a uniform
+// posterior, or 0 for Mean and Median) and giving new workers the
+// direct methods' uniform quality 1.
+func (inc *incremental) grow(numTasks, numWorkers int) {
+	r := inc.res
+	for len(r.WorkerQuality) < numWorkers {
+		r.WorkerQuality = append(r.WorkerQuality, 1)
+	}
+	n := len(r.Truth)
+	if numTasks <= n {
+		return
+	}
+	r.Truth = append(r.Truth, make([]float64, numTasks-n)...)
+	switch inc.method {
+	case "MV":
+		inc.counts = append(inc.counts, make([]float64, (numTasks-n)*inc.ell)...)
+		r.Posterior = append(r.Posterior, core.UniformPosterior(numTasks-n, inc.ell)...)
+		for i := n; i < numTasks; i++ {
 			inc.relabelMV(i)
-		case "Mean":
-			inc.sums = append(inc.sums, 0)
-			inc.ns = append(inc.ns, 0)
 		}
+	case "Mean":
+		inc.sums = append(inc.sums, make([]float64, numTasks-n)...)
+		inc.ns = append(inc.ns, make([]int, numTasks-n)...)
 	}
 }
 
 // apply folds a delta of appended answers into the state and relabels
-// the touched tasks. numTasks is the store's task range after the delta;
-// taskValues returns one task's full answer multiset in append order
-// (used only by Median, which has no constant-size update). Batches must
-// be applied in ingestion order; the service serializes ingest, so the
-// delta of each call is exactly the batch it just committed.
-func (inc *incremental) apply(answers []dataset.Answer, numTasks int, taskValues func(task int) []float64) {
-	inc.grow(numTasks)
+// the touched tasks. numTasks and numWorkers are the store's ranges
+// after the delta; taskValues returns one task's full answer multiset in
+// append order (used only by Median, which has no constant-size update).
+// Batches must be applied in ingestion order; the service serializes
+// ingest, so the delta of each call is exactly the batch it just
+// committed.
+func (inc *incremental) apply(answers []dataset.Answer, numTasks, numWorkers int, taskValues func(task int) []float64) {
+	inc.grow(numTasks, numWorkers)
 	touched := map[int]bool{}
 	for _, a := range answers {
 		switch inc.method {
@@ -84,7 +100,7 @@ func (inc *incremental) apply(answers []dataset.Answer, numTasks int, taskValues
 		case "MV":
 			inc.relabelMV(i)
 		case "Mean":
-			inc.truth[i] = inc.sums[i] / float64(inc.ns[i])
+			inc.res.Truth[i] = inc.sums[i] / float64(inc.ns[i])
 		case "Median":
 			inc.relabelMedian(i, taskValues(i))
 		}
@@ -94,7 +110,7 @@ func (inc *incremental) apply(answers []dataset.Answer, numTasks int, taskValues
 // applyDataset folds a whole existing dataset (e.g. a preloaded store
 // or a recovered snapshot) into freshly initialized state.
 func (inc *incremental) applyDataset(d *dataset.Dataset) {
-	inc.apply(d.Answers, d.NumTasks, func(task int) []float64 {
+	inc.apply(d.Answers, d.NumTasks, d.NumWorkers, func(task int) []float64 {
 		idxs := d.TaskAnswers(task)
 		vals := make([]float64, len(idxs))
 		for k, ai := range idxs {
@@ -104,13 +120,17 @@ func (inc *incremental) applyDataset(d *dataset.Dataset) {
 	})
 }
 
-// relabelMV recomputes task i's plurality label with the same
-// (seed, task)-hashed tie-break as the batch MV implementation.
+// relabelMV recomputes task i's plurality label, with the same
+// (seed, task)-hashed tie-break as the batch MV implementation, and its
+// posterior row, the normalized vote counts.
 func (inc *incremental) relabelMV(i int) {
 	row := inc.counts[i*inc.ell : (i+1)*inc.ell]
-	inc.truth[i] = float64(core.ArgmaxTieBreak(row, func(n int) int {
+	inc.res.Truth[i] = float64(core.ArgmaxTieBreak(row, func(n int) int {
 		return randx.HashPick(n, inc.seed, int64(i))
 	}))
+	post := inc.res.Posterior[i]
+	copy(post, row)
+	mathx.Normalize(post)
 }
 
 // relabelMedian recomputes task i's median from its full answer
@@ -122,22 +142,5 @@ func (inc *incremental) relabelMedian(i int, vals []float64) {
 	if math.IsNaN(med) {
 		med = 0
 	}
-	inc.truth[i] = med
-}
-
-// confidence returns MV's posterior confidence in task i's label (its
-// vote share), or NaN for the numeric methods.
-func (inc *incremental) confidence(i int) float64 {
-	if inc.method != "MV" || i >= len(inc.truth) {
-		return math.NaN()
-	}
-	row := inc.counts[i*inc.ell : (i+1)*inc.ell]
-	var total float64
-	for _, c := range row {
-		total += c
-	}
-	if total == 0 {
-		return 1 / float64(inc.ell)
-	}
-	return row[int(inc.truth[i])] / total
+	inc.res.Truth[i] = med
 }

@@ -31,10 +31,6 @@ type Config struct {
 	// (seed, iteration cap, tolerance, parallelism). Pool and WarmStart
 	// are managed by the service and must be left unset.
 	Options core.Options
-	// ColdStart disables warm-start seeding, re-running every epoch from
-	// cold initialization. It exists for baselines and debugging; the
-	// default (warm) is strictly faster on converged streams.
-	ColdStart bool
 	// AutoRefresh triggers a background re-inference after every ingested
 	// batch (coalesced: at most one inference runs at a time, and a batch
 	// arriving mid-run schedules exactly one follow-up). When false the
@@ -42,11 +38,11 @@ type Config struct {
 	AutoRefresh bool
 	// Persist, when non-nil, receives every committed batch in ingestion
 	// order (a write-ahead log — see internal/stream/wal) and is flushed
-	// on epoch boundaries and on Close. A Record failure is fail-stop:
-	// the failing Ingest returns the error (the batch is applied in
-	// memory but not durably logged) and every later Ingest is rejected,
-	// because recording any further batch would leave a version gap in
-	// the log that recovery must treat as corruption.
+	// on epoch boundaries and on Close; nil means no WAL. A Record
+	// failure is fail-stop: the failing Ingest returns the error (the
+	// batch is applied in memory but not durably logged) and every later
+	// Ingest is rejected, because recording any further batch would leave
+	// a version gap in the log that recovery must treat as corruption.
 	Persist Persister
 	// Limits is the ingest admission policy the HTTP handlers enforce
 	// (rate and quota rejections shed load with 429 + Retry-After). The
@@ -59,42 +55,37 @@ type Config struct {
 	Metrics *Metrics
 }
 
-// Persister is the durability hook a Service drives: Record appends one
-// committed batch (tagged with the store version it produced) to a
-// write-ahead log, Sync makes everything recorded so far durable.
-// internal/stream/wal provides the file-backed implementation; the
-// version tags let recovery replay a WAL on top of a compacted snapshot
-// idempotently.
+// Persister is the write-ahead log a Service drives; wal.Persister is the
+// file-backed implementation. Record appends one committed batch, tagged
+// with the store version it produced, so recovery can replay the log on
+// top of a compacted snapshot idempotently. Sync makes everything
+// recorded so far durable. SyncTo blocks until every record through
+// version is on stable storage — concurrent callers coalesce into one
+// fsync — and DurableVersion reports the watermark already durable, so
+// ingest responses state exactly how much of what they acknowledged
+// would survive a crash. PersistStats reports the live durability state
+// under the "wal" key of Stats.
 type Persister interface {
 	Record(version uint64, b Batch) error
 	Sync() error
-}
-
-// DurablePersister is the optional group-commit side of a Persister.
-// SyncTo blocks until every record through version is on stable storage
-// — concurrent callers coalesce into one fsync — and DurableVersion
-// reports the watermark already durable, letting ingest responses state
-// exactly how much of what they acknowledged would survive a crash.
-// wal.Persister implements it.
-type DurablePersister interface {
-	Persister
 	SyncTo(version uint64) error
 	DurableVersion() uint64
+	PersistStats() PersistStats
 }
 
 // Service multiplexes concurrent readers against streaming ingestion and
 // background re-inference for one method over one Store. Reads always
-// serve the last published result — possibly a few versions stale while
-// an EM run is in flight — and report the exact store version they
-// reflect. Methods with an exact incremental path (MV, Mean, Median)
-// bypass re-inference entirely: ingestion folds each delta into the
-// maintained statistics in O(delta) and reads are always fresh.
+// serve the last published core.Result — possibly a few versions stale
+// while an EM run is in flight — and report the exact store version it
+// reflects. Methods with an exact incremental path (MV, Mean, Median)
+// bypass re-inference entirely: ingestion folds each delta into their
+// maintained result in O(delta), so it is always fresh.
 type Service struct {
 	store   *Store
 	method  core.Method
 	cfg     Config
 	pool    *engine.Pool // persistent; reused by every epoch's hot loops
-	inc     *incremental // non-nil for MV/Mean/Median
+	inc     *incremental // non-nil for MV/Mean/Median; its result is res
 	limiter *Limiter     // nil unless cfg.Limits configures a rate
 
 	ingestMu   sync.Mutex // serializes Ingest (store append + incremental fold + WAL record)
@@ -118,7 +109,6 @@ type Service struct {
 	mu         sync.RWMutex // guards the published state below
 	res        *core.Result
 	resVersion uint64
-	incVersion uint64 // store version the incremental state reflects
 	epochs     int
 	lastInfer  time.Duration
 	lastErr    error // most recent epoch failure; nil after a success
@@ -130,17 +120,12 @@ type Service struct {
 	entropies  []float64
 	entVersion uint64
 
-	// prevQuality is the previous published epoch's worker-quality
-	// vector, retained when a new result replaces it so the query
-	// plane's worker-quality-drop view can compare across the epoch
-	// boundary (guarded by mu; nil before the second epoch).
-	prevQuality []float64
-
 	// qualityHist retains the worker-quality vector of each of the last
 	// QualityHistoryEpochs published epochs, oldest first (guarded by
 	// mu). The assignment ledger's change-detection defense reads it
 	// through QualityHistory to spot sleepers — workers whose estimated
-	// quality collapses mid-stream after a trustworthy start.
+	// quality collapses mid-stream after a trustworthy start — and the
+	// query plane's worker-quality-drop view compares its last two.
 	qualityHist [][]float64
 
 	// quotaReserved is headroom claimed against Limits.MaxAnswers by
@@ -178,20 +163,20 @@ func NewService(store *Store, cfg Config) (*Service, error) {
 	if incrementalMethods[cfg.Method.Name()] {
 		// Fold whatever the store already holds (a preloaded benchmark
 		// file, or a recovered snapshot+WAL replay) into the incremental
-		// statistics, so the state always reflects answers
+		// result and publish it, so it always reflects answers
 		// [0, len(d.Answers)). One snapshot at construction, O(delta)
 		// forever after.
 		snap, version := store.Snapshot()
 		s.inc = newIncremental(cfg.Method.Name(), cfg.Options.Seed, snap.NumChoices)
 		s.inc.applyDataset(snap)
-		s.incVersion = version
+		s.res, s.resVersion = s.inc.res, version
 	}
 	return s, nil
 }
 
 // Ingest applies one batch to the store, records it in the write-ahead
 // log when one is configured, and, for incremental methods, folds it
-// into the maintained statistics in O(delta). With AutoRefresh set,
+// into the published result in O(delta). With AutoRefresh set,
 // iterative methods schedule a coalesced background re-inference.
 func (s *Service) Ingest(b Batch) (uint64, error) {
 	s.ingestMu.Lock()
@@ -215,14 +200,14 @@ func (s *Service) Ingest(b Batch) (uint64, error) {
 	if s.inc != nil {
 		// Fold the delta under the published-state lock so readers never
 		// observe counts and labels from different points in the stream;
-		// incVersion advances in the same critical section, so a served
+		// resVersion advances in the same critical section, so a served
 		// version always has its delta folded in. The delta is exactly
 		// this batch's answers (ingestMu serializes service writes), and
 		// Median re-reads touched tasks through the owning shard only.
-		tasks, _, _ := s.store.Dims()
+		tasks, workers, _ := s.store.Dims()
 		s.mu.Lock()
-		s.inc.apply(b.Answers, tasks, s.store.TaskValues)
-		s.incVersion = version
+		s.inc.apply(b.Answers, tasks, workers, s.store.TaskValues)
+		s.resVersion = version
 		s.mu.Unlock()
 		s.cfg.Metrics.observeFolded(len(b.Answers))
 	}
@@ -248,17 +233,15 @@ func (s *Service) Ingest(b Batch) (uint64, error) {
 
 // DurableTo blocks until every committed batch through version is on
 // stable storage and returns the durable watermark. durable is false
-// when no DurablePersister is configured — there is no stable storage
-// to wait for, and the caller must report that honestly.
+// when no Persister is configured — there is no stable storage to wait
+// for, and the caller must report that honestly.
 func (s *Service) DurableTo(version uint64) (durableVersion uint64, durable bool, err error) {
-	dp, ok := s.cfg.Persist.(DurablePersister)
-	if !ok {
+	p := s.cfg.Persist
+	if p == nil {
 		return 0, false, nil
 	}
-	if err := dp.SyncTo(version); err != nil {
-		return dp.DurableVersion(), true, err
-	}
-	return dp.DurableVersion(), true, nil
+	err = p.SyncTo(version)
+	return p.DurableVersion(), true, err
 }
 
 // refreshAsync schedules a coalesced background refresh: at most one
@@ -290,9 +273,9 @@ func (s *Service) refreshAsync() {
 
 // Refresh runs one inference epoch over a snapshot of the store and
 // publishes the result. Iterative methods resume from the previous
-// epoch's posterior (unless ColdStart); MV/Mean/Median are always fresh
-// and return immediately. Refresh is a no-op when the published result
-// already reflects the latest store version.
+// epoch's posterior; MV/Mean/Median are always fresh and return
+// immediately. Refresh is a no-op when the published result already
+// reflects the latest store version.
 func (s *Service) Refresh() error {
 	if s.closing.Load() {
 		return ErrClosed
@@ -360,9 +343,7 @@ func (s *Service) refreshLocked() error {
 
 	opts := s.cfg.Options
 	opts.Pool = s.pool
-	if !s.cfg.ColdStart && prev != nil {
-		opts.WarmStart = prev.Warm()
-	}
+	opts.WarmStart = prev.Warm() // nil before the first epoch
 	start := time.Now()
 	res, err := s.method.Infer(snap, opts)
 	elapsed := time.Since(start)
@@ -373,9 +354,6 @@ func (s *Service) refreshLocked() error {
 	s.cfg.Metrics.observeEpoch(elapsed, opts.WarmStart != nil, res.Iterations, res.Converged)
 
 	s.mu.Lock()
-	if s.res != nil {
-		s.prevQuality = append(s.prevQuality[:0], s.res.WorkerQuality...)
-	}
 	s.res = res
 	s.resVersion = version
 	s.epochs++
@@ -421,9 +399,6 @@ type TruthInfo struct {
 // Truth returns the inferred truth of one task from the last published
 // result.
 func (s *Service) Truth(task int) (TruthInfo, error) {
-	if s.inc != nil {
-		return s.incTruth(task)
-	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if s.res == nil {
@@ -443,31 +418,9 @@ func (s *Service) Truth(task int) (TruthInfo, error) {
 	return info, nil
 }
 
-// incTruth serves a task from the always-fresh incremental state.
-// incVersion (not the live store version) is reported, so the version a
-// response carries always has its delta folded into the served truth.
-func (s *Service) incTruth(task int) (TruthInfo, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if task < 0 || task >= len(s.inc.truth) {
-		return TruthInfo{}, fmt.Errorf("stream: task %d outside the ingested range [0,%d)", task, len(s.inc.truth))
-	}
-	return TruthInfo{
-		Task:       task,
-		Truth:      s.inc.truth[task],
-		Confidence: s.inc.confidence(task),
-		Version:    s.incVersion,
-	}, nil
-}
-
 // Truths returns a copy of every inferred truth and the store version the
 // vector reflects.
 func (s *Service) Truths() ([]float64, uint64, error) {
-	if s.inc != nil {
-		s.mu.RLock()
-		defer s.mu.RUnlock()
-		return append([]float64(nil), s.inc.truth...), s.incVersion, nil
-	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if s.res == nil {
@@ -479,13 +432,6 @@ func (s *Service) Truths() ([]float64, uint64, error) {
 // WorkerQuality returns the estimated quality of one worker (on the
 // serving method's scale).
 func (s *Service) WorkerQuality(worker int) (float64, error) {
-	if s.inc != nil {
-		_, workers, _ := s.store.Dims()
-		if worker < 0 || worker >= workers {
-			return 0, fmt.Errorf("stream: worker %d outside [0,%d)", worker, workers)
-		}
-		return 1, nil // direct methods report uniform quality
-	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if s.res == nil {
@@ -499,8 +445,7 @@ func (s *Service) WorkerQuality(worker int) (float64, error) {
 
 // PersistStats describes the durability layer's live state, for
 // operators verifying at runtime that the WAL and snapshot compaction
-// are configured and healthy. The wal.Persister implements PersistStatter
-// to supply it.
+// are configured and healthy. Persister.PersistStats supplies it.
 type PersistStats struct {
 	// SinceSnapshot is the number of WAL records appended since the last
 	// successful snapshot compaction (what a crash right now would replay).
@@ -508,17 +453,10 @@ type PersistStats struct {
 	// Compacting reports an in-flight background snapshot compaction.
 	Compacting bool `json:"compacting"`
 	// DurableVersion is the highest store version known to be on stable
-	// storage (see DurablePersister).
+	// storage (see Persister.DurableVersion).
 	DurableVersion uint64 `json:"durable_version"`
 	// CompactError is the last failed compaction still pending retry.
 	CompactError string `json:"compact_error,omitempty"`
-}
-
-// PersistStatter is the optional introspection side of a Persister; when
-// the configured Persister implements it, Stats reports the durability
-// state under the "wal" key.
-type PersistStatter interface {
-	PersistStats() PersistStats
 }
 
 // Stats summarizes the store and the serving state (also the JSON shape
@@ -543,10 +481,9 @@ type Stats struct {
 	Epochs        int    `json:"epochs"`
 	Iterations    int    `json:"iterations"`
 	Converged     bool   `json:"converged"`
-	WarmStart     bool   `json:"warm_start"`
 	Incremental   bool   `json:"incremental"`
 	// Durable reports whether a write-ahead log is attached; WAL carries
-	// its live status when the Persister exposes one.
+	// its live status.
 	Durable     bool          `json:"durable"`
 	WAL         *PersistStats `json:"wal,omitempty"`
 	LastInferMS float64       `json:"last_infer_ms"`
@@ -570,21 +507,12 @@ func (s *Service) Stats() Stats {
 		Answers:      answers,
 		Shards:       s.store.Shards(),
 		StoreVersion: storeVersion,
-		WarmStart:    !s.cfg.ColdStart,
 		Incremental:  s.inc != nil,
 		Durable:      s.cfg.Persist != nil,
 	}
-	if ps, ok := s.cfg.Persist.(PersistStatter); ok {
-		w := ps.PersistStats()
+	if s.cfg.Persist != nil {
+		w := s.cfg.Persist.PersistStats()
 		st.WAL = &w
-	}
-	if s.inc != nil {
-		st.ResultVersion = s.incVersion
-		st.Fresh = s.incVersion == storeVersion
-		st.Epochs = s.epochs
-		st.Iterations = 1
-		st.Converged = true
-		return st
 	}
 	st.ResultVersion = s.resVersion
 	st.Fresh = s.res != nil && s.resVersion == storeVersion

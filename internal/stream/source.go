@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 
+	"truthinference/internal/core"
 	"truthinference/internal/dataset"
 )
 
@@ -58,15 +59,15 @@ const QualityHistoryEpochs = 16
 
 // QualityHistory returns copies of the worker-quality vectors of up to
 // the last QualityHistoryEpochs published epochs, oldest first, plus the
-// result version of the newest. Incremental methods model workers
-// uniformly and publish no epochs, so their history is empty — quality
+// published result version. Incremental methods model workers uniformly
+// and run no epochs, so their history is empty — quality
 // change-detection is only meaningful under iterative methods (D&S and
 // kin) that actually estimate workers.
 func (s *Service) QualityHistory() (hist [][]float64, version uint64) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if len(s.qualityHist) == 0 {
-		return nil, s.resultVersionLocked()
+		return nil, s.resVersion
 	}
 	hist = make([][]float64, len(s.qualityHist))
 	for i, row := range s.qualityHist {
@@ -98,18 +99,6 @@ func (s *Service) ScanShard(si, pos, beforeIdx int, dst []dataset.Answer) (n, ne
 // first epoch. The pair is what the query plane's worker-quality-drop
 // view differences across the epoch boundary.
 func (s *Service) WorkerQualities() (cur, prev []float64, version uint64, err error) {
-	if s.inc != nil {
-		_, workers, _ := s.store.Dims()
-		cur = make([]float64, workers)
-		prev = make([]float64, workers)
-		for i := range cur {
-			cur[i], prev[i] = 1, 1
-		}
-		s.mu.RLock()
-		version = s.incVersion
-		s.mu.RUnlock()
-		return cur, prev, version, nil
-	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if s.res == nil {
@@ -117,7 +106,12 @@ func (s *Service) WorkerQualities() (cur, prev []float64, version uint64, err er
 	}
 	cur = append([]float64(nil), s.res.WorkerQuality...)
 	prev = make([]float64, len(cur))
-	n := copy(prev, s.prevQuality)
+	var n int
+	if h := len(s.qualityHist); h >= 2 {
+		// Every published epoch with workers appends to qualityHist, so
+		// its second-to-last row is the previous epoch's vector.
+		n = copy(prev, s.qualityHist[h-2])
+	}
 	// Workers first seen this epoch (and every worker before the second
 	// epoch) have no history; their "previous" estimate is the current
 	// one, so their delta reads 0 rather than a phantom drop.
@@ -125,65 +119,37 @@ func (s *Service) WorkerQualities() (cur, prev []float64, version uint64, err er
 	return cur, prev, s.resVersion, nil
 }
 
-// ResultVersion returns the store version the published inference state
-// reflects: the last epoch's snapshot version for iterative methods, the
+// ResultVersion returns the store version the published result reflects:
+// the last epoch's snapshot version for iterative methods, the
 // always-fresh incremental version for MV/Mean/Median, and 0 before any
 // result exists. Consumers caching derived scores (the assignment
 // ledger) re-derive when this changes — that is the epoch boundary.
 func (s *Service) ResultVersion() uint64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if s.inc != nil {
-		return s.incVersion
-	}
 	return s.resVersion
 }
 
 // Posteriors returns a copy of every task's posterior distribution over
-// the choice labels, plus the result version the rows reflect. For the
-// incremental MV the posterior is each task's vote-share vector (uniform
-// for answer-less tasks); iterative methods serve their last published
-// Result.Posterior. Numeric methods return ErrNoPosterior, and iterative
-// methods return ErrNotInferred before their first epoch.
+// the choice labels from the last published Result.Posterior (for MV,
+// each task's vote shares, uniform for answer-less tasks), plus the
+// result version the rows reflect. Numeric methods return
+// ErrNoPosterior, and iterative methods return ErrNotInferred before
+// their first epoch.
 func (s *Service) Posteriors() ([][]float64, uint64, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if s.inc != nil {
-		if s.inc.method != "MV" {
-			return nil, 0, ErrNoPosterior
-		}
-		ell := s.inc.ell
-		out := make([][]float64, len(s.inc.truth))
-		for i := range out {
-			row := s.inc.counts[i*ell : (i+1)*ell]
-			cp := make([]float64, ell)
-			var total float64
-			for _, c := range row {
-				total += c
-			}
-			if total == 0 {
-				u := 1 / float64(ell)
-				for k := range cp {
-					cp[k] = u
-				}
-			} else {
-				for k, c := range row {
-					cp[k] = c / total
-				}
-			}
-			out[i] = cp
-		}
-		return out, s.incVersion, nil
-	}
 	if s.res == nil {
 		return nil, 0, ErrNotInferred
 	}
 	if s.res.Posterior == nil {
 		return nil, 0, ErrNoPosterior
 	}
-	out := make([][]float64, len(s.res.Posterior))
+	// Every row has the store's ℓ choices (core.Result's contract), so the
+	// copy takes two allocations, not one per task.
+	out := core.UniformPosterior(len(s.res.Posterior), s.store.NumChoices())
 	for i, row := range s.res.Posterior {
-		out[i] = append([]float64(nil), row...)
+		copy(out[i], row)
 	}
 	return out, s.resVersion, nil
 }
@@ -195,7 +161,7 @@ func (s *Service) Posteriors() ([][]float64, uint64, error) {
 // repeated calls between epochs are O(1) copies.
 func (s *Service) Entropies() ([]float64, uint64, error) {
 	s.mu.RLock()
-	if s.entropies != nil && s.entVersion == s.resultVersionLocked() {
+	if s.entropies != nil && s.entVersion == s.resVersion {
 		out, v := append([]float64(nil), s.entropies...), s.entVersion
 		s.mu.RUnlock()
 		return out, v, nil
@@ -219,14 +185,6 @@ func (s *Service) Entropies() ([]float64, uint64, error) {
 	}
 	s.mu.Unlock()
 	return append([]float64(nil), ent...), version, nil
-}
-
-// resultVersionLocked is ResultVersion with s.mu already held.
-func (s *Service) resultVersionLocked() uint64 {
-	if s.inc != nil {
-		return s.incVersion
-	}
-	return s.resVersion
 }
 
 // Entropy returns the Shannon entropy (nats) of a probability vector.

@@ -253,7 +253,7 @@ func mustNewStore(t *testing.T) *Store {
 }
 
 // statPersister is a no-op Persister that reports a fixed status.
-type statPersister struct{}
+type statPersister struct{ nopDurability }
 
 func (statPersister) Record(uint64, Batch) error { return nil }
 func (statPersister) Sync() error                { return nil }

@@ -2,11 +2,12 @@
 // sharded, concurrency-safe answer store that accepts batched
 // answer/task/worker deltas while inference keeps serving (Store), a
 // warm-start incremental driver that re-runs the iterative methods
-// seeded from the previous epoch's posterior — with exact O(delta)
-// incremental updates for the direct-computation methods MV, Mean and
-// Median (Service) — and an HTTP JSON API over both (Service.Handler,
-// served by cmd/truthserve). Durability (write-ahead logging and
-// compacted snapshots) is layered on through the Persister hook,
+// seeded from the previous epoch's posterior (Service), and an HTTP JSON
+// API over both (Service.Handler, served by cmd/truthserve). Every
+// method is served from one published core.Result; for the
+// direct-computation methods MV, Mean and Median that result is folded
+// exactly, in O(delta), on every batch. Durability (write-ahead logging
+// and compacted snapshots) is layered on through the Persister hook,
 // implemented by internal/stream/wal.
 //
 // # Epoch snapshots
@@ -24,8 +25,9 @@
 //
 // Streaming a dataset in any number of batches and then inferring yields
 // the same answer as one-shot batch inference over the final dataset:
-// bit-identical truths for MV, Mean and Median (their incremental updates
-// are exact), and label-identical truths within convergence tolerance for
+// for MV, Mean and Median a published result bit-identical to the
+// method's Infer after every batch (their incremental updates are
+// exact), and label-identical truths within convergence tolerance for
 // the warm-started iterative methods (a warm start changes only the EM
 // starting point, not the fixed point a converged run reaches). The
 // end-to-end tests in this package and the repository root enforce the

@@ -2,10 +2,12 @@ package stream
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -62,8 +64,14 @@ func newServiceOver(t *testing.T, d *dataset.Dataset, m core.Method, opts core.O
 }
 
 // TestIncrementalExactEquivalence is the streaming equivalence gate for
-// the exact O(delta) methods: ingesting in batches must reproduce
-// one-shot batch inference bit-for-bit, at 1 and 8 workers.
+// the exact O(delta) methods: after every ingested batch, the published
+// result must equal the method's Infer over the store's snapshot field
+// for field — truths, MV posteriors, worker qualities, iterations and
+// convergence — and the final truths must equal one-shot batch
+// inference, at 1 and 8 workers. The streams cover dims declared up
+// front, dims that grow mid-stream (shuffled answers, no declared dims,
+// one batch that only adds workers), and a store preloaded through
+// NewStoreAt, which the service folds in whole at construction.
 func TestIncrementalExactEquivalence(t *testing.T) {
 	decision := simulate.GenerateScaled(simulate.DProduct, 7, 0.04)
 	numeric := simulate.GenerateScaled(simulate.NEmotion, 7, 0.1)
@@ -75,6 +83,18 @@ func TestIncrementalExactEquivalence(t *testing.T) {
 		{direct.NewMean(), numeric},
 		{direct.NewMedian(), numeric},
 	}
+	// ingestExact ingests each batch and checks the published result
+	// against a batch run over the store's snapshot after every one.
+	ingestExact := func(t *testing.T, svc *Service, opts core.Options, batches []Batch) {
+		t.Helper()
+		assertPublishedExact(t, svc, opts, "before the first batch")
+		for i, b := range batches {
+			if _, err := svc.Ingest(b); err != nil {
+				t.Fatalf("%s ingest: %v", svc.method.Name(), err)
+			}
+			assertPublishedExact(t, svc, opts, fmt.Sprintf("after batch %d", i))
+		}
+	}
 	for _, tc := range cases {
 		for _, par := range []int{1, 8} {
 			opts := core.Options{Seed: 11, Parallelism: par}
@@ -83,11 +103,7 @@ func TestIncrementalExactEquivalence(t *testing.T) {
 				t.Fatalf("%s batch: %v", tc.method.Name(), err)
 			}
 			svc := newServiceOver(t, tc.data, tc.method, opts)
-			for _, b := range splitBatches(tc.data, 5) {
-				if _, err := svc.Ingest(b); err != nil {
-					t.Fatalf("%s ingest: %v", tc.method.Name(), err)
-				}
-			}
+			ingestExact(t, svc, opts, splitBatches(tc.data, 5))
 			got, _, err := svc.Truths()
 			if err != nil {
 				t.Fatalf("%s truths: %v", tc.method.Name(), err)
@@ -102,6 +118,68 @@ func TestIncrementalExactEquivalence(t *testing.T) {
 				}
 			}
 		}
+
+		opts := core.Options{Seed: 11}
+		t.Run(tc.method.Name()+"/growing dims", func(t *testing.T) {
+			answers := append([]dataset.Answer(nil), tc.data.Answers...)
+			rand.New(rand.NewSource(5)).Shuffle(len(answers), func(i, j int) {
+				answers[i], answers[j] = answers[j], answers[i]
+			})
+			var batches []Batch
+			for _, part := range chunkAnswers(answers, 6) {
+				batches = append(batches, Batch{Answers: part})
+			}
+			// Mid-stream, a batch that only adds workers no answer names.
+			batches = slices.Insert(batches, 3, Batch{NumWorkers: tc.data.NumWorkers + 2})
+			ingestExact(t, newServiceOver(t, tc.data, tc.method, opts), opts, batches)
+		})
+		t.Run(tc.method.Name()+"/preloaded", func(t *testing.T) {
+			half := len(tc.data.Answers) / 2
+			pre, err := dataset.New(tc.data.Name, tc.data.Type, tc.data.NumChoices,
+				tc.data.NumTasks, tc.data.NumWorkers, tc.data.Answers[:half], nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			svc, err := NewService(NewStoreAt(pre, 3, DefaultShards), Config{Method: tc.method, Options: opts})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { svc.Close() })
+			var batches []Batch
+			for _, part := range chunkAnswers(tc.data.Answers[half:], 3) {
+				batches = append(batches, Batch{Answers: part})
+			}
+			ingestExact(t, svc, opts, batches)
+		})
+	}
+}
+
+// chunkAnswers cuts answers into k contiguous, near-equal parts.
+func chunkAnswers(answers []dataset.Answer, k int) [][]dataset.Answer {
+	parts := make([][]dataset.Answer, k)
+	for i := range parts {
+		parts[i] = answers[i*len(answers)/k : (i+1)*len(answers)/k]
+	}
+	return parts
+}
+
+// assertPublishedExact fails unless the service's published result and
+// version are exactly what the serving method's Infer makes of the
+// store's current snapshot.
+func assertPublishedExact(t *testing.T, svc *Service, opts core.Options, when string) {
+	t.Helper()
+	snap, version := svc.store.Snapshot()
+	want, err := svc.method.Infer(snap, opts)
+	if err != nil {
+		t.Fatalf("%s batch run %s: %v", svc.method.Name(), when, err)
+	}
+	svc.mu.RLock()
+	defer svc.mu.RUnlock()
+	if svc.resVersion != version {
+		t.Fatalf("%s %s: published version %d, store at %d", svc.method.Name(), when, svc.resVersion, version)
+	}
+	if !reflect.DeepEqual(svc.res, want) {
+		t.Fatalf("%s %s: published result differs from Infer over the snapshot", svc.method.Name(), when)
 	}
 }
 
@@ -429,9 +507,18 @@ func TestSnapshotSinceAllocationsConstant(t *testing.T) {
 	}
 }
 
+// nopDurability is the group-commit and status half of Persister as
+// no-ops, for test fakes that exercise only Record and Sync.
+type nopDurability struct{}
+
+func (nopDurability) SyncTo(uint64) error        { return nil }
+func (nopDurability) DurableVersion() uint64     { return 0 }
+func (nopDurability) PersistStats() PersistStats { return PersistStats{} }
+
 // flakyPersister fails Record or Sync on demand, simulating a full or
 // failing disk under the write-ahead log.
 type flakyPersister struct {
+	nopDurability
 	fail     bool
 	records  int
 	syncFail bool
@@ -533,53 +620,64 @@ func TestRefreshRetriesFailedEpochFlush(t *testing.T) {
 }
 
 // TestConcurrentReadersDuringIngest hammers the service with parallel
-// readers while batches stream in and epochs run — the race detector in
-// CI turns any unsynchronized access into a failure.
+// readers while batches stream in and epochs run (ZC) or fold into the
+// published result in place (MV) — the race detector in CI turns any
+// unsynchronized access into a failure.
 func TestConcurrentReadersDuringIngest(t *testing.T) {
 	data := simulate.GenerateScaled(simulate.DProduct, 7, 0.02)
-	svc := newServiceOver(t, data, zc.New(), core.Options{Seed: 3, Parallelism: 4})
-	batches := splitBatches(data, 8)
-	if _, err := svc.Ingest(batches[0]); err != nil {
-		t.Fatal(err)
-	}
-	if err := svc.Refresh(); err != nil {
-		t.Fatal(err)
-	}
-
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for r := 0; r < 4; r++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				if _, _, err := svc.Truths(); err != nil {
-					t.Errorf("reader: %v", err)
-					return
-				}
-				if _, err := svc.Truth(0); err != nil {
-					t.Errorf("reader: %v", err)
-					return
-				}
-				_ = svc.Stats()
-			}
-		}()
-	}
-	for _, b := range batches[1:] {
-		if _, err := svc.Ingest(b); err != nil {
+	for _, m := range []core.Method{zc.New(), direct.NewMV()} {
+		svc := newServiceOver(t, data, m, core.Options{Seed: 3, Parallelism: 4})
+		batches := splitBatches(data, 8)
+		if _, err := svc.Ingest(batches[0]); err != nil {
 			t.Fatal(err)
 		}
 		if err := svc.Refresh(); err != nil {
 			t.Fatal(err)
 		}
+
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		for r := 0; r < 4; r++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					if _, _, err := svc.Truths(); err != nil {
+						t.Errorf("reader: %v", err)
+						return
+					}
+					if _, err := svc.Truth(0); err != nil {
+						t.Errorf("reader: %v", err)
+						return
+					}
+					if _, _, err := svc.Entropies(); err != nil {
+						t.Errorf("reader: %v", err)
+						return
+					}
+					if _, _, _, err := svc.WorkerQualities(); err != nil {
+						t.Errorf("reader: %v", err)
+						return
+					}
+					_ = svc.Stats()
+				}
+			}()
+		}
+		for _, b := range batches[1:] {
+			if _, err := svc.Ingest(b); err != nil {
+				t.Fatal(err)
+			}
+			if err := svc.Refresh(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		close(stop)
+		wg.Wait()
 	}
-	close(stop)
-	wg.Wait()
 }
 
 // TestAutoRefreshEventuallyFresh checks the coalesced background path:

@@ -97,7 +97,6 @@ type Persister struct {
 }
 
 var _ stream.Persister = (*Persister)(nil)
-var _ stream.DurablePersister = (*Persister)(nil)
 
 // Open recovers (or initializes) the durable state at <base>.snap /
 // <base>.wal and returns a Persister appending to the log. fresh builds
@@ -251,10 +250,10 @@ func (p *Persister) Sync() error {
 }
 
 // SyncTo blocks until every record through the given store version is
-// on stable storage, implementing stream.DurablePersister. Concurrent
-// callers coalesce: one leader fsyncs for everyone queued behind it
-// (see the type comment). version must not exceed the last Recorded
-// version — a Persister cannot make data it never saw durable.
+// on stable storage. Concurrent callers coalesce: one leader fsyncs for
+// everyone queued behind it (see the type comment). version must not
+// exceed the last Recorded version — a Persister cannot make data it
+// never saw durable.
 func (p *Persister) SyncTo(version uint64) error {
 	if p.durable.Load() >= version {
 		return nil
@@ -313,9 +312,8 @@ func (p *Persister) advanceDurable(v uint64) {
 	}
 }
 
-// PersistStats implements stream.PersistStatter: the live durability
-// state GET /v1/stats reports so operators can verify the WAL/snapshot
-// config at runtime.
+// PersistStats reports the live durability state GET /v1/stats shows,
+// so operators can verify the WAL/snapshot config at runtime.
 func (p *Persister) PersistStats() stream.PersistStats {
 	p.mu.Lock()
 	defer p.mu.Unlock()

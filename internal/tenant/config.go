@@ -36,8 +36,6 @@ type Config struct {
 	// Shards is the project store's shard count (0 = stream default).
 	// Contention tuning only; state is shard-count independent.
 	Shards int `json:"shards,omitempty"`
-	// ColdStart disables warm starts (every epoch from cold init).
-	ColdStart bool `json:"cold_start,omitempty"`
 	// NoAutoRefresh disables background re-inference after each batch
 	// (by default it is on).
 	NoAutoRefresh bool `json:"no_auto_refresh,omitempty"`

@@ -224,7 +224,6 @@ func openProject(id string, cfg Config, base string, logger *slog.Logger, tel *t
 	svcCfg := stream.Config{
 		Method:      m,
 		Options:     ti.Options{Seed: cfg.Seed, MaxIterations: cfg.MaxIter, Parallelism: par},
-		ColdStart:   cfg.ColdStart,
 		AutoRefresh: !cfg.NoAutoRefresh,
 		Metrics:     stream.NewMetrics(tel, id, m.Name()),
 	}
@@ -291,8 +290,8 @@ func openProject(id string, cfg Config, base string, logger *slog.Logger, tel *t
 	}
 	mux.Handle("POST /v1/query", query.NewHandler(svc, ql, query.NewMetrics(tel, id)))
 	p.handler = mux
-	logger.Info("serving", "method", m.Name(), "warm_start", !cfg.ColdStart,
-		"auto_refresh", !cfg.NoAutoRefresh, "shards", store.Shards(), "durable", persist != nil)
+	logger.Info("serving", "method", m.Name(), "auto_refresh", !cfg.NoAutoRefresh,
+		"shards", store.Shards(), "durable", persist != nil)
 	return p, nil
 }
 

@@ -409,6 +409,7 @@ func TestDecodeConfigErrors(t *testing.T) {
 	cases := map[string]string{
 		"not json":      `nope`,
 		"unknown field": `{"method":"MV","wat":1}`,
+		"removed field": `{"method":"D&S","cold_start":true}`,
 		"bad method":    `{"method":"Oops"}`,
 		"bad duration":  `{"method":"MV","assign":{"policy":"random","lease_ttl":"soonish"}}`,
 		"duration type": `{"method":"MV","assign":{"policy":"random","lease_ttl":true}}`,
