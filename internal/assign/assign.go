@@ -27,9 +27,9 @@
 // eligible pool instead of starving the task.
 //
 // The ledger reads the serving state through the Source interface, which
-// *stream.Service satisfies structurally: posteriors and entropies are
-// cached per result version and re-fetched only when a new inference
-// epoch publishes (the epoch boundary), per-task answer counts re-sync
+// *stream.Service satisfies structurally: posteriors are cached per
+// result version and re-fetched only when a new inference epoch
+// publishes (the epoch boundary), per-task answer counts re-sync
 // whenever the store version moves, and worker qualities are read per
 // request. cmd/truthserve mounts the HTTP face (GET /v1/assign,
 // POST /v1/complete, GET /v1/assignstats) next to the inference API, and
@@ -44,6 +44,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"truthinference/internal/mathx"
 )
 
 // Source is the serving-state surface the ledger scores from.
@@ -62,8 +64,6 @@ type Source interface {
 	// Posteriors returns per-task posterior rows and the result version
 	// they reflect; an error means no posterior is available (yet).
 	Posteriors() ([][]float64, uint64, error)
-	// Entropies returns the per-task posterior Shannon entropies.
-	Entropies() ([]float64, uint64, error)
 	// WorkerQuality returns the method's quality estimate for one worker.
 	// Methods that model workers uniformly (MV/Mean/Median) report 1 for
 	// every worker; routing then reduces to pure posterior uncertainty,
@@ -162,15 +162,16 @@ type Ledger struct {
 	seen        []map[int]struct{} // workers ever assigned each task (self-exclusion)
 
 	// Cached serving state. counts re-syncs when the store version moves;
-	// posterior/entropy re-sync when the result version moves (the epoch
-	// boundary).
+	// post re-syncs when the result version moves (the epoch boundary),
+	// and Stats derives meanEnt from it once per post.
 	counts    []int
 	countsVer uint64
 	countsOK  bool
 	post      [][]float64
-	entropy   []float64
 	postVer   uint64
 	postOK    bool
+	meanEnt   float64
+	meanEntOK bool
 	uniform   []float64
 
 	leases map[uint64]Lease
@@ -328,7 +329,6 @@ func (l *Ledger) Assign(worker int) (Lease, error) {
 		Choices:   l.src.NumChoices(),
 		Load:      l.loadLocked(),
 		Posterior: l.post,
-		Entropy:   l.entropy,
 		uniform:   l.uniform,
 	}
 	best, bestScore := -1, 0.0
@@ -453,8 +453,9 @@ func (l *Ledger) publishGaugesLocked() {
 }
 
 // syncLocked refreshes the cached serving state: answer counts when the
-// store version moved, posterior + entropy when the result version moved
-// (the epoch boundary), and the per-task slices when the store grew.
+// store version moved, the posterior when the result version moved (the
+// epoch boundary; on an incremental method, every ingest), and the
+// per-task slices when the store grew.
 func (l *Ledger) syncLocked() {
 	if sv := l.src.StoreVersion(); !l.countsOK || sv != l.countsVer {
 		l.counts = l.src.TaskAnswerCounts()
@@ -463,12 +464,11 @@ func (l *Ledger) syncLocked() {
 	}
 	if rv := l.src.ResultVersion(); !l.postOK || rv != l.postVer {
 		if post, v, err := l.src.Posteriors(); err == nil {
-			ent, _, _ := l.src.Entropies()
-			l.post, l.entropy, l.postVer = post, ent, v
+			l.post, l.postVer = post, v
 		} else {
-			l.post, l.entropy, l.postVer = nil, nil, rv
+			l.post, l.postVer = nil, rv
 		}
-		l.postOK = true
+		l.postOK, l.meanEntOK = true, false
 	}
 	for len(l.outstanding) < len(l.counts) {
 		l.outstanding = append(l.outstanding, 0)
@@ -544,7 +544,8 @@ type Stats struct {
 	// EligibleTasks counts tasks still under their redundancy cap.
 	EligibleTasks int `json:"eligible_tasks"`
 	// MeanEntropy is the mean posterior entropy (nats) over all tasks at
-	// the last epoch boundary; 0 when no posterior is available.
+	// the last epoch boundary; 0 when no posterior is available. It is
+	// computed from the cached posterior once per result version.
 	MeanEntropy float64 `json:"mean_entropy"`
 	// ResultVersion is the epoch the cached scores reflect.
 	ResultVersion uint64 `json:"result_version"`
@@ -586,13 +587,16 @@ func (l *Ledger) Stats() Stats {
 			st.EligibleTasks++
 		}
 	}
-	if len(l.entropy) > 0 {
-		var sum float64
-		for _, h := range l.entropy {
-			sum += h
+	if !l.meanEntOK {
+		l.meanEnt, l.meanEntOK = 0, true
+		for _, row := range l.post {
+			l.meanEnt += mathx.Entropy(row)
 		}
-		st.MeanEntropy = sum / float64(len(l.entropy))
+		if len(l.post) > 0 {
+			l.meanEnt /= float64(len(l.post))
+		}
 	}
+	st.MeanEntropy = l.meanEnt
 	if l.def != nil {
 		st.CollusionPairs = l.def.pairs / 2 // each flagged pair is recorded on both workers
 		st.GoldenPool = len(l.def.goldenIDs)

@@ -66,21 +66,6 @@ func (f *fakeSource) Posteriors() ([][]float64, uint64, error) {
 	}
 	return out, f.resultVer, nil
 }
-func (f *fakeSource) Entropies() ([]float64, uint64, error) {
-	post, v, err := f.Posteriors()
-	if err != nil {
-		return nil, 0, err
-	}
-	ent := make([]float64, len(post))
-	for i, row := range post {
-		for _, p := range row {
-			if p > 0 {
-				ent[i] -= p * math.Log(p)
-			}
-		}
-	}
-	return ent, v, nil
-}
 func (f *fakeSource) WorkerQuality(w int) (float64, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()

@@ -24,10 +24,10 @@ type Policy interface {
 
 // Request is the scoring context of one assignment request: the
 // requesting worker, its estimated probability of answering correctly,
-// and the ledger's cached view of the serving state. Posterior rows and
-// entropies reflect the result version the ledger last synced at (an
-// epoch boundary); Load is live redundancy accounting (collected answers
-// plus outstanding leases per task).
+// and the ledger's cached view of the serving state. Posterior rows
+// reflect the result version the ledger last synced at (an epoch
+// boundary); Load is live redundancy accounting (collected answers plus
+// outstanding leases per task).
 type Request struct {
 	// Worker is the requesting worker id.
 	Worker int
@@ -49,8 +49,6 @@ type Request struct {
 	// epoch boundary; nil when the serving method publishes none (numeric
 	// methods, or an iterative method before its first epoch).
 	Posterior [][]float64
-	// Entropy[t] is the Shannon entropy of Posterior[t] (nats).
-	Entropy []float64
 
 	// uniform is the 1/ℓ row served for tasks beyond the last epoch's
 	// posterior range; the ledger builds it once per request.

@@ -413,3 +413,15 @@ func sortFloats(xs []float64) {
 		}
 	}
 }
+
+// Entropy returns the Shannon entropy (nats) of a probability vector.
+// Zero-mass entries contribute nothing; a nil or empty row is 0.
+func Entropy(p []float64) float64 {
+	var h float64
+	for _, x := range p {
+		if x > 0 {
+			h -= x * math.Log(x)
+		}
+	}
+	return h
+}

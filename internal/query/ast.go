@@ -168,8 +168,9 @@ func compileInput(c *Catalog, n *Node) (plan, error) {
 // in the joinable input (shares >= 1 column) with the smallest rank.
 // Each pairwise HashJoin builds its hash table on the smaller-ranked
 // side and streams the larger; the accumulated result's rank is the max
-// of its members, so the answer scan — when present — is always the
-// probe side and is never materialized.
+// of its members, so the answer scan is the probe side against any
+// smaller input. Two inputs at the answers rank tie, and then the
+// accumulated side is built: its rows count against MaxJoinRows.
 func compileJoin(c *Catalog, n *Node) (plan, error) {
 	if n.Input != nil {
 		return plan{}, fmt.Errorf("query: join takes inputs, not a single input")
@@ -222,7 +223,7 @@ func compileJoin(c *Catalog, n *Node) (plan, error) {
 		if next.rank < acc.rank {
 			build, probe = next, acc
 		}
-		rel, err := HashJoin(build.rel, probe.rel, bestShared)
+		rel, err := c.HashJoin(build.rel, probe.rel, bestShared)
 		if err != nil {
 			return plan{}, err
 		}

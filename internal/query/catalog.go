@@ -75,8 +75,20 @@ const (
 	rankLeases  = 1 // outstanding leases (bounded by budget/redundancy)
 	rankWorkers = 2 // one row per worker
 	rankPerTask = 3 // one row per task (mv, posterior_top, entropy) or task×ℓ (posterior)
-	rankAnswers = 4 // one row per answer — always the probe side
+	rankAnswers = 4 // one row per answer — the probe side against any smaller input
 )
+
+// MaxJoinRows is the per-query budget of rows that all of a plan's hash
+// joins may store in their build tables together: about 10× the answers
+// of the largest paper dataset at scale 1.0 (S_Rel, 98,453), so no
+// canned view or sensible plan comes near it. A plan whose build sides
+// grow past it (say, a chain of self-joins of the answer log, which
+// multiplies rows by the redundancy per join) ends with ErrJoinBudget.
+const MaxJoinRows = 1_000_000
+
+// ErrJoinBudget is recorded on the catalog when a plan's joins store
+// more than MaxJoinRows build rows. The HTTP layer answers 422.
+var ErrJoinBudget = fmt.Errorf("query: the plan's joins stored more than %d build rows, the per-query join row budget", MaxJoinRows)
 
 // relationRank maps every catalog relation to its cardinality class.
 var relationRank = map[string]int{
@@ -115,7 +127,15 @@ type Catalog struct {
 	// returned. Read it after the query has been collected; catalogs are
 	// per-query and single-goroutine, so plain int is fine.
 	Scanned int
+
+	joinRows int   // build rows stored so far by this query's hash joins
+	err      error // sticky: the first error a stream recorded (see Err)
 }
+
+// Err returns the error that cut one of the query's streams short
+// (today only ErrJoinBudget), or nil. A stream cut short ends like a
+// drained one, so read Err after Collect.
+func (c *Catalog) Err() error { return c.err }
 
 // NewCatalog pins the store and returns a catalog for one query.
 func NewCatalog(src Source, ledger Ledger) *Catalog {
@@ -151,104 +171,101 @@ func (c *Catalog) Relation(name string) (Relation, error) {
 	}
 }
 
-// answers streams (task, worker, value) straight off the sharded store:
-// one chunk of scanChunk answers is copied per refill under a short
-// shard read-lock, shards drained in order, everything at global index
-// >= the pin excluded. No lock is ever held between Next calls.
-func (c *Catalog) answers() Relation {
+// chunks returns a pull over the pinned answer log: each call copies
+// the next chunk of at most scanChunk answers under a short shard
+// read-lock into one reused buffer and returns it, shards in order, or
+// nil once all are drained. A chunk is valid until the next call, and
+// no lock is held between calls.
+func (c *Catalog) chunks() func() []dataset.Answer {
 	var (
-		buf      = make([]dataset.Answer, scanChunk)
-		n, pos   int
-		i        int
-		si       int
-		exhaust  = c.src.Shards() == 0 || c.PinAnswers == 0
-		doneCur  bool
-		haveFill bool
+		buf     = make([]dataset.Answer, scanChunk)
+		si, pos int
 	)
-	return Relation{Cols: []string{"task", "worker", "value"}, Next: func() (Row, bool) {
-		for {
-			if exhaust {
-				return nil, false
-			}
-			if haveFill && i < n {
-				a := buf[i]
-				i++
-				return Row{float64(a.Task), float64(a.Worker), a.Value}, true
-			}
-			if haveFill && doneCur {
-				si++
-				pos = 0
-				haveFill = false
-				if si >= c.src.Shards() {
-					exhaust = true
-					continue
-				}
-			}
-			n, pos, doneCur = c.src.ScanShard(si, pos, c.PinAnswers, buf)
+	return func() []dataset.Answer {
+		for c.PinAnswers > 0 && si < c.src.Shards() {
+			n, next, done := c.src.ScanShard(si, pos, c.PinAnswers, buf)
 			c.Scanned += n
-			i, haveFill = 0, true
-			if n == 0 && !doneCur {
-				// Defensive: a shard that returns no progress and claims
-				// more data would loop forever; treat it as drained.
-				doneCur = true
+			pos = next
+			if done || n == 0 {
+				// A shard that makes no progress yet claims more data
+				// would loop forever; treat it as drained.
+				si, pos = si+1, 0
+			}
+			if n > 0 {
+				return buf[:n]
 			}
 		}
+		return nil
+	}
+}
+
+// answers streams (task, worker, value) straight off the sharded store,
+// one chunk at a time (see chunks), everything at global index >= the
+// pin excluded.
+func (c *Catalog) answers() Relation {
+	var (
+		next  = c.chunks()
+		chunk []dataset.Answer
+		rows  = slab{width: 3}
+	)
+	return Relation{Cols: []string{"task", "worker", "value"}, Next: func() (Row, bool) {
+		if len(chunk) == 0 {
+			if chunk = next(); chunk == nil {
+				return nil, false
+			}
+		}
+		a := chunk[0]
+		chunk = chunk[1:]
+		return rows.of(float64(a.Task), float64(a.Worker), a.Value), true
 	}}
 }
 
 // mv derives the majority vote per task from the pinned answer scan:
-// (task, mv_label, mv_share). State is O(tasks·ℓ) counts — never a copy
-// of the answers. Ties break to the lowest label (deterministic, and
-// independent of the serving method's hashed tie-break — callers
-// comparing against a served MV should avoid tied datasets). Requires a
-// categorical store.
+// (task, mv_label, mv_share). It counts the scan's chunks into one flat
+// tasks×ℓ array — never a copy of the answers. Ties break to the lowest
+// label (deterministic, and independent of the serving method's hashed
+// tie-break — callers comparing against a served MV should avoid tied
+// datasets). Requires a categorical store.
 func (c *Catalog) mv() (Relation, error) {
 	ell := c.src.NumChoices()
 	if ell < 2 {
 		return Relation{}, fmt.Errorf("query: relation \"mv\" requires a categorical store")
 	}
 	var (
-		counts [][]float64
-		total  []float64
+		counts []float64 // ℓ votes per task, task-major
 		built  bool
-		task   int
+		t      int
+		rows   = slab{width: 3}
 	)
-	build := func() {
-		scan := c.answers()
-		for {
-			r, ok := scan.Next()
-			if !ok {
-				return
-			}
-			t, label := int(r[0]), int(r[2])
-			for t >= len(counts) {
-				counts = append(counts, make([]float64, ell))
-				total = append(total, 0)
-			}
-			if label >= 0 && label < ell {
-				counts[t][label]++
-				total[t]++
-			}
-		}
-	}
 	return Relation{Cols: []string{"task", "mv_label", "mv_share"}, Next: func() (Row, bool) {
 		if !built {
-			build()
 			built = true
-		}
-		for task < len(counts) {
-			t := task
-			task++
-			if total[t] == 0 {
-				continue // a task with no pinned answers has no vote
+			next := c.chunks()
+			for chunk := next(); chunk != nil; chunk = next() {
+				for _, a := range chunk {
+					if n := (a.Task + 1) * ell; n > len(counts) {
+						counts = append(counts, make([]float64, n-len(counts))...)
+					}
+					if label := int(a.Value); label >= 0 && label < ell {
+						counts[a.Task*ell+label]++
+					}
+				}
 			}
-			best := 0
-			for k := 1; k < ell; k++ {
-				if counts[t][k] > counts[t][best] {
+		}
+		for t*ell < len(counts) {
+			task, votes := t, counts[t*ell:(t+1)*ell]
+			t++
+			best, total := 0, 0.0
+			for k, v := range votes {
+				total += v
+				if v > votes[best] {
 					best = k
 				}
 			}
-			return Row{float64(t), float64(best), counts[t][best] / total[t]}, true
+			if total == 0 {
+				continue // a task with no pinned answers has no vote
+			}
+			return rows.of(float64(task), float64(best), votes[best]/total), true
 		}
 		return nil, false
 	}}, nil
@@ -263,10 +280,11 @@ func (c *Catalog) posterior() (Relation, error) {
 	}
 	c.ResultVersion = v
 	t, k := 0, 0
+	rows := slab{width: 3}
 	return Relation{Cols: []string{"task", "label", "p"}, Next: func() (Row, bool) {
 		for t < len(post) {
 			if k < len(post[t]) {
-				r := Row{float64(t), float64(k), post[t][k]}
+				r := rows.of(float64(t), float64(k), post[t][k])
 				k++
 				return r, true
 			}
@@ -286,6 +304,7 @@ func (c *Catalog) posteriorTop() (Relation, error) {
 	}
 	c.ResultVersion = v
 	t := 0
+	rows := slab{width: 3}
 	return Relation{Cols: []string{"task", "top_label", "top_p"}, Next: func() (Row, bool) {
 		for t < len(post) {
 			row := post[t]
@@ -300,7 +319,7 @@ func (c *Catalog) posteriorTop() (Relation, error) {
 					best = k
 				}
 			}
-			return Row{float64(i), float64(best), row[best]}, true
+			return rows.of(float64(i), float64(best), row[best]), true
 		}
 		return nil, false
 	}}, nil
@@ -315,11 +334,12 @@ func (c *Catalog) entropy() (Relation, error) {
 	}
 	c.ResultVersion = v
 	t := 0
+	rows := slab{width: 2}
 	return Relation{Cols: []string{"task", "entropy"}, Next: func() (Row, bool) {
 		if t >= len(ent) {
 			return nil, false
 		}
-		r := Row{float64(t), ent[t]}
+		r := rows.of(float64(t), ent[t])
 		t++
 		return r, true
 	}}, nil
@@ -335,6 +355,7 @@ func (c *Catalog) workers() (Relation, error) {
 	}
 	c.ResultVersion = v
 	w := 0
+	rows := slab{width: 4}
 	return Relation{Cols: []string{"worker", "quality", "prev_quality", "drop"}, Next: func() (Row, bool) {
 		if w >= len(cur) {
 			return nil, false
@@ -346,7 +367,7 @@ func (c *Catalog) workers() (Relation, error) {
 		if math.IsNaN(pq) {
 			pq = -1
 		}
-		r := Row{float64(w), q, pq, pq - q}
+		r := rows.of(float64(w), q, pq, pq-q)
 		w++
 		return r, true
 	}}, nil

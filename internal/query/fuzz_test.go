@@ -11,8 +11,9 @@ import (
 // FuzzQueryPlan feeds the plan decoder of POST .../query arbitrary
 // bytes. Whatever api.DecodeStrict accepts as a Node is compiled and
 // collected against the golden fixture, with a ledger so every relation
-// resolves. Compile may reject a plan, but nothing may panic, and every
-// row must be as wide as its schema.
+// resolves. Compile may reject a plan and a plan's joins may stop at
+// MaxJoinRows, but nothing may panic, and every row must be as wide as
+// its schema.
 func FuzzQueryPlan(f *testing.F) {
 	for _, plan := range []string{
 		`{"op":"scan","relation":"answers"}`,

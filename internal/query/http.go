@@ -27,7 +27,8 @@ const (
 // (unknown fields rejected). Failures use the shared error envelope:
 // 400 malformed body or view+plan confusion, 404 unknown view, 409 the
 // backing data does not exist yet (retry after an epoch), 413 oversized
-// body, 422 structurally invalid plan. ledger may be nil (no assignment
+// body, 422 structurally invalid plan or one whose joins outgrew
+// MaxJoinRows. ledger may be nil (no assignment
 // plane): lease/budget relations then answer 422. m, when non-nil,
 // counts served queries, rows scanned vs returned, and truncations.
 func NewHandler(src Source, ledger Ledger, m *Metrics) http.Handler {
@@ -81,6 +82,10 @@ func handleQuery(w http.ResponseWriter, r *http.Request, src Source, ledger Ledg
 	}
 
 	rows, truncated := Collect(rel, limit)
+	if err := cat.Err(); err != nil {
+		api.Error(w, statusFor(err), err)
+		return
+	}
 	m.observe(req.View, len(rows), cat.Scanned, truncated)
 	out := make([][]float64, len(rows))
 	for i, r := range rows {

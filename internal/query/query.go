@@ -3,10 +3,14 @@
 // (⋈), group-aggregate, limit — whose operators are lazy pull-based
 // iterators streaming straight out of the sharded answer store, the
 // inference surfaces on the serving service, and the assignment ledger.
-// Nothing materializes the store: the answer scan copies one small chunk
+// No scan materializes the store: the answer scan copies one small chunk
 // at a time under short shard read-locks, and every answer-sourced
 // relation in one query is pinned to a single store version (see
 // Catalog), so results are consistent even under concurrent ingest.
+// What an operator does buffer (a join's build side, an aggregate's
+// groups) it holds in flat slices, and every row it emits is carved from
+// a shared slab; the rows all hash joins of one query store are bounded
+// by MaxJoinRows.
 //
 // Plans arrive as a JSON AST over POST /v1/query (see Node and Handler)
 // or as one of the canned operator views (see Views): method
@@ -25,6 +29,7 @@ package query
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -48,6 +53,35 @@ func colIndex(cols []string, name string) int {
 		}
 	}
 	return -1
+}
+
+// slabRows is how many rows one slab allocation holds.
+const slabRows = 256
+
+// slab carves fixed-width rows out of shared backing arrays, so an
+// operator makes one allocation per slabRows rows instead of one per
+// row. Each row's capacity is capped at its width, so appending to a
+// row copies it rather than writing into its neighbour, and no operator
+// mutates a row it did not make, so rows that share an array stay
+// independent.
+type slab struct {
+	width int
+	buf   []float64
+}
+
+// of returns a new row of the slab's width that starts with vals (at
+// most width of them) and is zero after them.
+func (s *slab) of(vals ...float64) Row {
+	if s.width == 0 {
+		return Row{}
+	}
+	if len(s.buf) < s.width {
+		s.buf = make([]float64, s.width*slabRows)
+	}
+	r := s.buf[:s.width:s.width]
+	s.buf = s.buf[s.width:]
+	copy(r, vals)
+	return r
 }
 
 // fromRows wraps an already-built row slice as a Relation (used for the
@@ -90,12 +124,13 @@ func Project(in Relation, cols []string) (Relation, error) {
 		idx[i] = j
 	}
 	out := append([]string(nil), cols...)
+	rows := slab{width: len(idx)}
 	return Relation{Cols: out, Next: func() (Row, bool) {
 		r, ok := in.Next()
 		if !ok {
 			return nil, false
 		}
-		p := make(Row, len(idx))
+		p := rows.of()
 		for i, j := range idx {
 			p[i] = r[j]
 		}
@@ -118,72 +153,124 @@ func Limit(in Relation, n int) Relation {
 	}}
 }
 
-// HashJoin is ⋈ on the named key columns: it drains build into a hash
-// table keyed by the join columns, then streams probe, emitting one
-// output row per match. The output schema is build's columns followed
+// nanKey is the key bit pattern every NaN folds to.
+const nanKey = 0x7ff8000000000001
+
+// keyBits is what join and group keys compare: v's bit pattern, with
+// every NaN folded to one pattern. +0 and −0 are two keys, as are +Inf
+// and −Inf, and all NaNs are one: the equality classes of the "%x"
+// text keys these bits replaced.
+func keyBits(v float64) uint64 {
+	if v != v {
+		return nanKey
+	}
+	return math.Float64bits(v)
+}
+
+// keyHash hashes the key columns idx of r. Equal keys hash equal, and a
+// one-column key hashes without collisions.
+func keyHash(r []float64, idx []int) uint64 {
+	var h uint64
+	for _, j := range idx {
+		h = (h ^ keyBits(r[j])) * 0x100000001b3
+	}
+	return h
+}
+
+// sameKey reports whether the key columns ai of a equal the key columns
+// bi of b.
+func sameKey(a []float64, ai []int, b []float64, bi []int) bool {
+	for k, j := range ai {
+		if keyBits(a[j]) != keyBits(b[bi[k]]) {
+			return false
+		}
+	}
+	return true
+}
+
+// HashJoin is ⋈ on the named key columns: it drains build into one
+// slice and a table keyed by the join columns (see keyBits), then
+// streams probe, emitting one output row per match, a probe row's
+// matches in build order. The output schema is build's columns followed
 // by probe's non-key columns; a non-key column name shared by both
 // sides is an error (the algebra has no rename). The caller arranges
 // build to be the known-smaller side — see greedy ordering in ast.go.
-func HashJoin(build, probe Relation, on []string) (Relation, error) {
+// Every build row counts against the catalog's MaxJoinRows budget; past
+// it the join records ErrJoinBudget on the catalog and ends its stream.
+func (c *Catalog) HashJoin(build, probe Relation, on []string) (Relation, error) {
 	if len(on) == 0 {
 		return Relation{}, fmt.Errorf("join: no join columns (cross joins are not supported)")
 	}
 	bIdx := make([]int, len(on))
 	pIdx := make([]int, len(on))
-	for i, c := range on {
-		if bIdx[i] = colIndex(build.Cols, c); bIdx[i] < 0 {
-			return Relation{}, fmt.Errorf("join: column %q missing on build side %v", c, build.Cols)
+	for i, col := range on {
+		if bIdx[i] = colIndex(build.Cols, col); bIdx[i] < 0 {
+			return Relation{}, fmt.Errorf("join: column %q missing on build side %v", col, build.Cols)
 		}
-		if pIdx[i] = colIndex(probe.Cols, c); pIdx[i] < 0 {
-			return Relation{}, fmt.Errorf("join: column %q missing on probe side %v", c, probe.Cols)
+		if pIdx[i] = colIndex(probe.Cols, col); pIdx[i] < 0 {
+			return Relation{}, fmt.Errorf("join: column %q missing on probe side %v", col, probe.Cols)
 		}
 	}
 	// Probe columns that survive into the output (everything but keys).
 	var pKeep []int
 	cols := append([]string(nil), build.Cols...)
-	for j, c := range probe.Cols {
-		if colIndex(on, c) >= 0 {
+	for j, col := range probe.Cols {
+		if colIndex(on, col) >= 0 {
 			continue
 		}
-		if colIndex(build.Cols, c) >= 0 {
-			return Relation{}, fmt.Errorf("join: ambiguous column %q on both sides (project it away first)", c)
+		if colIndex(build.Cols, col) >= 0 {
+			return Relation{}, fmt.Errorf("join: ambiguous column %q on both sides (project it away first)", col)
 		}
 		pKeep = append(pKeep, j)
-		cols = append(cols, c)
+		cols = append(cols, col)
 	}
 
-	var table map[string][]Row
-	key := func(r Row, idx []int) string {
-		// Keys are exact float64 bit patterns formatted compactly; every
-		// key column in the catalog is an integer id, so this is exact.
-		k := make([]byte, 0, 16*len(idx))
-		for _, j := range idx {
-			k = appendKey(k, r[j])
-		}
-		return string(k)
-	}
-	var bucket []Row // pending matches for the current probe row
-	var probeRow Row
+	var (
+		bw       = len(build.Cols)
+		vals     []float64        // the build rows, bw values each
+		head     map[uint64]int32 // key hash → 1 + its first build row
+		next     []int32          // 1 + the next build row with the same hash; 0 ends
+		cur      int32            // 1 + the next build row to try on probeRow
+		probeRow Row
+		rows     = slab{width: len(cols)}
+	)
 	return Relation{Cols: cols, Next: func() (Row, bool) {
-		if table == nil {
-			table = make(map[string][]Row)
-			for {
+		if head == nil {
+			for c.err == nil {
 				r, ok := build.Next()
 				if !ok {
 					break
 				}
-				k := key(r, bIdx)
-				table[k] = append(table[k], r)
+				if c.joinRows++; c.joinRows > MaxJoinRows {
+					c.err = ErrJoinBudget
+					break
+				}
+				vals = append(vals, r...)
+			}
+			if c.err != nil {
+				return nil, false
+			}
+			// Chain each hash's rows back to front, so the chains read in
+			// build order.
+			n := len(vals) / bw
+			head = make(map[uint64]int32, n)
+			next = make([]int32, n)
+			for i := n - 1; i >= 0; i-- {
+				h := keyHash(vals[i*bw:], bIdx)
+				next[i] = head[h]
+				head[h] = int32(i + 1)
 			}
 		}
-		for {
-			if len(bucket) > 0 {
-				b := bucket[0]
-				bucket = bucket[1:]
-				out := make(Row, 0, len(cols))
-				out = append(out, b...)
-				for _, j := range pKeep {
-					out = append(out, probeRow[j])
+		for c.err == nil {
+			for cur != 0 {
+				b := vals[int(cur-1)*bw : int(cur)*bw]
+				cur = next[cur-1]
+				if !sameKey(b, bIdx, probeRow, pIdx) {
+					continue
+				}
+				out := rows.of(b...)
+				for k, j := range pKeep {
+					out[bw+k] = probeRow[j]
 				}
 				return out, true
 			}
@@ -192,14 +279,10 @@ func HashJoin(build, probe Relation, on []string) (Relation, error) {
 				return nil, false
 			}
 			probeRow = r
-			bucket = table[key(r, pIdx)]
+			cur = head[keyHash(r, pIdx)]
 		}
+		return nil, false
 	}}, nil
-}
-
-// appendKey appends an exact, self-delimiting encoding of v.
-func appendKey(k []byte, v float64) []byte {
-	return append(k, fmt.Sprintf("%x|", v)...)
 }
 
 // AggOp is one aggregation function.
@@ -256,98 +339,95 @@ func GroupAggregate(in Relation, by []string, aggs []Agg) (Relation, error) {
 		cols = append(cols, a.As)
 	}
 
-	type acc struct {
-		group      Row
-		count      []float64
-		sum        []float64
-		min, max   []float64
-		minMaxInit []bool
+	// cell accumulates one aggregate of one group.
+	type cell struct {
+		count, sum, min, max float64
+		set                  bool // min and max have seen a value
 	}
-	var out []Row
-	done := false
-	pos := 0
+	var (
+		out  []Row
+		done bool
+		pos  int
+	)
 	drain := func() {
-		groups := map[string]*acc{}
-		var order []string
+		var (
+			nb     = len(byIdx)
+			own    = make([]int, nb) // a stored key's own column indices
+			keys   []float64         // each group's key columns, first-seen order
+			cells  []cell            // len(aggs) per group
+			head   = map[uint64]int32{}
+			next   []int32 // 1 + the next group with the same hash; 0 ends
+			groups int
+		)
+		for i := range own {
+			own[i] = i
+		}
 		for {
 			r, ok := in.Next()
 			if !ok {
 				break
 			}
-			k := make([]byte, 0, 16*len(byIdx))
-			for _, j := range byIdx {
-				k = appendKey(k, r[j])
-			}
-			a := groups[string(k)]
-			if a == nil {
-				g := make(Row, len(byIdx))
-				for i, j := range byIdx {
-					g[i] = r[j]
+			h := keyHash(r, byIdx)
+			g := -1
+			for i := head[h]; i != 0; i = next[i-1] {
+				if sameKey(keys[int(i-1)*nb:], own, r, byIdx) {
+					g = int(i - 1)
+					break
 				}
-				a = &acc{
-					group: g,
-					count: make([]float64, len(aggs)), sum: make([]float64, len(aggs)),
-					min: make([]float64, len(aggs)), max: make([]float64, len(aggs)),
-					minMaxInit: make([]bool, len(aggs)),
-				}
-				groups[string(k)] = a
-				order = append(order, string(k))
 			}
-			for i := range aggs {
-				a.count[i]++
+			if g < 0 {
+				g = groups
+				groups++
+				for _, j := range byIdx {
+					keys = append(keys, r[j])
+				}
+				cells = append(cells, make([]cell, len(aggs))...)
+				next = append(next, head[h])
+				head[h] = int32(groups)
+			}
+			cs := cells[g*len(aggs) : (g+1)*len(aggs)]
+			for i := range cs {
+				a := &cs[i]
+				a.count++
 				if aggIdx[i] >= 0 {
 					v := r[aggIdx[i]]
-					a.sum[i] += v
-					if !a.minMaxInit[i] || v < a.min[i] {
-						a.min[i] = v
+					a.sum += v
+					if !a.set || v < a.min {
+						a.min = v
 					}
-					if !a.minMaxInit[i] || v > a.max[i] {
-						a.max[i] = v
+					if !a.set || v > a.max {
+						a.max = v
 					}
-					a.minMaxInit[i] = true
+					a.set = true
 				}
 			}
 		}
-		if len(by) == 0 && len(order) == 0 {
-			a := &acc{
-				group: Row{},
-				count: make([]float64, len(aggs)), sum: make([]float64, len(aggs)),
-				min: make([]float64, len(aggs)), max: make([]float64, len(aggs)),
-				minMaxInit: make([]bool, len(aggs)),
-			}
-			groups[""] = a
-			order = append(order, "")
+		if nb == 0 && groups == 0 {
+			groups = 1
+			cells = make([]cell, len(aggs))
 		}
-		for _, k := range order {
-			a := groups[k]
-			row := append(Row{}, a.group...)
+		rows := slab{width: len(cols)}
+		out = make([]Row, groups)
+		for g := range out {
+			row := rows.of(keys[g*nb : (g+1)*nb]...)
 			for i, spec := range aggs {
-				switch spec.Op {
-				case AggCount:
-					row = append(row, a.count[i])
-				case AggSum:
-					row = append(row, a.sum[i])
-				case AggAvg:
-					if a.count[i] == 0 {
-						row = append(row, -1)
-					} else {
-						row = append(row, a.sum[i]/a.count[i])
-					}
-				case AggMin:
-					if !a.minMaxInit[i] {
-						row = append(row, -1)
-					} else {
-						row = append(row, a.min[i])
-					}
-				case AggMax:
-					if !a.minMaxInit[i] {
-						row = append(row, -1)
-					} else {
-						row = append(row, a.max[i])
-					}
+				a := cells[g*len(aggs)+i]
+				v := -1.0 // an empty avg, min or max
+				switch {
+				case spec.Op == AggCount:
+					v = a.count
+				case spec.Op == AggSum:
+					v = a.sum
+				case spec.Op == AggAvg && a.count > 0:
+					v = a.sum / a.count
+				case spec.Op == AggMin && a.set:
+					v = a.min
+				case spec.Op == AggMax && a.set:
+					v = a.max
 				}
+				row[nb+i] = v
 			}
-			out = append(out, row)
+			out[g] = row
 		}
 		sort.Slice(out, func(i, j int) bool {
 			for c := range byIdx {

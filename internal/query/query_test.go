@@ -5,11 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"net/http"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"truthinference/internal/api"
 	"truthinference/internal/assign"
 	"truthinference/internal/dataset"
 	"truthinference/internal/methods/direct"
@@ -127,6 +129,25 @@ func golden() *fakeSource {
 	}
 }
 
+// specials is the golden fixture plus answers from workers 3 and 4 whose
+// values are the float64 key edge cases: +0 and −0 (two keys), NaNs with
+// two payloads (one key), and +Inf and −Inf.
+func specials() *fakeSource {
+	src := golden()
+	nan1, nan2 := math.Float64frombits(0x7ff8000000000001), math.Float64frombits(0x7ff8000000000002)
+	src.answers = append(src.answers,
+		dataset.Answer{Task: 0, Worker: 3, Value: 0}, dataset.Answer{Task: 1, Worker: 3, Value: math.Copysign(0, -1)},
+		dataset.Answer{Task: 2, Worker: 3, Value: nan1}, dataset.Answer{Task: 0, Worker: 4, Value: nan2},
+		dataset.Answer{Task: 1, Worker: 4, Value: math.Inf(1)}, dataset.Answer{Task: 2, Worker: 4, Value: math.Inf(-1)})
+	return src
+}
+
+// specialAnswers scans specials' answers from workers 3 and 4, keeping
+// the named columns.
+func specialAnswers(cols string) string {
+	return `{"op":"project","cols":` + cols + `,"input":{"op":"select","where":{"op":"ge","col":"worker","value":3},"input":{"op":"scan","relation":"answers"}}}`
+}
+
 func collectAll(t *testing.T, rel query.Relation) []query.Row {
 	t.Helper()
 	rows, truncated := query.Collect(rel, -1)
@@ -192,6 +213,16 @@ func TestGroupAggregate(t *testing.T) {
 	if fmt.Sprint(rows2) != fmt.Sprint([]query.Row{{0, -1}}) {
 		t.Fatalf("empty-input aggregate = %v, want [[0 -1]]", rows2)
 	}
+	// Group keys compare bits with every NaN folded to one: +0 and −0 are
+	// two groups, the two NaN payloads one, and ±Inf one each. Groups
+	// leave sorted by <, under which ±0 and NaN tie with their
+	// neighbours, so the order below is the sort's, pinned.
+	c3 := query.NewCatalog(specials(), nil)
+	rel3 := mustCompile(t, c3, `{"op":"aggregate","by":["value"],"aggs":[{"op":"count","as":"n"}],"input":`+specialAnswers(`["value"]`)+`}`)
+	rows3 := collectAll(t, rel3)
+	if got, want := fmt.Sprint(rows3), "[[0 1] [-0 1] [NaN 2] [-Inf 1] [+Inf 1]]"; got != want {
+		t.Fatalf("groups over key edge cases = %v, want %v", got, want)
+	}
 }
 
 func TestJoinAnswersWithWorkersAndMV(t *testing.T) {
@@ -219,6 +250,19 @@ func TestJoinAnswersWithWorkersAndMV(t *testing.T) {
 		if !found {
 			t.Fatalf("join schema %v is missing %q", rel.Cols, col)
 		}
+	}
+	// Join keys have the same equality classes as group keys: +0 and −0
+	// match only themselves, the two NaN payloads match each other, and
+	// ±Inf match only themselves. A probe row's matches come in build
+	// order.
+	c2 := query.NewCatalog(specials(), nil)
+	rel2 := mustCompile(t, c2, `{"op":"join","inputs":[`+specialAnswers(`["worker","value"]`)+`,`+specialAnswers(`["task","value"]`)+`]}`)
+	if got, want := fmt.Sprint(rel2.Cols), "[worker value task]"; got != want {
+		t.Fatalf("join schema = %v, want %v", got, want)
+	}
+	rows2 := collectAll(t, rel2)
+	if got, want := fmt.Sprint(rows2), "[[3 0 0] [3 -0 1] [3 NaN 2] [4 NaN 2] [3 NaN 0] [4 NaN 0] [4 +Inf 1] [4 -Inf 2]]"; got != want {
+		t.Fatalf("join over key edge cases = %v, want %v", got, want)
 	}
 }
 
@@ -314,7 +358,13 @@ func TestUnavailableSurfaces(t *testing.T) {
 	}
 }
 
+// TestHostileAST sends each hostile plan through the HTTP handler: it
+// must answer 422, with an error naming what is wrong, in under 2 s.
 func TestHostileAST(t *testing.T) {
+	// A natural join of 31 copies of the answer log's task column, which
+	// MaxNodes admits (63 nodes). On the 9-answer fixture each join
+	// triples its build side, so only the join row budget stops it.
+	chain := strings.Repeat(`{"op":"project","cols":["task"],"input":{"op":"scan","relation":"answers"}},`, 31)
 	cases := []struct {
 		name, plan, wantErr string
 	}{
@@ -329,17 +379,27 @@ func TestHostileAST(t *testing.T) {
 		{"unknown aggregate", `{"op":"aggregate","aggs":[{"op":"median","col":"value","as":"m"}],"input":{"op":"scan","relation":"answers"}}`, "unknown op"},
 		{"negative limit", `{"op":"limit","n":-1,"input":{"op":"scan","relation":"answers"}}`, "n >= 0"},
 		{"missing input", `{"op":"select","where":{"op":"eq","col":"task","value":0}}`, "requires an input"},
+		{"join chain", `{"op":"join","inputs":[` + strings.TrimSuffix(chain, ",") + `]}`, "join row budget"},
 	}
 	// Cross-join needs a ledger for the budget relation to resolve first.
-	c := query.NewCatalog(golden(), &fakeLedger{})
+	srv := queryServer(t, golden(), &fakeLedger{})
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := compileJSON(t, c, tc.plan)
-			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
-				t.Fatalf("err = %v, want substring %q", err, tc.wantErr)
+			start := time.Now()
+			resp, body := postQuery(t, srv, `{"plan":`+tc.plan+`}`)
+			if took := time.Since(start); took > 2*time.Second {
+				t.Errorf("answered in %v, want under 2s", took)
+			}
+			var env api.ErrorEnvelope
+			if err := json.Unmarshal(body, &env); err != nil {
+				t.Fatalf("status %d, body %s: %v", resp.StatusCode, body, err)
+			}
+			if resp.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(env.Error.Message, tc.wantErr) {
+				t.Fatalf("status %d, body %s; want 422 naming %q", resp.StatusCode, body, tc.wantErr)
 			}
 		})
 	}
+	c := query.NewCatalog(golden(), &fakeLedger{})
 	if _, err := query.Compile(c, nil); err == nil {
 		t.Fatal("nil plan compiled")
 	}

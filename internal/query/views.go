@@ -54,13 +54,12 @@ func View(c *Catalog, name string) (Relation, error) {
 		}
 		// mv and posterior_top are the same size class; build on the mv
 		// side (it only has rows for tasks with answers).
-		joined, err := HashJoin(mv, top, []string{"task"})
+		joined, err := c.HashJoin(mv, top, []string{"task"})
 		if err != nil {
 			return Relation{}, err
 		}
-		return Select(joined, func(r Row) bool {
-			return r[colIndexMust(joined.Cols, "mv_label")] != r[colIndexMust(joined.Cols, "top_label")]
-		}), nil
+		ml, tl := colIndexMust(joined.Cols, "mv_label"), colIndexMust(joined.Cols, "top_label")
+		return Select(joined, func(r Row) bool { return r[ml] != r[tl] }), nil
 
 	case ViewWorkerQualityDrop:
 		workers, err := c.Relation("workers")

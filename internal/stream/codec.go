@@ -181,11 +181,7 @@ func ReadBatchStream(r io.Reader, fn func(b Batch) error) (frames int, err error
 		if plen > MaxFramePayload {
 			return frames, fmt.Errorf("%w: declared length %d", ErrFrameTooLarge, plen)
 		}
-		if cap(payload) < int(plen) {
-			payload = make([]byte, plen)
-		}
-		payload = payload[:plen]
-		if _, err := io.ReadFull(r, payload); err != nil {
+		if payload, err = readPayload(r, payload, int(plen)); err != nil {
 			if err == io.EOF || err == io.ErrUnexpectedEOF {
 				return frames, errors.New("stream: torn frame payload")
 			}
@@ -203,6 +199,33 @@ func ReadBatchStream(r io.Reader, fn func(b Batch) error) (frames int, err error
 		}
 		frames++
 	}
+}
+
+// payloadChunk bounds how far readPayload grows its buffer ahead of the
+// bytes that have arrived.
+const payloadChunk = 64 << 10
+
+// readPayload reads exactly n bytes from r into buf's storage and
+// returns them. buf is reused when it has the capacity; otherwise it
+// grows as the bytes arrive, at most payloadChunk past them, doubling so
+// a large payload costs amortized O(n). So a frame header that declares
+// a large payload and then ends makes no large allocation.
+func readPayload(r io.Reader, buf []byte, n int) ([]byte, error) {
+	buf = buf[:0]
+	for len(buf) < n {
+		step := min(n-len(buf), payloadChunk)
+		if len(buf)+step > cap(buf) {
+			grown := make([]byte, len(buf), min(n, max(2*cap(buf), len(buf)+step)))
+			copy(grown, buf)
+			buf = grown
+		}
+		m, err := io.ReadFull(r, buf[len(buf):len(buf)+step])
+		buf = buf[:len(buf)+m]
+		if err != nil {
+			return buf, err
+		}
+	}
+	return buf, nil
 }
 
 // cursor is a bounds-checked sequential reader over a payload.

@@ -7,6 +7,8 @@ import (
 	"io"
 	"math"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 
 	"truthinference/internal/dataset"
@@ -78,7 +80,9 @@ func TestDecodeBatchPayloadRejectsDamage(t *testing.T) {
 }
 
 func TestBatchStreamRoundTrip(t *testing.T) {
-	batches := []Batch{codecBatch(3), {NumTasks: 1, NumWorkers: 1}, codecBatch(100)}
+	// The 20,000-answer frame spans several payload reads and grows the
+	// reused buffer; the frame after it reads into the grown one.
+	batches := []Batch{codecBatch(3), {NumTasks: 1, NumWorkers: 1}, codecBatch(100), codecBatch(20000), codecBatch(5)}
 	body, err := EncodeBatchStream(batches)
 	if err != nil {
 		t.Fatal(err)
@@ -109,6 +113,30 @@ func TestBatchStreamEmpty(t *testing.T) {
 	})
 	if err != nil || n != 0 {
 		t.Fatalf("empty stream: n=%d err=%v", n, err)
+	}
+}
+
+// TestBatchStreamDeclaredLengthAllocatesAsBytesArrive sends the 16
+// bytes of a magic and a frame header that declares a MaxFramePayload
+// (64 MiB) payload, and nothing else. The read must fail as a torn
+// payload without allocating the declared length: the payload buffer
+// grows only as bytes arrive.
+func TestBatchStreamDeclaredLengthAllocatesAsBytesArrive(t *testing.T) {
+	body := []byte(BatchStreamMagic)
+	body = binary.LittleEndian.AppendUint32(body, MaxFramePayload)
+	body = binary.LittleEndian.AppendUint32(body, 0)
+	if len(body) != 16 {
+		t.Fatalf("stream is %d bytes, want 16", len(body))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadBatchStream(bytes.NewReader(body), func(Batch) error { return nil })
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "torn frame payload") {
+		t.Fatalf("err = %v, want a torn frame payload", err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Fatalf("reading a 16-byte stream allocated %d bytes, want under 1 MiB", alloc)
 	}
 }
 

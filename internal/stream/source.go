@@ -2,20 +2,20 @@ package stream
 
 import (
 	"errors"
-	"math"
 
 	"truthinference/internal/core"
 	"truthinference/internal/dataset"
+	"truthinference/internal/mathx"
 )
 
 // This file is the serving-state surface the assignment subsystem
-// (internal/assign) scores tasks from: per-task posterior distributions
-// and their entropies, worker qualities, and the store/result versions
-// that say how fresh they are. The Service satisfies assign.Source
-// structurally — neither package imports the other. The same is true of
-// the relational query plane: the Service satisfies query.Source
-// (internal/query) through the pinned-scan forwarders and
-// WorkerQualities below, again with no import in either direction.
+// (internal/assign) scores tasks from: per-task posterior distributions,
+// worker qualities, and the store/result versions that say how fresh
+// they are. The Service satisfies assign.Source structurally — neither
+// package imports the other. The same is true of the relational query
+// plane: the Service satisfies query.Source (internal/query) through
+// the pinned-scan forwarders, Entropies and WorkerQualities below, again
+// with no import in either direction.
 
 // ErrNoPosterior is returned by Posteriors and Entropies when the serving
 // method publishes no per-task posterior (the numeric methods Mean and
@@ -155,10 +155,10 @@ func (s *Service) Posteriors() ([][]float64, uint64, error) {
 }
 
 // Entropies returns every task's posterior Shannon entropy (nats) and the
-// result version the vector reflects. The vector is cached on the
-// service and recomputed only when a new result publishes — the
-// epoch-boundary invalidation the assignment ledger relies on — so
-// repeated calls between epochs are O(1) copies.
+// result version the vector reflects: the query plane's entropy
+// relation. The vector is cached on the service and recomputed only when
+// a new result publishes, so repeated calls between epochs are O(1)
+// copies.
 func (s *Service) Entropies() ([]float64, uint64, error) {
 	s.mu.RLock()
 	if s.entropies != nil && s.entVersion == s.resVersion {
@@ -174,7 +174,7 @@ func (s *Service) Entropies() ([]float64, uint64, error) {
 	}
 	ent := make([]float64, len(post))
 	for i, row := range post {
-		ent[i] = Entropy(row)
+		ent[i] = mathx.Entropy(row)
 	}
 	s.mu.Lock()
 	// Another goroutine may have cached a newer epoch meanwhile; only
@@ -185,16 +185,4 @@ func (s *Service) Entropies() ([]float64, uint64, error) {
 	}
 	s.mu.Unlock()
 	return append([]float64(nil), ent...), version, nil
-}
-
-// Entropy returns the Shannon entropy (nats) of a probability vector.
-// Zero-mass entries contribute nothing; a nil or empty row is 0.
-func Entropy(p []float64) float64 {
-	var h float64
-	for _, x := range p {
-		if x > 0 {
-			h -= x * math.Log(x)
-		}
-	}
-	return h
 }

@@ -175,18 +175,6 @@ func TestEntropiesCacheInvalidation(t *testing.T) {
 	}
 }
 
-func TestEntropyHelper(t *testing.T) {
-	if h := Entropy([]float64{1, 0}); h != 0 {
-		t.Errorf("Entropy(one-hot) = %v, want 0", h)
-	}
-	if h := Entropy([]float64{0.25, 0.25, 0.25, 0.25}); math.Abs(h-math.Log(4)) > 1e-12 {
-		t.Errorf("Entropy(uniform-4) = %v, want ln 4", h)
-	}
-	if h := Entropy(nil); h != 0 {
-		t.Errorf("Entropy(nil) = %v, want 0", h)
-	}
-}
-
 func TestAnswerCounts(t *testing.T) {
 	svc := newMVService(t)
 	ingestT(t, svc, Batch{NumTasks: 4, NumWorkers: 3})
