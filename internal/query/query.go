@@ -7,10 +7,8 @@
 // at a time under short shard read-locks, and every answer-sourced
 // relation in one query is pinned to a single store version (see
 // Catalog), so results are consistent even under concurrent ingest.
-// What an operator does buffer (a join's build side, an aggregate's
-// groups) it holds in flat slices, and every row it emits is carved from
-// a shared slab; the rows all hash joins of one query store are bounded
-// by MaxJoinRows.
+// A hash join buffers its build side in one flat slice, and the rows all
+// hash joins of one query store are bounded by MaxJoinRows.
 //
 // Plans arrive as a JSON AST over POST /v1/query (see Node and Handler)
 // or as one of the canned operator views (see Views): method
@@ -28,6 +26,7 @@
 package query
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"sort"
@@ -236,7 +235,7 @@ func (c *Catalog) HashJoin(build, probe Relation, on []string) (Relation, error)
 	)
 	return Relation{Cols: cols, Next: func() (Row, bool) {
 		if head == nil {
-			for c.err == nil {
+			for {
 				r, ok := build.Next()
 				if !ok {
 					break
@@ -261,7 +260,7 @@ func (c *Catalog) HashJoin(build, probe Relation, on []string) (Relation, error)
 				head[h] = int32(i + 1)
 			}
 		}
-		for c.err == nil {
+		for {
 			for cur != 0 {
 				b := vals[int(cur-1)*bw : int(cur)*bw]
 				cur = next[cur-1]
@@ -281,8 +280,12 @@ func (c *Catalog) HashJoin(build, probe Relation, on []string) (Relation, error)
 			probeRow = r
 			cur = head[keyHash(r, pIdx)]
 		}
-		return nil, false
 	}}, nil
+}
+
+// appendKey appends v's key bits (see keyBits), eight bytes per column.
+func appendKey(k []byte, v float64) []byte {
+	return binary.LittleEndian.AppendUint64(k, keyBits(v))
 }
 
 // AggOp is one aggregation function.
@@ -339,95 +342,98 @@ func GroupAggregate(in Relation, by []string, aggs []Agg) (Relation, error) {
 		cols = append(cols, a.As)
 	}
 
-	// cell accumulates one aggregate of one group.
-	type cell struct {
-		count, sum, min, max float64
-		set                  bool // min and max have seen a value
+	type acc struct {
+		group      Row
+		count      []float64
+		sum        []float64
+		min, max   []float64
+		minMaxInit []bool
 	}
-	var (
-		out  []Row
-		done bool
-		pos  int
-	)
+	var out []Row
+	done := false
+	pos := 0
 	drain := func() {
-		var (
-			nb     = len(byIdx)
-			own    = make([]int, nb) // a stored key's own column indices
-			keys   []float64         // each group's key columns, first-seen order
-			cells  []cell            // len(aggs) per group
-			head   = map[uint64]int32{}
-			next   []int32 // 1 + the next group with the same hash; 0 ends
-			groups int
-		)
-		for i := range own {
-			own[i] = i
-		}
+		groups := map[string]*acc{}
+		var order []string
 		for {
 			r, ok := in.Next()
 			if !ok {
 				break
 			}
-			h := keyHash(r, byIdx)
-			g := -1
-			for i := head[h]; i != 0; i = next[i-1] {
-				if sameKey(keys[int(i-1)*nb:], own, r, byIdx) {
-					g = int(i - 1)
-					break
-				}
+			k := make([]byte, 0, 16*len(byIdx))
+			for _, j := range byIdx {
+				k = appendKey(k, r[j])
 			}
-			if g < 0 {
-				g = groups
-				groups++
-				for _, j := range byIdx {
-					keys = append(keys, r[j])
+			a := groups[string(k)]
+			if a == nil {
+				g := make(Row, len(byIdx))
+				for i, j := range byIdx {
+					g[i] = r[j]
 				}
-				cells = append(cells, make([]cell, len(aggs))...)
-				next = append(next, head[h])
-				head[h] = int32(groups)
+				a = &acc{
+					group: g,
+					count: make([]float64, len(aggs)), sum: make([]float64, len(aggs)),
+					min: make([]float64, len(aggs)), max: make([]float64, len(aggs)),
+					minMaxInit: make([]bool, len(aggs)),
+				}
+				groups[string(k)] = a
+				order = append(order, string(k))
 			}
-			cs := cells[g*len(aggs) : (g+1)*len(aggs)]
-			for i := range cs {
-				a := &cs[i]
-				a.count++
+			for i := range aggs {
+				a.count[i]++
 				if aggIdx[i] >= 0 {
 					v := r[aggIdx[i]]
-					a.sum += v
-					if !a.set || v < a.min {
-						a.min = v
+					a.sum[i] += v
+					if !a.minMaxInit[i] || v < a.min[i] {
+						a.min[i] = v
 					}
-					if !a.set || v > a.max {
-						a.max = v
+					if !a.minMaxInit[i] || v > a.max[i] {
+						a.max[i] = v
 					}
-					a.set = true
+					a.minMaxInit[i] = true
 				}
 			}
 		}
-		if nb == 0 && groups == 0 {
-			groups = 1
-			cells = make([]cell, len(aggs))
+		if len(by) == 0 && len(order) == 0 {
+			a := &acc{
+				group: Row{},
+				count: make([]float64, len(aggs)), sum: make([]float64, len(aggs)),
+				min: make([]float64, len(aggs)), max: make([]float64, len(aggs)),
+				minMaxInit: make([]bool, len(aggs)),
+			}
+			groups[""] = a
+			order = append(order, "")
 		}
-		rows := slab{width: len(cols)}
-		out = make([]Row, groups)
-		for g := range out {
-			row := rows.of(keys[g*nb : (g+1)*nb]...)
+		for _, k := range order {
+			a := groups[k]
+			row := append(Row{}, a.group...)
 			for i, spec := range aggs {
-				a := cells[g*len(aggs)+i]
-				v := -1.0 // an empty avg, min or max
-				switch {
-				case spec.Op == AggCount:
-					v = a.count
-				case spec.Op == AggSum:
-					v = a.sum
-				case spec.Op == AggAvg && a.count > 0:
-					v = a.sum / a.count
-				case spec.Op == AggMin && a.set:
-					v = a.min
-				case spec.Op == AggMax && a.set:
-					v = a.max
+				switch spec.Op {
+				case AggCount:
+					row = append(row, a.count[i])
+				case AggSum:
+					row = append(row, a.sum[i])
+				case AggAvg:
+					if a.count[i] == 0 {
+						row = append(row, -1)
+					} else {
+						row = append(row, a.sum[i]/a.count[i])
+					}
+				case AggMin:
+					if !a.minMaxInit[i] {
+						row = append(row, -1)
+					} else {
+						row = append(row, a.min[i])
+					}
+				case AggMax:
+					if !a.minMaxInit[i] {
+						row = append(row, -1)
+					} else {
+						row = append(row, a.max[i])
+					}
 				}
-				row[nb+i] = v
 			}
-			out[g] = row
+			out = append(out, row)
 		}
 		sort.Slice(out, func(i, j int) bool {
 			for c := range byIdx {

@@ -31,6 +31,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 	"sort"
 
 	"truthinference/internal/dataset"
@@ -207,18 +208,14 @@ const payloadChunk = 64 << 10
 
 // readPayload reads exactly n bytes from r into buf's storage and
 // returns them. buf is reused when it has the capacity; otherwise it
-// grows as the bytes arrive, at most payloadChunk past them, doubling so
-// a large payload costs amortized O(n). So a frame header that declares
-// a large payload and then ends makes no large allocation.
+// grows as the bytes arrive, at most payloadChunk past them, so a frame
+// header that declares a large payload and then ends makes no large
+// allocation.
 func readPayload(r io.Reader, buf []byte, n int) ([]byte, error) {
 	buf = buf[:0]
 	for len(buf) < n {
 		step := min(n-len(buf), payloadChunk)
-		if len(buf)+step > cap(buf) {
-			grown := make([]byte, len(buf), min(n, max(2*cap(buf), len(buf)+step)))
-			copy(grown, buf)
-			buf = grown
-		}
+		buf = slices.Grow(buf, step)
 		m, err := io.ReadFull(r, buf[len(buf):len(buf)+step])
 		buf = buf[:len(buf)+m]
 		if err != nil {
