@@ -364,7 +364,7 @@ func TestHostileAST(t *testing.T) {
 	// A natural join of 31 copies of the answer log's task column, which
 	// MaxNodes admits (63 nodes). On the 9-answer fixture each join
 	// triples its build side, so only the join row budget stops it.
-	chain := strings.Repeat(`{"op":"project","cols":["task"],"input":{"op":"scan","relation":"answers"}},`, 31)
+	chain := strings.TrimSuffix(strings.Repeat(`{"op":"project","cols":["task"],"input":{"op":"scan","relation":"answers"}},`, 31), ",")
 	cases := []struct {
 		name, plan, wantErr string
 	}{
@@ -379,7 +379,7 @@ func TestHostileAST(t *testing.T) {
 		{"unknown aggregate", `{"op":"aggregate","aggs":[{"op":"median","col":"value","as":"m"}],"input":{"op":"scan","relation":"answers"}}`, "unknown op"},
 		{"negative limit", `{"op":"limit","n":-1,"input":{"op":"scan","relation":"answers"}}`, "n >= 0"},
 		{"missing input", `{"op":"select","where":{"op":"eq","col":"task","value":0}}`, "requires an input"},
-		{"join chain", `{"op":"join","inputs":[` + strings.TrimSuffix(chain, ",") + `]}`, "join row budget"},
+		{"join chain", `{"op":"join","inputs":[` + chain + `]}`, "join row budget"},
 	}
 	// Cross-join needs a ledger for the budget relation to resolve first.
 	srv := queryServer(t, golden(), &fakeLedger{})
