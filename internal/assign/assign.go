@@ -12,9 +12,9 @@
 //     so the crowd's spend is bounded even with leases in flight), and
 //   - self-exclusion (a worker is never assigned the same task twice —
 //     even after its earlier lease expired, and even when its earlier
-//     answer arrived out of band: the ledger seeds its exclusion sets
-//     from the store's existing answers at construction, so preloaded
-//     datasets and daemon restarts are covered).
+//     answer arrived out of band: every answer in the store excludes its
+//     worker, whether it was preloaded, recovered after a daemon restart
+//     or ingested directly while the ledger ran).
 //
 // The budget is accounted per ledger instance by default; with
 // Config.ChargeExisting (which the Spec config layer always sets) it instead
@@ -27,20 +27,24 @@
 // eligible pool instead of starving the task.
 //
 // The ledger reads the serving state through the Source interface, which
-// *stream.Service satisfies structurally: posteriors are cached per
-// result version and re-fetched only when a new inference epoch
-// publishes (the epoch boundary), per-task answer counts re-sync
-// whenever the store version moves, and worker qualities are read per
-// request. cmd/truthserve mounts the HTTP face (GET /v1/assign,
-// POST /v1/complete, GET /v1/assignstats) next to the inference API, and
-// internal/simulate drives the whole loop end-to-end for policy
-// comparison.
+// *stream.Service satisfies structurally. It follows the store by its
+// answer delta (Source.AnswersSince): each sync visits only the answers
+// that arrived since the last one, counting them toward their tasks'
+// redundancy and adding them to their workers' exclusion lists.
+// Posteriors are copied into buffers the ledger reuses, only when a new
+// result publishes (the epoch boundary; on an incremental method, every
+// ingest), and a task's entropy is recomputed only when its row changed.
+// Worker qualities are read per request. cmd/truthserve mounts the HTTP
+// face (GET /v1/assign, POST /v1/complete, GET /v1/assignstats) next to
+// the inference API, and internal/simulate drives the whole loop
+// end-to-end for policy comparison.
 package assign
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -53,17 +57,23 @@ import (
 type Source interface {
 	// Dims returns the store's current task/worker/answer counts.
 	Dims() (tasks, workers, answers int)
-	// StoreVersion bumps on every ingested batch; the ledger re-syncs its
-	// answer-count cache when it moves.
+	// StoreVersion bumps on every ingested batch; the golden pool is
+	// re-read when it moves.
 	StoreVersion() uint64
 	// ResultVersion bumps when a new inference result publishes; the
-	// ledger invalidates its cached posterior scores when it moves.
+	// ledger re-copies the posterior when it moves.
 	ResultVersion() uint64
-	// TaskAnswerCounts returns the per-task collected answer counts.
-	TaskAnswerCounts() []int
-	// Posteriors returns per-task posterior rows and the result version
-	// they reflect; an error means no posterior is available (yet).
-	Posteriors() ([][]float64, uint64, error)
+	// AnswersSince calls f for every stored answer at global index from
+	// or later and returns the index to pass next time. NewLedger walks
+	// the store from 0 and each sync walks only what arrived since, so
+	// answer counts and self-exclusion cover every answer in the store:
+	// preloaded, recovered after a restart, ingested directly or routed.
+	AnswersSince(from int, f func(task, worker int, value float64)) (next int)
+	// Posteriors copies the per-task posterior rows into dst (reused when
+	// its shape fits, grown when tasks were added) and returns them with
+	// the result version they reflect; an error means no posterior is
+	// available (yet).
+	Posteriors(dst [][]float64) ([][]float64, uint64, error)
 	// WorkerQuality returns the method's quality estimate for one worker.
 	// Methods that model workers uniformly (MV/Mean/Median) report 1 for
 	// every worker; routing then reduces to pure posterior uncertainty,
@@ -73,11 +83,6 @@ type Source interface {
 	WorkerQuality(worker int) (float64, error)
 	// NumChoices returns ℓ for categorical stores, 0 for numeric.
 	NumChoices() int
-	// ForEachAnswer streams every (task, worker) pair already in the
-	// store. NewLedger seeds the self-exclusion sets from it, so workers
-	// are never assigned tasks they answered out of band — in a
-	// preloaded dataset, or before a daemon restart recovered the store.
-	ForEachAnswer(f func(task, worker int))
 }
 
 // Defaults for Config zero values.
@@ -146,7 +151,7 @@ var (
 )
 
 // Ledger is the concurrency-safe assignment state: outstanding leases,
-// per-task redundancy accounting, per-worker exclusion sets, and the
+// per-task redundancy accounting, per-worker exclusion lists, and the
 // cached scoring view of the serving state. All methods are safe for
 // concurrent use; a single mutex guards the state (assignment is a
 // control-plane operation — the data-plane hot path, answer ingestion,
@@ -157,17 +162,28 @@ type Ledger struct {
 	now func() time.Time
 
 	mu sync.Mutex
-	// Per-task state, grown on demand to the store's task range.
-	outstanding []int              // leases in flight per task
-	seen        []map[int]struct{} // workers ever assigned each task (self-exclusion)
+	// Per-task state, grown together to the store's task range. load[t]
+	// is task t's answers in the store, up to answer index next, plus its
+	// leases in flight: the redundancy accounting policies see, kept
+	// current as answers arrive and leases are issued and retired.
+	load  []int
+	mark  []uint64 // mark[t] == stamp: the requesting worker saw t
+	stamp uint64
+	// seen lists, per worker, every task it was leased or answered
+	// (self-exclusion); excludeLocked marks a list into mark. A routed
+	// answer is listed twice: at issue, and when the answer delta
+	// brings it back.
+	seen map[int][]int
+	next int // the store answer count load and seen follow up to
 
-	// Cached serving state. counts re-syncs when the store version moves;
-	// post re-syncs when the result version moves (the epoch boundary),
-	// and Stats derives meanEnt from it once per post.
-	counts    []int
-	countsVer uint64
-	countsOK  bool
+	// Cached posterior: post is re-copied when the result version moves
+	// (the epoch boundary), into spare, the previous copy's buffers.
+	// ent[t] is row t's entropy, recomputed only when the row changed
+	// (rows equal under == differ at most in the sign of a zero, which
+	// Entropy skips), and Stats sums it into meanEnt once per post.
 	post      [][]float64
+	spare     [][]float64
+	ent       []float64
 	postVer   uint64
 	postOK    bool
 	meanEnt   float64
@@ -236,6 +252,7 @@ func NewLedger(src Source, cfg Config) (*Ledger, error) {
 		cfg:    cfg,
 		src:    src,
 		now:    now,
+		seen:   map[int][]int{},
 		leases: map[uint64]Lease{},
 	}
 	if ell >= 2 {
@@ -244,42 +261,28 @@ func NewLedger(src Source, cfg Config) (*Ledger, error) {
 			l.uniform[i] = 1 / float64(ell)
 		}
 	}
-	// Seed the self-exclusion sets from whatever the store already holds
-	// (a preloaded dataset, or a recovered snapshot+WAL after a restart):
-	// "a worker never sees a task twice" covers answers the ledger did
-	// not route, too.
-	tasks, _, _ := src.Dims()
-	l.outstanding = make([]int, tasks)
-	l.seen = make([]map[int]struct{}, tasks)
-	src.ForEachAnswer(func(task, worker int) {
-		if task < 0 || task >= len(l.seen) || worker < 0 {
-			return
-		}
-		if l.seen[task] == nil {
-			l.seen[task] = map[int]struct{}{}
-		}
-		l.seen[task][worker] = struct{}{}
-	})
 	if cfg.Defense.Enabled() {
 		def, err := newDefense(*cfg.Defense, ell)
 		if err != nil {
 			return nil, err
 		}
 		l.def = def
-		// Defense state rebuilds from the store like the exclusion sets:
-		// the golden pool from recorded truth, then pass/fail tallies and
-		// the collusion record replayed from the stored answers — so a
-		// worker qualified (or banned) before a restart stays so after.
+		// The golden pool comes from recorded truth, before the answers
+		// below are graded against it.
 		l.refreshGoldenLocked()
-		if avs, ok := src.(AnswerValueSource); ok {
-			avs.ForEachAnswerValue(func(task, worker int, value float64) {
-				if task < 0 || worker < 0 {
-					return
-				}
-				l.recordLocked(task, worker, value)
-			})
-		}
 	}
+	// One pass over whatever the store already holds (a preloaded
+	// dataset, or a recovered snapshot+WAL after a restart) counts the
+	// answers, excludes their workers, and replays the defense layer's
+	// pass/fail tallies and collusion record, so a worker qualified (or
+	// banned) before a restart stays so after. Later syncs follow the
+	// answers that arrive after this pass.
+	tasks, _, _ := src.Dims()
+	l.growLocked(tasks)
+	l.next = src.AnswersSince(0, func(task, worker int, value float64) {
+		l.followLocked(task, worker, value)
+		l.recordLocked(task, worker, value)
+	})
 	return l, nil
 }
 
@@ -327,16 +330,14 @@ func (l *Ledger) Assign(worker int) (Lease, error) {
 		Seq:       l.issued,
 		Seed:      l.cfg.Seed,
 		Choices:   l.src.NumChoices(),
-		Load:      l.loadLocked(),
+		Load:      l.load,
 		Posterior: l.post,
 		uniform:   l.uniform,
 	}
+	l.excludeLocked(worker)
 	best, bestScore := -1, 0.0
 	for t := range req.Load {
-		if req.Load[t] >= l.cfg.Redundancy {
-			continue
-		}
-		if _, taken := l.seen[t][worker]; taken {
+		if req.Load[t] >= l.cfg.Redundancy || l.mark[t] == l.stamp {
 			continue
 		}
 		if s := l.cfg.Policy.Score(req, t); best == -1 || s > bestScore {
@@ -356,15 +357,8 @@ func (l *Ledger) issueLocked(task, worker int, now time.Time, golden bool) Lease
 	lease := Lease{ID: l.issued, Task: task, Worker: worker, Expires: now.Add(l.cfg.LeaseTTL), Golden: golden}
 	l.leases[lease.ID] = lease
 	l.expiry.push(expiryEntry{id: lease.ID, expires: lease.Expires})
-	for len(l.outstanding) <= task {
-		l.outstanding = append(l.outstanding, 0)
-		l.seen = append(l.seen, nil)
-	}
-	l.outstanding[task]++
-	if l.seen[task] == nil {
-		l.seen[task] = map[int]struct{}{}
-	}
-	l.seen[task][worker] = struct{}{}
+	l.load[task]++
+	l.seen[worker] = append(l.seen[worker], task)
 	l.cfg.Metrics.observeIssued()
 	l.publishGaugesLocked()
 	return lease
@@ -405,7 +399,7 @@ func (l *Ledger) CompleteValue(id uint64, worker int, value float64, deliver fun
 		}
 	}
 	delete(l.leases, id)
-	l.outstanding[lease.Task]--
+	l.load[lease.Task]--
 	l.redeemed++
 	l.recordLocked(lease.Task, worker, value)
 	l.cfg.Metrics.observeCompleted()
@@ -414,8 +408,8 @@ func (l *Ledger) CompleteValue(id uint64, worker int, value float64, deliver fun
 }
 
 // reclaimLocked expires every lease whose deadline passed: the task's
-// outstanding count drops (so it becomes re-issuable to other workers)
-// while the original worker stays in the task's seen set — a worker
+// load drops (so it becomes re-issuable to other workers)
+// while the task stays in the original worker's seen list — a worker
 // never sees a task twice, even one it abandoned.
 func (l *Ledger) reclaimLocked(now time.Time) {
 	reclaimed := 0
@@ -426,7 +420,7 @@ func (l *Ledger) reclaimLocked(now time.Time) {
 			continue // completed before its deadline; stale heap entry
 		}
 		delete(l.leases, e.id)
-		l.outstanding[lease.Task]--
+		l.load[lease.Task]--
 		l.expired++
 		reclaimed++
 	}
@@ -452,41 +446,59 @@ func (l *Ledger) publishGaugesLocked() {
 	l.cfg.Metrics.observeState(len(l.leases), remaining)
 }
 
-// syncLocked refreshes the cached serving state: answer counts when the
-// store version moved, the posterior when the result version moved (the
-// epoch boundary; on an incremental method, every ingest), and the
-// per-task slices when the store grew.
+// syncLocked refreshes the cached serving state: it follows the answers
+// that arrived since the last sync, grows the per-task slices to the
+// store's task range, and re-copies the posterior when the result version
+// moved (the epoch boundary; on an incremental method, every ingest).
 func (l *Ledger) syncLocked() {
-	if sv := l.src.StoreVersion(); !l.countsOK || sv != l.countsVer {
-		l.counts = l.src.TaskAnswerCounts()
-		l.countsVer = sv
-		l.countsOK = true
+	tasks, _, answers := l.src.Dims()
+	if answers != l.next {
+		l.next = l.src.AnswersSince(l.next, l.followLocked)
 	}
+	l.growLocked(tasks)
 	if rv := l.src.ResultVersion(); !l.postOK || rv != l.postVer {
-		if post, v, err := l.src.Posteriors(); err == nil {
-			l.post, l.postVer = post, v
-		} else {
-			l.post, l.postVer = nil, rv
+		post, v, err := l.src.Posteriors(l.spare)
+		if err != nil {
+			post, v = nil, rv
 		}
+		if len(l.ent) < len(post) {
+			l.ent = append(l.ent, make([]float64, len(post)-len(l.ent))...)
+		}
+		for t, row := range post {
+			if t >= len(l.post) || !slices.Equal(row, l.post[t]) {
+				l.ent[t] = mathx.Entropy(row)
+			}
+		}
+		l.spare, l.post, l.postVer = l.post, post, v
 		l.postOK, l.meanEntOK = true, false
-	}
-	for len(l.outstanding) < len(l.counts) {
-		l.outstanding = append(l.outstanding, 0)
-		l.seen = append(l.seen, nil)
 	}
 	l.refreshGoldenLocked()
 	l.defenseSweepLocked()
 }
 
-// loadLocked returns per-task collected + outstanding counts (the
-// redundancy accounting policies see). The slice is rebuilt per request;
-// its length always matches l.counts after syncLocked.
-func (l *Ledger) loadLocked() []int {
-	load := make([]int, len(l.counts))
-	for t := range load {
-		load[t] = l.counts[t] + l.outstanding[t]
+// followLocked takes one stored answer into the ledger: it counts toward
+// its task's redundancy and excludes its worker from the task.
+func (l *Ledger) followLocked(task, worker int, _ float64) {
+	l.growLocked(task + 1)
+	l.load[task]++
+	l.seen[worker] = append(l.seen[worker], task)
+}
+
+// growLocked extends the per-task slices to n tasks.
+func (l *Ledger) growLocked(n int) {
+	if extra := n - len(l.load); extra > 0 {
+		l.load = append(l.load, make([]int, extra)...)
+		l.mark = append(l.mark, make([]uint64, extra)...)
 	}
-	return load
+}
+
+// excludeLocked marks the tasks the worker was leased or answered: until
+// the next call, l.mark[t] == l.stamp exactly for those t.
+func (l *Ledger) excludeLocked(worker int) {
+	l.stamp++
+	for _, t := range l.seen[worker] {
+		l.mark[t] = l.stamp
+	}
 }
 
 // workerProbLocked maps the serving method's quality estimate for worker
@@ -545,7 +557,8 @@ type Stats struct {
 	EligibleTasks int `json:"eligible_tasks"`
 	// MeanEntropy is the mean posterior entropy (nats) over all tasks at
 	// the last epoch boundary; 0 when no posterior is available. It is
-	// computed from the cached posterior once per result version.
+	// the sum, in task order, of the per-task entropies the ledger keeps
+	// with its cached posterior, divided by the task count.
 	MeanEntropy float64 `json:"mean_entropy"`
 	// ResultVersion is the epoch the cached scores reflect.
 	ResultVersion uint64 `json:"result_version"`
@@ -582,15 +595,15 @@ func (l *Ledger) Stats() Stats {
 			st.BudgetRemaining = 0
 		}
 	}
-	for t := range l.counts {
-		if l.counts[t]+l.outstanding[t] < l.cfg.Redundancy {
+	for _, load := range l.load {
+		if load < l.cfg.Redundancy {
 			st.EligibleTasks++
 		}
 	}
 	if !l.meanEntOK {
 		l.meanEnt, l.meanEntOK = 0, true
-		for _, row := range l.post {
-			l.meanEnt += mathx.Entropy(row)
+		for _, e := range l.ent[:len(l.post)] {
+			l.meanEnt += e
 		}
 		if len(l.post) > 0 {
 			l.meanEnt /= float64(len(l.post))

@@ -10,7 +10,14 @@ import (
 	"time"
 )
 
-// fakeSource is an in-memory Source with settable serving state.
+// fakeAnswer is one answer in the fake source's log.
+type fakeAnswer struct {
+	task, worker int
+	value        float64
+}
+
+// fakeSource is an in-memory Source with settable serving state. Its
+// answers live in one log, in ingest order, which AnswersSince walks.
 type fakeSource struct {
 	mu        sync.Mutex
 	tasks     int
@@ -18,8 +25,7 @@ type fakeSource struct {
 	ell       int
 	storeVer  uint64
 	resultVer uint64
-	counts    []int
-	pairs     [][2]int // existing (task, worker) answers for ForEachAnswer
+	log       []fakeAnswer
 	post      [][]float64
 	postErr   error
 	quality   map[int]float64
@@ -29,7 +35,6 @@ func newFakeSource(tasks, ell int) *fakeSource {
 	return &fakeSource{
 		tasks: tasks, ell: ell,
 		storeVer: 1, resultVer: 1,
-		counts:  make([]int, tasks),
 		quality: map[int]float64{},
 	}
 }
@@ -37,11 +42,7 @@ func newFakeSource(tasks, ell int) *fakeSource {
 func (f *fakeSource) Dims() (int, int, int) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	var answers int
-	for _, c := range f.counts {
-		answers += c
-	}
-	return f.tasks, f.workers, answers
+	return f.tasks, f.workers, len(f.log)
 }
 func (f *fakeSource) StoreVersion() uint64 { f.mu.Lock(); defer f.mu.Unlock(); return f.storeVer }
 func (f *fakeSource) ResultVersion() uint64 {
@@ -49,22 +50,25 @@ func (f *fakeSource) ResultVersion() uint64 {
 	defer f.mu.Unlock()
 	return f.resultVer
 }
-func (f *fakeSource) TaskAnswerCounts() []int {
+func (f *fakeSource) AnswersSince(from int, fn func(task, worker int, value float64)) int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return append([]int(nil), f.counts...)
+	for _, a := range f.log[from:] {
+		fn(a.task, a.worker, a.value)
+	}
+	return len(f.log)
 }
-func (f *fakeSource) Posteriors() ([][]float64, uint64, error) {
+func (f *fakeSource) Posteriors(dst [][]float64) ([][]float64, uint64, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.postErr != nil {
 		return nil, 0, f.postErr
 	}
-	out := make([][]float64, len(f.post))
-	for i, row := range f.post {
-		out[i] = append([]float64(nil), row...)
+	dst = dst[:0]
+	for _, row := range f.post {
+		dst = append(dst, append([]float64(nil), row...))
 	}
-	return out, f.resultVer, nil
+	return dst, f.resultVer, nil
 }
 func (f *fakeSource) WorkerQuality(w int) (float64, error) {
 	f.mu.Lock()
@@ -76,20 +80,41 @@ func (f *fakeSource) WorkerQuality(w int) (float64, error) {
 	return q, nil
 }
 func (f *fakeSource) NumChoices() int { return f.ell }
-func (f *fakeSource) ForEachAnswer(fn func(task, worker int)) {
+
+// addAnswer appends one answer to the log and bumps the store version.
+func (f *fakeSource) addAnswer(task, worker int, value float64) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	for _, p := range f.pairs {
-		fn(p[0], p[1])
-	}
+	f.log = append(f.log, fakeAnswer{task, worker, value})
+	f.storeVer++
 }
 
-// addAnswer records one collected answer and bumps the store version.
-func (f *fakeSource) addAnswer(task int) {
+// taskCounts returns the answers each task holds in the log.
+func (f *fakeSource) taskCounts() []int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.counts[task]++
-	f.storeVer++
+	counts := make([]int, f.tasks)
+	for _, a := range f.log {
+		counts[a.task]++
+	}
+	return counts
+}
+
+// outOfBand is the first worker id preload gives its answers: far above
+// the ids the tests request leases for, so the preloaded answers count
+// toward redundancy without excluding anyone.
+const outOfBand = 1000
+
+// preload fills the log with counts[t] answers on each task t, each from
+// its own out-of-band worker.
+func (f *fakeSource) preload(counts ...int) {
+	w := outOfBand
+	for task, n := range counts {
+		for range n {
+			f.addAnswer(task, w, 0)
+			w++
+		}
+	}
 }
 
 // fakeClock is a deterministic settable clock.
@@ -199,7 +224,7 @@ func TestQualityToProb(t *testing.T) {
 func TestUncertaintyRoutesToUncertainTask(t *testing.T) {
 	src := newFakeSource(3, 2)
 	src.post = [][]float64{{0.99, 0.01}, {0.5, 0.5}, {0.9, 0.1}}
-	src.counts = []int{3, 2, 3} // the load backing each row's confidence
+	src.preload(3, 2, 3) // the load backing each row's confidence
 	src.quality[7] = 0.8
 	l := mustLedger(t, src, Config{Policy: Uncertainty{}, Redundancy: 5})
 	lease, err := l.Assign(7)
@@ -213,7 +238,7 @@ func TestUncertaintyRoutesToUncertainTask(t *testing.T) {
 
 func TestLeastAnsweredBalances(t *testing.T) {
 	src := newFakeSource(3, 2)
-	src.counts = []int{2, 0, 1}
+	src.preload(2, 0, 1)
 	l := mustLedger(t, src, Config{Policy: LeastAnswered{}, Redundancy: 5})
 	lease, err := l.Assign(0)
 	if err != nil {
@@ -300,7 +325,7 @@ func TestSelfExclusion(t *testing.T) {
 
 func TestRedundancyCap(t *testing.T) {
 	src := newFakeSource(1, 2)
-	src.counts = []int{1} // one answer already collected out of band
+	src.preload(1) // one answer already collected out of band
 	l := mustLedger(t, src, Config{Policy: LeastAnswered{}, Redundancy: 2})
 	if _, err := l.Assign(0); err != nil {
 		t.Fatal(err)
@@ -443,7 +468,6 @@ func TestStoreGrowthExtendsLedger(t *testing.T) {
 	// the next request via the store-version sync.
 	src.mu.Lock()
 	src.tasks = 2
-	src.counts = append(src.counts, 0)
 	src.storeVer++
 	src.mu.Unlock()
 	lease, err := l.Assign(1)
@@ -484,7 +508,7 @@ func TestStatsShape(t *testing.T) {
 func TestNoPosteriorFallsBackToLeastAnswered(t *testing.T) {
 	src := newFakeSource(3, 2)
 	src.postErr = errors.New("no result yet")
-	src.counts = []int{2, 0, 1}
+	src.preload(2, 0, 1)
 	l := mustLedger(t, src, Config{Policy: Uncertainty{}, Redundancy: 5})
 	lease, err := l.Assign(0)
 	if err != nil {
@@ -501,8 +525,9 @@ func TestNoPosteriorFallsBackToLeastAnswered(t *testing.T) {
 // that task, even though this ledger instance never leased it.
 func TestSelfExclusionSeededFromExistingAnswers(t *testing.T) {
 	src := newFakeSource(2, 2)
-	src.counts = []int{1, 1}
-	src.pairs = [][2]int{{0, 5}, {1, 5}, {0, 6}}
+	src.addAnswer(0, 5, 1)
+	src.addAnswer(1, 5, 1)
+	src.addAnswer(0, 6, 1)
 	l := mustLedger(t, src, Config{Policy: LeastAnswered{}, Redundancy: 10})
 	// Worker 5 answered both tasks before this ledger existed.
 	if _, err := l.Assign(5); !errors.Is(err, ErrNoTask) {
@@ -558,7 +583,7 @@ func TestLedgerDeterministicReplay(t *testing.T) {
 					leases = append(leases, lease)
 					if i%3 == 0 {
 						if err := l.Complete(lease.ID, w, func(task int) error {
-							src.addAnswer(task)
+							src.addAnswer(task, w, 1)
 							return nil
 						}); err != nil {
 							t.Fatal(err)

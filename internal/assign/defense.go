@@ -32,7 +32,7 @@ import (
 // All defense state rebuilds from the store at construction (golden
 // truth, answers, and worker ids are all persisted), so qualification
 // and correlation decisions survive a daemon restart exactly like the
-// ledger's self-exclusion sets do.
+// ledger's self-exclusion lists do.
 
 // Defaults for DefenseSpec zero values (applied when the gate they
 // parameterize is enabled).
@@ -136,12 +136,6 @@ func (d *DefenseSpec) Validate() error {
 // it; sources that don't leave the gate inert.
 type GoldenSource interface {
 	ForEachGolden(f func(task int, truth float64))
-}
-
-// AnswerValueSource is the optional source surface defense state
-// rebuilds from at construction: every stored answer with its value.
-type AnswerValueSource interface {
-	ForEachAnswerValue(f func(task, worker int, value float64))
 }
 
 // QualityHistorian is the optional source surface quality
@@ -266,11 +260,9 @@ func (d *defense) qualifiedLocked(worker int) bool {
 // goldenTaskLocked picks the lowest-id golden task the worker has not
 // seen (deterministic), or -1 when its golden chances are spent.
 func (l *Ledger) goldenTaskLocked(worker int) int {
+	l.excludeLocked(worker)
 	for _, t := range l.def.goldenIDs {
-		if t < 0 || t >= len(l.seen) {
-			continue
-		}
-		if _, taken := l.seen[t][worker]; !taken {
+		if t >= 0 && t < len(l.mark) && l.mark[t] != l.stamp {
 			return t
 		}
 	}

@@ -7,23 +7,16 @@ import (
 )
 
 // defenseSource wraps fakeSource with the optional defense surfaces:
-// golden truth, stored answer values, and a per-epoch quality history.
+// golden truth and a per-epoch quality history.
 type defenseSource struct {
 	*fakeSource
 	golden map[int]float64
-	stored [][3]float64 // (task, worker, value)
 	hist   [][]float64
 }
 
 func (d *defenseSource) ForEachGolden(f func(task int, truth float64)) {
 	for t, v := range d.golden {
 		f(t, v)
-	}
-}
-
-func (d *defenseSource) ForEachAnswerValue(f func(task, worker int, value float64)) {
-	for _, a := range d.stored {
-		f(int(a[0]), int(a[1]), a[2])
 	}
 }
 
@@ -240,10 +233,10 @@ func TestQualityFloorBansOnlySustainedLows(t *testing.T) {
 	}
 	for w := 0; w < 3; w++ {
 		for task := 0; task < 4; task++ {
-			src.stored = append(src.stored, [3]float64{float64(task), float64(w), 1})
+			src.addAnswer(task, w, 1)
 		}
 	}
-	src.stored = append(src.stored, [3]float64{0, 3, 1})
+	src.addAnswer(0, 3, 1)
 	l, _ := defendedLedger(t, src, &DefenseSpec{MinQuality: 0.7, QualityMinAnswers: 2})
 
 	banned := map[int]bool{}
@@ -270,7 +263,7 @@ func TestQualityDropDetectsSustainedCollapse(t *testing.T) {
 	}
 	for w := 0; w < 3; w++ {
 		for task := 0; task < 4; task++ {
-			src.stored = append(src.stored, [3]float64{float64(task), float64(w), 1})
+			src.addAnswer(task, w, 1)
 		}
 	}
 	l, _ := defendedLedger(t, src, &DefenseSpec{QualityDrop: 0.3, QualityMinAnswers: 2})
@@ -291,7 +284,7 @@ func TestDownWeightOnlyKeepsWorkersAssignable(t *testing.T) {
 	src := newDefenseSource(8)
 	src.hist = [][]float64{{0.9, 0.55}, {0.9, 0.55}}
 	for task := 0; task < 4; task++ {
-		src.stored = append(src.stored, [3]float64{float64(task), 1, 1})
+		src.addAnswer(task, 1, 1)
 	}
 	l, _ := defendedLedger(t, src, &DefenseSpec{MinQuality: 0.7, QualityMinAnswers: 2, DownWeightOnly: true})
 
@@ -322,14 +315,15 @@ func TestCollusionFlagsWrongAgreementPairs(t *testing.T) {
 	// shared tasks; workers 0 and 1 answer the consensus label on the
 	// same tasks (agreeing, but correctly).
 	for task := 0; task < 4; task++ {
-		src.stored = append(src.stored,
-			[3]float64{float64(task), 3, 1}, [3]float64{float64(task), 4, 1},
-			[3]float64{float64(task), 0, 0}, [3]float64{float64(task), 1, 0},
-		)
+		src.addAnswer(task, 3, 1)
+		src.addAnswer(task, 4, 1)
+		src.addAnswer(task, 0, 0)
+		src.addAnswer(task, 1, 0)
 	}
 	// Break worker 0/1's perfect agreement so only the ring could trip
 	// the identical-stream rule.
-	src.stored = append(src.stored, [3]float64{4, 0, 0}, [3]float64{4, 1, 1})
+	src.addAnswer(4, 0, 0)
+	src.addAnswer(4, 1, 1)
 	l, _ := defendedLedger(t, src, &DefenseSpec{CollusionThreshold: 0.8, CollusionMinOverlap: 3, CollusionPartners: 1})
 
 	state := map[int]Suspect{}
@@ -355,9 +349,8 @@ func TestCollusionFlagsPerfectParrots(t *testing.T) {
 	// wrong-agreement — the identical-stream rule must flag it anyway.
 	src := newDefenseSource(8)
 	for task := 0; task < 5; task++ {
-		src.stored = append(src.stored,
-			[3]float64{float64(task), 5, 0}, [3]float64{float64(task), 6, 0},
-		)
+		src.addAnswer(task, 5, 0)
+		src.addAnswer(task, 6, 0)
 	}
 	l, _ := defendedLedger(t, src, &DefenseSpec{CollusionThreshold: 0.8, CollusionMinOverlap: 5, CollusionPartners: 1})
 
@@ -392,11 +385,9 @@ func TestDefenseStateRebuildsFromStore(t *testing.T) {
 		completeLabel(t, l1, lease.ID, 9, 1-src.golden[lease.Task]) // worker 9 fails out
 	}
 	// Persist what the ledger collected, as the stream store would.
-	src.stored = append(src.stored,
-		[3]float64{0, 2, src.golden[0]},
-		[3]float64{0, 9, 1 - src.golden[0]},
-		[3]float64{1, 9, 1 - src.golden[1]},
-	)
+	src.addAnswer(0, 2, src.golden[0])
+	src.addAnswer(0, 9, 1-src.golden[0])
+	src.addAnswer(1, 9, 1-src.golden[1])
 
 	l2, _ := defendedLedger(t, src, spec)
 	state := map[int]Suspect{}

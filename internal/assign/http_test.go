@@ -12,7 +12,7 @@ import (
 )
 
 // startAPI builds a ledger over a fake source and serves the assignment
-// API; completed answers land in the fake source's counts.
+// API; completed answers land in the fake source's log.
 func startAPI(t *testing.T, src *fakeSource, cfg Config) (*httptest.Server, *Ledger) {
 	t.Helper()
 	l, err := NewLedger(src, cfg)
@@ -23,7 +23,7 @@ func startAPI(t *testing.T, src *fakeSource, cfg Config) (*httptest.Server, *Led
 		if value < 0 {
 			return 0, errors.New("value rejected")
 		}
-		src.addAnswer(task)
+		src.addAnswer(task, worker, value)
 		return src.StoreVersion(), nil
 	}))
 	t.Cleanup(srv.Close)
@@ -80,7 +80,7 @@ func TestHTTPAssignCompleteLoop(t *testing.T) {
 	if done["version"].(float64) < 1 {
 		t.Fatalf("complete did not report an ingest version: %v", done)
 	}
-	if got := src.TaskAnswerCounts()[task]; got != 1 {
+	if got := src.taskCounts()[task]; got != 1 {
 		t.Fatalf("completed answer not delivered: counts[%d] = %d", task, got)
 	}
 

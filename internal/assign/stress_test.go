@@ -61,7 +61,7 @@ func TestLeaseExpiryReclaimRace(t *testing.T) {
 				}
 				err = l.Complete(lease.ID, w, func(task int) error {
 					delivered.Add(1)
-					src.addAnswer(task)
+					src.addAnswer(task, w, 1)
 					return nil
 				})
 				// Expired-underneath-us is expected; anything else is a bug.
@@ -110,11 +110,14 @@ func TestLeaseExpiryReclaimRace(t *testing.T) {
 	if got := uint64(delivered.Load()); got != st.Completed {
 		t.Fatalf("delivered %d answers but ledger counted %d completions", got, st.Completed)
 	}
-	// Self-exclusion held under the race: no task collected more answers
-	// than distinct workers.
-	for task, c := range src.TaskAnswerCounts() {
-		if c > workers {
-			t.Fatalf("task %d has %d answers from %d workers — a worker answered twice", task, c, workers)
+	// Self-exclusion held under the race: no worker answered a task twice.
+	src.mu.Lock()
+	defer src.mu.Unlock()
+	answered := map[fakeAnswer]bool{}
+	for _, a := range src.log {
+		if answered[a] {
+			t.Fatalf("worker %d answered task %d twice", a.worker, a.task)
 		}
+		answered[a] = true
 	}
 }

@@ -170,7 +170,8 @@ func compileInput(c *Catalog, n *Node) (plan, error) {
 // side and streams the larger; the accumulated result's rank is the max
 // of its members, so the answer scan is the probe side against any
 // smaller input. Two inputs at the answers rank tie, and then the
-// accumulated side is built: its rows count against MaxJoinRows.
+// accumulated side is built. The rows each join stores and emits count
+// against MaxJoinRows.
 func compileJoin(c *Catalog, n *Node) (plan, error) {
 	if n.Input != nil {
 		return plan{}, fmt.Errorf("query: join takes inputs, not a single input")

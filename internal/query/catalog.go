@@ -26,9 +26,11 @@ type Source interface {
 	ScanShard(si, pos, beforeIdx int, dst []dataset.Answer) (n, next int, done bool)
 	// NumChoices returns ℓ for categorical stores, 0 for numeric.
 	NumChoices() int
-	// Posteriors returns per-task posterior rows plus the result version
-	// they reflect; errors mean no posterior exists (yet, or ever).
-	Posteriors() ([][]float64, uint64, error)
+	// Posteriors copies per-task posterior rows into dst (the catalog
+	// passes nil, so it gets rows of its own) and returns them plus the
+	// result version they reflect; errors mean no posterior exists (yet,
+	// or ever).
+	Posteriors(dst [][]float64) ([][]float64, uint64, error)
 	// Entropies returns per-task posterior entropies (nats).
 	Entropies() ([]float64, uint64, error)
 	// WorkerQualities returns current and previous-epoch worker-quality
@@ -79,16 +81,18 @@ const (
 )
 
 // MaxJoinRows is the per-query budget of rows that all of a plan's hash
-// joins may store in their build tables together: about 10× the answers
-// of the largest paper dataset at scale 1.0 (S_Rel, 98,453), so no
-// canned view or sensible plan comes near it. A plan whose build sides
-// grow past it (say, a chain of self-joins of the answer log, which
-// multiplies rows by the redundancy per join) ends with ErrJoinBudget.
+// joins may store in their build tables and emit, together: about 10×
+// the answers of the largest paper dataset at scale 1.0 (S_Rel, 98,453),
+// so no canned view or sensible plan comes near it. A plan whose joins
+// grow past it ends with ErrJoinBudget: say, a chain of self-joins of
+// the answer log, which multiplies rows by the redundancy per join, or
+// one join on a low-cardinality column such as value, which emits the
+// sum over values of each value's count squared.
 const MaxJoinRows = 1_000_000
 
-// ErrJoinBudget is recorded on the catalog when a plan's joins store
-// more than MaxJoinRows build rows. The HTTP layer answers 422.
-var ErrJoinBudget = fmt.Errorf("query: the plan's joins stored more than %d build rows, the per-query join row budget", MaxJoinRows)
+// ErrJoinBudget is recorded on the catalog when a plan's joins store or
+// emit more than MaxJoinRows rows. The HTTP layer answers 422.
+var ErrJoinBudget = fmt.Errorf("query: the plan's joins stored or emitted more than %d rows, the per-query join row budget", MaxJoinRows)
 
 // relationRank maps every catalog relation to its cardinality class.
 var relationRank = map[string]int{
@@ -128,7 +132,7 @@ type Catalog struct {
 	// per-query and single-goroutine, so plain int is fine.
 	Scanned int
 
-	joinRows int   // build rows stored so far by this query's hash joins
+	joinRows int   // rows stored or emitted so far by this query's hash joins
 	err      error // sticky: the first error a stream recorded (see Err)
 }
 
@@ -274,7 +278,7 @@ func (c *Catalog) mv() (Relation, error) {
 // posterior streams (task, label, p): one row per task × choice from
 // the serving method's published posterior.
 func (c *Catalog) posterior() (Relation, error) {
-	post, v, err := c.src.Posteriors()
+	post, v, err := c.src.Posteriors(nil)
 	if err != nil {
 		return Relation{}, ErrUnavailable{err}
 	}
@@ -298,7 +302,7 @@ func (c *Catalog) posterior() (Relation, error) {
 // posteriorTop reduces the posterior to its argmax per task:
 // (task, top_label, top_p). Ties break to the lowest label, matching mv.
 func (c *Catalog) posteriorTop() (Relation, error) {
-	post, v, err := c.src.Posteriors()
+	post, v, err := c.src.Posteriors(nil)
 	if err != nil {
 		return Relation{}, ErrUnavailable{err}
 	}

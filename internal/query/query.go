@@ -194,8 +194,9 @@ func sameKey(a []float64, ai []int, b []float64, bi []int) bool {
 // by probe's non-key columns; a non-key column name shared by both
 // sides is an error (the algebra has no rename). The caller arranges
 // build to be the known-smaller side — see greedy ordering in ast.go.
-// Every build row counts against the catalog's MaxJoinRows budget; past
-// it the join records ErrJoinBudget on the catalog and ends its stream.
+// Every row the join stores and every row it emits counts against the
+// catalog's MaxJoinRows budget; past it the join records ErrJoinBudget
+// on the catalog and ends its stream.
 func (c *Catalog) HashJoin(build, probe Relation, on []string) (Relation, error) {
 	if len(on) == 0 {
 		return Relation{}, fmt.Errorf("join: no join columns (cross joins are not supported)")
@@ -240,8 +241,7 @@ func (c *Catalog) HashJoin(build, probe Relation, on []string) (Relation, error)
 				if !ok {
 					break
 				}
-				if c.joinRows++; c.joinRows > MaxJoinRows {
-					c.err = ErrJoinBudget
+				if !c.spendJoinRow() {
 					break
 				}
 				vals = append(vals, r...)
@@ -267,6 +267,9 @@ func (c *Catalog) HashJoin(build, probe Relation, on []string) (Relation, error)
 				if !sameKey(b, bIdx, probeRow, pIdx) {
 					continue
 				}
+				if !c.spendJoinRow() {
+					return nil, false
+				}
 				out := rows.of(b...)
 				for k, j := range pKeep {
 					out[bw+k] = probeRow[j]
@@ -281,6 +284,17 @@ func (c *Catalog) HashJoin(build, probe Relation, on []string) (Relation, error)
 			cur = head[keyHash(r, pIdx)]
 		}
 	}}, nil
+}
+
+// spendJoinRow counts one row a join stores or emits against
+// MaxJoinRows. Past the budget it records ErrJoinBudget and reports
+// false, and the join ends its stream.
+func (c *Catalog) spendJoinRow() bool {
+	if c.joinRows++; c.joinRows > MaxJoinRows {
+		c.err = ErrJoinBudget
+		return false
+	}
+	return true
 }
 
 // appendKey appends v's key bits (see keyBits), eight bytes per column.

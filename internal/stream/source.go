@@ -29,23 +29,16 @@ func (s *Service) StoreVersion() uint64 { return s.store.Version() }
 // Dims returns the store's current task, worker and answer counts.
 func (s *Service) Dims() (tasks, workers, answers int) { return s.store.Dims() }
 
-// TaskAnswerCounts returns the per-task answer counts of the underlying
-// store (the redundancy each task has already collected).
-func (s *Service) TaskAnswerCounts() []int { return s.store.AnswerCounts() }
-
 // NumChoices returns the store's normalized choice count (ℓ for
 // categorical stores, 0 for numeric).
 func (s *Service) NumChoices() int { return s.store.NumChoices() }
 
-// ForEachAnswer streams every (task, worker) pair currently in the
-// store; see Store.ForEachAnswer for the locking contract.
-func (s *Service) ForEachAnswer(f func(task, worker int)) { s.store.ForEachAnswer(f) }
-
-// ForEachAnswerValue streams every (task, worker, value) triple currently
-// in the store; see Store.ForEachAnswerValue. The assignment ledger's
-// defense layer rebuilds golden-gate and correlation state from it.
-func (s *Service) ForEachAnswerValue(f func(task, worker int, value float64)) {
-	s.store.ForEachAnswerValue(f)
+// AnswersSince calls f for every answer of the underlying store at
+// global index from or later and returns the count to pass next time;
+// see Store.AnswersSince for the locking contract. The assignment ledger
+// follows the store by this delta.
+func (s *Service) AnswersSince(from int, f func(task, worker int, value float64)) (next int) {
+	return s.store.AnswersSince(from, f)
 }
 
 // ForEachGolden streams every task with recorded ground truth; see
@@ -130,13 +123,14 @@ func (s *Service) ResultVersion() uint64 {
 	return s.resVersion
 }
 
-// Posteriors returns a copy of every task's posterior distribution over
-// the choice labels from the last published Result.Posterior (for MV,
-// each task's vote shares, uniform for answer-less tasks), plus the
-// result version the rows reflect. Numeric methods return
-// ErrNoPosterior, and iterative methods return ErrNotInferred before
-// their first epoch.
-func (s *Service) Posteriors() ([][]float64, uint64, error) {
+// Posteriors copies every task's posterior distribution over the choice
+// labels from the last published Result.Posterior (for MV, each task's
+// vote shares, uniform for answer-less tasks) into dst and returns it,
+// plus the result version the rows reflect. dst is reused when its rows
+// have ℓ entries and grown by the tasks added since; nil allocates.
+// Numeric methods return ErrNoPosterior, and iterative methods return
+// ErrNotInferred before their first epoch.
+func (s *Service) Posteriors(dst [][]float64) ([][]float64, uint64, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if s.res == nil {
@@ -146,12 +140,19 @@ func (s *Service) Posteriors() ([][]float64, uint64, error) {
 		return nil, 0, ErrNoPosterior
 	}
 	// Every row has the store's ℓ choices (core.Result's contract), so the
-	// copy takes two allocations, not one per task.
-	out := core.UniformPosterior(len(s.res.Posterior), s.store.NumChoices())
-	for i, row := range s.res.Posterior {
-		copy(out[i], row)
+	// rows a grown dst lacks take two allocations, not one per task.
+	n, ell := len(s.res.Posterior), s.store.NumChoices()
+	if len(dst) > 0 && len(dst[0]) != ell {
+		dst = nil
 	}
-	return out, s.resVersion, nil
+	if len(dst) < n {
+		dst = append(dst, core.UniformPosterior(n-len(dst), ell)...)
+	}
+	dst = dst[:n]
+	for i, row := range s.res.Posterior {
+		copy(dst[i], row)
+	}
+	return dst, s.resVersion, nil
 }
 
 // Entropies returns every task's posterior Shannon entropy (nats) and the
@@ -168,7 +169,7 @@ func (s *Service) Entropies() ([]float64, uint64, error) {
 	}
 	s.mu.RUnlock()
 
-	post, version, err := s.Posteriors()
+	post, version, err := s.Posteriors(nil)
 	if err != nil {
 		return nil, 0, err
 	}

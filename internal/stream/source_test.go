@@ -3,6 +3,7 @@ package stream
 import (
 	"errors"
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -91,7 +92,7 @@ func TestPosteriorsIncrementalMV(t *testing.T) {
 		{Task: 0, Worker: 0, Value: 1}, {Task: 0, Worker: 1, Value: 1}, {Task: 0, Worker: 2, Value: 0},
 		{Task: 1, Worker: 3, Value: 0},
 	}})
-	post, version, err := svc.Posteriors()
+	post, version, err := svc.Posteriors(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +120,7 @@ func TestPosteriorsUnavailable(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer svc.Close()
-	if _, _, err := svc.Posteriors(); !errors.Is(err, ErrNoPosterior) {
+	if _, _, err := svc.Posteriors(nil); !errors.Is(err, ErrNoPosterior) {
 		t.Fatalf("Posteriors on Mean = %v, want ErrNoPosterior", err)
 	}
 	if _, _, err := svc.Entropies(); !errors.Is(err, ErrNoPosterior) {
@@ -136,7 +137,7 @@ func TestPosteriorsUnavailable(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer svc2.Close()
-	if _, _, err := svc2.Posteriors(); !errors.Is(err, ErrNotInferred) {
+	if _, _, err := svc2.Posteriors(nil); !errors.Is(err, ErrNotInferred) {
 		t.Fatalf("Posteriors before first epoch = %v, want ErrNotInferred", err)
 	}
 }
@@ -175,21 +176,110 @@ func TestEntropiesCacheInvalidation(t *testing.T) {
 	}
 }
 
-func TestAnswerCounts(t *testing.T) {
-	svc := newMVService(t)
-	ingestT(t, svc, Batch{NumTasks: 4, NumWorkers: 3})
-	ingestT(t, svc, Batch{Answers: []dataset.Answer{
-		{Task: 0, Worker: 0, Value: 1}, {Task: 0, Worker: 1, Value: 1},
-		{Task: 2, Worker: 2, Value: 0},
-	}})
-	got := svc.TaskAnswerCounts()
-	want := []int{2, 0, 1, 0}
-	if len(got) != len(want) {
-		t.Fatalf("AnswerCounts length %d, want %d", len(got), len(want))
+// TestAnswersSince pins the store's delta walk: AnswersSince(k) visits
+// exactly the answers at global index k or later, shard by shard in log
+// order, and returns the answer count; counts built from its visits
+// equal a snapshot's task degrees; and a follower that keeps calling it
+// with the count it got back visits every answer exactly once while
+// other goroutines ingest (run it under -race).
+func TestAnswersSince(t *testing.T) {
+	// A numeric store lets each answer's value be its global index.
+	store, err := NewStoreN("since", dataset.Numeric, 0, 3)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("counts[%d] = %d, want %d", i, got[i], want[i])
+	const total = 1000
+	for i := 0; i < total; i += 50 {
+		batch := make([]dataset.Answer, 50)
+		for j := range batch {
+			batch[j] = dataset.Answer{Task: (i + j) * 37 % 301, Worker: (i + j) % 11, Value: float64(i + j)}
+		}
+		if _, _, err := store.Ingest(Batch{Answers: batch}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap, _ := store.Snapshot()
+	for _, from := range []int{0, 1, 499, total - 1, total} {
+		var visited []int
+		next := store.AnswersSince(from, func(task, worker int, value float64) {
+			a := snap.Answers[int(value)]
+			if a.Task != task || a.Worker != worker {
+				t.Fatalf("visited (%d, %d) for index %v, which holds %+v", task, worker, value, a)
+			}
+			visited = append(visited, int(value))
+		})
+		if next != total {
+			t.Fatalf("AnswersSince(%d) returned %d, want %d", from, next, total)
+		}
+		var want []int
+		for shard := 0; shard < store.Shards(); shard++ {
+			for idx := from; idx < total; idx++ {
+				if store.shardOf(snap.Answers[idx].Task) == shard {
+					want = append(want, idx)
+				}
+			}
+		}
+		if !slices.Equal(visited, want) {
+			t.Fatalf("AnswersSince(%d) visited %d answers %v..., want %d in shard-major log order",
+				from, len(visited), visited[:min(len(visited), 5)], len(want))
+		}
+	}
+	counts := make([]int, snap.NumTasks)
+	store.AnswersSince(0, func(task, _ int, _ float64) { counts[task]++ })
+	for task := range counts {
+		if want := len(snap.TaskAnswers(task)); counts[task] != want {
+			t.Errorf("task %d: counted %d answers, snapshot degree %d", task, counts[task], want)
+		}
+	}
+
+	// A follower under concurrent ingest, starting from an empty view.
+	const writers, perWriter, tasks = 4, 200, 400
+	var wg sync.WaitGroup
+	for g := 0; g < writers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				id := total + g*perWriter + i
+				if _, _, err := store.Ingest(Batch{Answers: []dataset.Answer{
+					{Task: id * 13 % tasks, Worker: g, Value: float64(id)},
+				}}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(g)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	counts = make([]int, tasks)
+	visits := map[int]int{}
+	follow := func(task, _ int, value float64) {
+		visits[int(value)]++
+		counts[task]++
+	}
+	next := 0
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		next = store.AnswersSince(next, follow)
+	}
+	const all = total + writers*perWriter
+	if next != all || len(visits) != all {
+		t.Fatalf("follower ended at %d having visited %d distinct answers, want %d", next, len(visits), all)
+	}
+	for id, n := range visits {
+		if n != 1 {
+			t.Fatalf("answer %d visited %d times", id, n)
+		}
+	}
+	snap, _ = store.Snapshot()
+	for task := 0; task < snap.NumTasks; task++ {
+		if want := len(snap.TaskAnswers(task)); counts[task] != want {
+			t.Errorf("after concurrent ingest, task %d: counted %d answers, snapshot degree %d", task, counts[task], want)
 		}
 	}
 }

@@ -476,57 +476,31 @@ func (s *Store) TaskValues(task int) []float64 {
 	return append([]float64(nil), sh.vals[task]...)
 }
 
-// AnswerCounts returns the per-task answer counts for every task in the
-// current range, read-locking one shard at a time. Counts only ever
-// grow; the vector may straddle a concurrent ingest (task A's count from
-// before it, task B's from after), which is fine for the monotone uses
-// (assignment redundancy accounting) it serves.
-func (s *Store) AnswerCounts() []int {
-	counts := make([]int, int(s.numTasks.Load()))
+// AnswersSince calls f for every answer at global index from or later
+// and returns the answer count it stopped at: the from of the next call.
+// The count is pinned under the commit lock, as Pin does. The walk then
+// goes one shard at a time under that shard's read lock, each shard's
+// entries in log order, starting at the first entry at or past from (a
+// binary search, as in snapshotSince) and stopping at the pinned count.
+// So f must be quick and must not call back into the store. A caller
+// that keeps the returned count follows the store by its delta: the
+// assignment ledger keeps its answer counts and self-exclusion index
+// current this way, and replays its defense state from from = 0.
+func (s *Store) AnswersSince(from int, f func(task, worker int, value float64)) (next int) {
+	_, next = s.Pin()
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		for task, vals := range sh.vals {
-			if task < len(counts) {
-				counts[task] = len(vals)
+		log := sh.log
+		for _, e := range log[sort.Search(len(log), func(k int) bool { return log[k].idx >= from }):] {
+			if e.idx >= next {
+				break
 			}
-		}
-		sh.mu.RUnlock()
-	}
-	return counts
-}
-
-// ForEachAnswer streams every (task, worker) pair currently in the
-// store, one shard at a time under that shard's read lock (so f must be
-// quick and must not call back into the store). The assignment ledger
-// seeds its self-exclusion sets from it at construction, so a worker is
-// never assigned a task it already answered — in a preloaded dataset or
-// before a daemon restart.
-func (s *Store) ForEachAnswer(f func(task, worker int)) {
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		for _, e := range sh.log {
-			f(e.ans.Task, e.ans.Worker)
-		}
-		sh.mu.RUnlock()
-	}
-}
-
-// ForEachAnswerValue streams every (task, worker, value) triple currently
-// in the store under the same locking contract as ForEachAnswer. The
-// assignment ledger's defense layer rebuilds its golden-gate and
-// answer-correlation state from it at construction, so qualification
-// decisions survive a daemon restart exactly like the exclusion sets do.
-func (s *Store) ForEachAnswerValue(f func(task, worker int, value float64)) {
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		for _, e := range sh.log {
 			f(e.ans.Task, e.ans.Worker, e.ans.Value)
 		}
 		sh.mu.RUnlock()
 	}
+	return next
 }
 
 // ForEachGolden streams every task whose ground truth has been recorded
