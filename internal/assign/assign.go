@@ -30,11 +30,21 @@
 // *stream.Service satisfies structurally. It follows the store by its
 // answer delta (Source.AnswersSince): each sync visits only the answers
 // that arrived since the last one, counting them toward their tasks'
-// redundancy and adding them to their workers' exclusion lists.
-// Posteriors are copied into buffers the ledger reuses, only when a new
-// result publishes (the epoch boundary; on an incremental method, every
-// ingest), and a task's entropy is recomputed only when its row changed.
-// Worker qualities are read per request. cmd/truthserve mounts the HTTP
+// redundancy and adding them to their workers' exclusion lists. It
+// follows the posterior the same way: when a new result publishes (the
+// epoch boundary; on an incremental method, every ingest), a delta read
+// (Source.Posteriors) copies only the rows that changed into the buffer
+// the ledger keeps, and only those rows' entropies are recomputed.
+// Worker qualities are read per request.
+//
+// Under a Cacheable policy (uncertainty, least-answered) the ledger keeps
+// each task's score across requests and scores a task again only when
+// its load or posterior row changed, so a request costs one pass over
+// cached scores. The cache holds scores for one probability-correct: it
+// hits when consecutive requests map to the same one, as fresh workers at
+// the prior and, on MV, every known worker do; a request at another one
+// scores every task afresh, as every request did before the cache.
+// cmd/truthserve mounts the HTTP
 // face (GET /v1/assign, POST /v1/complete, GET /v1/assignstats) next to
 // the inference API, and internal/simulate drives the whole loop
 // end-to-end for policy comparison.
@@ -44,7 +54,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -61,7 +70,7 @@ type Source interface {
 	// re-read when it moves.
 	StoreVersion() uint64
 	// ResultVersion bumps when a new inference result publishes; the
-	// ledger re-copies the posterior when it moves.
+	// ledger brings its posterior up to it by a delta read when it moves.
 	ResultVersion() uint64
 	// AnswersSince calls f for every stored answer at global index from
 	// or later and returns the index to pass next time. NewLedger walks
@@ -69,11 +78,15 @@ type Source interface {
 	// answer counts and self-exclusion cover every answer in the store:
 	// preloaded, recovered after a restart, ingested directly or routed.
 	AnswersSince(from int, f func(task, worker int, value float64)) (next int)
-	// Posteriors copies the per-task posterior rows into dst (reused when
-	// its shape fits, grown when tasks were added) and returns them with
-	// the result version they reflect; an error means no posterior is
-	// available (yet).
-	Posteriors(dst [][]float64) ([][]float64, uint64, error)
+	// Posteriors brings dst, the rows an earlier call returned at result
+	// version since (or nil), up to the per-task posterior rows and
+	// returns them with the result version they reflect; an error means
+	// no posterior is available (yet). It copies the rows of tasks dst
+	// lacks and those that changed after since, and calls changed with
+	// the task of each row it copied. Listing a row that did not change
+	// only costs the ledger a score; leaving out one that did serves a
+	// stale score.
+	Posteriors(dst [][]float64, since uint64, changed func(task int)) ([][]float64, uint64, error)
 	// WorkerQuality returns the method's quality estimate for one worker.
 	// Methods that model workers uniformly (MV/Mean/Median) report 1 for
 	// every worker; routing then reduces to pure posterior uncertainty,
@@ -176,19 +189,31 @@ type Ledger struct {
 	seen map[int][]int
 	next int // the store answer count load and seen follow up to
 
-	// Cached posterior: post is re-copied when the result version moves
-	// (the epoch boundary), into spare, the previous copy's buffers.
-	// ent[t] is row t's entropy, recomputed only when the row changed
-	// (rows equal under == differ at most in the sign of a zero, which
-	// Entropy skips), and Stats sums it into meanEnt once per post.
+	// Cached posterior: when the result version moves (the epoch
+	// boundary; on an incremental method, every ingest), a delta read
+	// brings post up to it, copying only the rows that changed and
+	// listing them in changed. ent[t] is row t's entropy, recomputed for
+	// each listed row, and Stats sums it into meanEnt once per post.
 	post      [][]float64
-	spare     [][]float64
+	changed   []int
 	ent       []float64
 	postVer   uint64
 	postOK    bool
 	meanEnt   float64
 	meanEntOK bool
 	uniform   []float64
+
+	// Score cache, kept for a Cacheable policy: cache[t] holds task t's
+	// score for a request of probability-correct cacheQ, current while
+	// cache[t].gen == cacheGen (never 0). A change to a task's load or
+	// posterior row zeroes its entry's gen; moving the cache to another
+	// probability-correct, or a posterior that appears, vanishes or
+	// shrinks, bumps cacheGen, which drops every entry at once. lastQ is
+	// the previous request's probability-correct.
+	cache    []scoreEntry
+	cacheGen uint64
+	cacheQ   float64
+	lastQ    float64
 
 	leases map[uint64]Lease
 	expiry expiryHeap
@@ -249,11 +274,12 @@ func NewLedger(src Source, cfg Config) (*Ledger, error) {
 	}
 	ell := src.NumChoices()
 	l := &Ledger{
-		cfg:    cfg,
-		src:    src,
-		now:    now,
-		seen:   map[int][]int{},
-		leases: map[uint64]Lease{},
+		cfg:      cfg,
+		src:      src,
+		now:      now,
+		seen:     map[int][]int{},
+		cacheGen: 1,
+		leases:   map[uint64]Lease{},
 	}
 	if ell >= 2 {
 		l.uniform = make([]float64, ell)
@@ -334,13 +360,34 @@ func (l *Ledger) Assign(worker int) (Lease, error) {
 		Posterior: l.post,
 		uniform:   l.uniform,
 	}
+	// A request at another probability-correct than the cache's scores
+	// every task afresh and keeps none of it, unless the request before
+	// it had the same one: then the cache moves to it.
+	q := req.Quality
+	cached := l.cfg.Policy.Cacheable() && (q == l.cacheQ || q == l.lastQ)
+	if cached && q != l.cacheQ {
+		l.cacheGen++
+		l.cacheQ = q
+	}
+	l.lastQ = q
 	l.excludeLocked(worker)
+	limit, stamp, gen := l.cfg.Redundancy, l.stamp, l.cacheGen
+	mark, cache := l.mark[:len(l.load)], l.cache[:len(l.load)]
 	best, bestScore := -1, 0.0
-	for t := range req.Load {
-		if req.Load[t] >= l.cfg.Redundancy || l.mark[t] == l.stamp {
+	for t, load := range l.load {
+		if load >= limit || mark[t] == stamp {
 			continue
 		}
-		if s := l.cfg.Policy.Score(req, t); best == -1 || s > bestScore {
+		var s float64
+		if e := &cache[t]; !cached {
+			s = l.cfg.Policy.Score(req, t)
+		} else if e.gen == gen {
+			s = e.score
+		} else {
+			s = l.cfg.Policy.Score(req, t)
+			e.score, e.gen = s, gen
+		}
+		if best == -1 || s > bestScore {
 			best, bestScore = t, s
 		}
 	}
@@ -357,7 +404,7 @@ func (l *Ledger) issueLocked(task, worker int, now time.Time, golden bool) Lease
 	lease := Lease{ID: l.issued, Task: task, Worker: worker, Expires: now.Add(l.cfg.LeaseTTL), Golden: golden}
 	l.leases[lease.ID] = lease
 	l.expiry.push(expiryEntry{id: lease.ID, expires: lease.Expires})
-	l.load[task]++
+	l.addLoadLocked(task, 1)
 	l.seen[worker] = append(l.seen[worker], task)
 	l.cfg.Metrics.observeIssued()
 	l.publishGaugesLocked()
@@ -399,7 +446,7 @@ func (l *Ledger) CompleteValue(id uint64, worker int, value float64, deliver fun
 		}
 	}
 	delete(l.leases, id)
-	l.load[lease.Task]--
+	l.addLoadLocked(lease.Task, -1)
 	l.redeemed++
 	l.recordLocked(lease.Task, worker, value)
 	l.cfg.Metrics.observeCompleted()
@@ -420,7 +467,7 @@ func (l *Ledger) reclaimLocked(now time.Time) {
 			continue // completed before its deadline; stale heap entry
 		}
 		delete(l.leases, e.id)
-		l.load[lease.Task]--
+		l.addLoadLocked(lease.Task, -1)
 		l.expired++
 		reclaimed++
 	}
@@ -448,8 +495,10 @@ func (l *Ledger) publishGaugesLocked() {
 
 // syncLocked refreshes the cached serving state: it follows the answers
 // that arrived since the last sync, grows the per-task slices to the
-// store's task range, and re-copies the posterior when the result version
-// moved (the epoch boundary; on an incremental method, every ingest).
+// store's task range, and brings the posterior up to the result version
+// when it moved (the epoch boundary; on an incremental method, every
+// ingest), recomputing the entropy and dropping the cached score of each
+// row the delta read lists.
 func (l *Ledger) syncLocked() {
 	tasks, _, answers := l.src.Dims()
 	if answers != l.next {
@@ -457,38 +506,63 @@ func (l *Ledger) syncLocked() {
 	}
 	l.growLocked(tasks)
 	if rv := l.src.ResultVersion(); !l.postOK || rv != l.postVer {
-		post, v, err := l.src.Posteriors(l.spare)
+		l.changed = l.changed[:0]
+		post, v, err := l.src.Posteriors(l.post, l.postVer, l.rowChangedLocked)
 		if err != nil {
 			post, v = nil, rv
+		}
+		if (post == nil) != (l.post == nil) || len(post) < len(l.post) {
+			// The tasks past post's end switched between a row and none,
+			// or from their own row to the uniform one; none is listed.
+			l.cacheGen++
 		}
 		if len(l.ent) < len(post) {
 			l.ent = append(l.ent, make([]float64, len(post)-len(l.ent))...)
 		}
-		for t, row := range post {
-			if t >= len(l.post) || !slices.Equal(row, l.post[t]) {
-				l.ent[t] = mathx.Entropy(row)
+		for _, t := range l.changed {
+			l.ent[t] = mathx.Entropy(post[t])
+			if t < len(l.cache) {
+				l.cache[t].gen = 0
 			}
 		}
-		l.spare, l.post, l.postVer = l.post, post, v
+		l.post, l.postVer = post, v
 		l.postOK, l.meanEntOK = true, false
 	}
 	l.refreshGoldenLocked()
 	l.defenseSweepLocked()
 }
 
+// rowChangedLocked lists a posterior row the delta read copied.
+func (l *Ledger) rowChangedLocked(task int) { l.changed = append(l.changed, task) }
+
 // followLocked takes one stored answer into the ledger: it counts toward
 // its task's redundancy and excludes its worker from the task.
 func (l *Ledger) followLocked(task, worker int, _ float64) {
 	l.growLocked(task + 1)
-	l.load[task]++
+	l.addLoadLocked(task, 1)
 	l.seen[worker] = append(l.seen[worker], task)
 }
 
-// growLocked extends the per-task slices to n tasks.
+// addLoadLocked moves task's load by delta and drops its cached score.
+func (l *Ledger) addLoadLocked(task, delta int) {
+	l.load[task] += delta
+	l.cache[task].gen = 0
+}
+
+// scoreEntry is one task's cached policy score, current while gen is
+// the ledger's cacheGen.
+type scoreEntry struct {
+	score float64
+	gen   uint64
+}
+
+// growLocked extends the per-task slices to n tasks; a new task has no
+// cached score.
 func (l *Ledger) growLocked(n int) {
 	if extra := n - len(l.load); extra > 0 {
 		l.load = append(l.load, make([]int, extra)...)
 		l.mark = append(l.mark, make([]uint64, extra)...)
+		l.cache = append(l.cache, make([]scoreEntry, extra)...)
 	}
 }
 
@@ -595,19 +669,21 @@ func (l *Ledger) Stats() Stats {
 			st.BudgetRemaining = 0
 		}
 	}
+	limit := l.cfg.Redundancy
 	for _, load := range l.load {
-		if load < l.cfg.Redundancy {
+		if load < limit {
 			st.EligibleTasks++
 		}
 	}
 	if !l.meanEntOK {
-		l.meanEnt, l.meanEntOK = 0, true
+		var sum float64
 		for _, e := range l.ent[:len(l.post)] {
-			l.meanEnt += e
+			sum += e
 		}
 		if len(l.post) > 0 {
-			l.meanEnt /= float64(len(l.post))
+			sum /= float64(len(l.post))
 		}
+		l.meanEnt, l.meanEntOK = sum, true
 	}
 	st.MeanEntropy = l.meanEnt
 	if l.def != nil {

@@ -58,15 +58,22 @@ func (f *fakeSource) AnswersSince(from int, fn func(task, worker int, value floa
 	}
 	return len(f.log)
 }
-func (f *fakeSource) Posteriors(dst [][]float64) ([][]float64, uint64, error) {
+
+// Posteriors copies every row and lists each as changed, which the
+// ledger must accept from any source: a row listed but unchanged only
+// costs it a score.
+func (f *fakeSource) Posteriors(dst [][]float64, _ uint64, changed func(int)) ([][]float64, uint64, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.postErr != nil {
 		return nil, 0, f.postErr
 	}
 	dst = dst[:0]
-	for _, row := range f.post {
+	for t, row := range f.post {
 		dst = append(dst, append([]float64(nil), row...))
+		if changed != nil {
+			changed(t)
+		}
 	}
 	return dst, f.resultVer, nil
 }

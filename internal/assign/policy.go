@@ -9,25 +9,34 @@ import (
 )
 
 // Policy scores candidate tasks for one assignment request. The ledger
-// evaluates Score over every eligible task (under the redundancy cap,
-// not yet seen by the worker) and issues a lease on the highest-scoring
-// one, ties going to the lowest task id. Implementations must be pure
+// takes a score for every eligible task (under the redundancy cap, not
+// yet seen by the worker) and issues a lease on the highest-scoring one,
+// ties going to the lowest task id. Implementations must be pure
 // functions of the request context — the ledger relies on that for its
-// deterministic replayability.
+// deterministic replayability, and for its score cache.
 type Policy interface {
 	// Name is the registry key (the `policy` value of a Spec).
 	Name() string
 	// Score returns the desirability of routing task to the requesting
 	// worker. Only the ordering within one request matters.
 	Score(c *Request, task int) float64
+	// Cacheable reports whether Score(c, task) reads only c.Quality,
+	// c.Choices, c.Load[task] and task's posterior row. The ledger then
+	// keeps each task's score across requests and calls Score again only
+	// when one of those changes: the task's load or row, or the
+	// requester's probability-correct. Otherwise it calls Score for every
+	// eligible task on every request.
+	Cacheable() bool
 }
 
 // Request is the scoring context of one assignment request: the
 // requesting worker, its estimated probability of answering correctly,
 // and the ledger's cached view of the serving state. Posterior rows
 // reflect the result version the ledger last synced at (an epoch
-// boundary); Load is live redundancy accounting (collected answers plus
-// outstanding leases per task).
+// boundary; on an incremental method, the last ingest); Load is live
+// redundancy accounting (collected answers plus outstanding leases per
+// task). A Cacheable policy's score for a task may have been taken under
+// an earlier request with the same Quality, Load[task] and row.
 type Request struct {
 	// Worker is the requesting worker id.
 	Worker int
@@ -86,6 +95,9 @@ func (Random) Score(c *Request, task int) float64 {
 	return float64(randx.Mix(c.Seed, int64(c.Seq), int64(task)))
 }
 
+// Cacheable is false: Score hashes the request's sequence number.
+func (Random) Cacheable() bool { return false }
+
 // LeastAnswered balances redundancy: it routes the worker to the task
 // with the fewest collected-plus-outstanding answers, the classic
 // round-robin task board.
@@ -96,6 +108,9 @@ func (LeastAnswered) Name() string { return "least-answered" }
 func (LeastAnswered) Score(c *Request, task int) float64 {
 	return -float64(c.Load[task])
 }
+
+// Cacheable is true: Score reads only the task's load.
+func (LeastAnswered) Cacheable() bool { return true }
 
 // Uncertainty is the QASCA-style expected-accuracy policy: it routes the
 // worker to the task whose posterior the worker's answer is expected to
@@ -149,6 +164,10 @@ func (Uncertainty) Score(c *Request, task int) float64 {
 	}
 	return ExpectedAccuracyGain(smoothed, c.Quality)
 }
+
+// Cacheable is true: Score reads only the request's quality and choice
+// count and the task's load and posterior row.
+func (Uncertainty) Cacheable() bool { return true }
 
 // ExpectedAccuracyGain returns the expected increase of max_z p(z) after
 // observing one answer from a worker with probability-correct q (errors

@@ -114,7 +114,7 @@ func TestMeanEntropyBitIdentical(t *testing.T) {
 					}
 				}
 				got := l.Stats().MeanEntropy
-				post, _, err := svc.Posteriors(nil)
+				post, _, err := svc.Posteriors(nil, 0, nil)
 				if err != nil {
 					if got != 0 {
 						t.Fatalf("round %d: MeanEntropy %v without a posterior (%v)", round, got, err)

@@ -26,8 +26,11 @@ import (
 
 // Gradient-ascent hyperparameters for the M-step. GLAD's original
 // implementation uses conjugate gradient; a few fixed-rate ascent steps
-// per EM iteration converge to the same stationary points on the
-// benchmark sizes used here and keep the method dependency-free.
+// per EM iteration keep the method dependency-free, but they do not
+// reach the same stationary points. A worker's α step sums over all of
+// its answers, so it grows with the worker's answer count, and on the
+// paper's datasets α keeps growing through the default iteration cap
+// instead of converging (ROADMAP item 6).
 const (
 	gradSteps    = 10
 	learningRate = 0.05

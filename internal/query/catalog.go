@@ -26,11 +26,12 @@ type Source interface {
 	ScanShard(si, pos, beforeIdx int, dst []dataset.Answer) (n, next int, done bool)
 	// NumChoices returns ℓ for categorical stores, 0 for numeric.
 	NumChoices() int
-	// Posteriors copies per-task posterior rows into dst (the catalog
-	// passes nil, so it gets rows of its own) and returns them plus the
-	// result version they reflect; errors mean no posterior exists (yet,
-	// or ever).
-	Posteriors(dst [][]float64) ([][]float64, uint64, error)
+	// Posteriors copies per-task posterior rows into dst and returns them
+	// plus the result version they reflect; errors mean no posterior
+	// exists (yet, or ever). It is a delta read for callers that keep
+	// dst (see internal/assign); the catalog passes (nil, 0, nil), so it
+	// gets every row, in rows of its own.
+	Posteriors(dst [][]float64, since uint64, changed func(task int)) ([][]float64, uint64, error)
 	// Entropies returns per-task posterior entropies (nats).
 	Entropies() ([]float64, uint64, error)
 	// WorkerQualities returns current and previous-epoch worker-quality
@@ -278,7 +279,7 @@ func (c *Catalog) mv() (Relation, error) {
 // posterior streams (task, label, p): one row per task × choice from
 // the serving method's published posterior.
 func (c *Catalog) posterior() (Relation, error) {
-	post, v, err := c.src.Posteriors(nil)
+	post, v, err := c.src.Posteriors(nil, 0, nil)
 	if err != nil {
 		return Relation{}, ErrUnavailable{err}
 	}
@@ -302,7 +303,7 @@ func (c *Catalog) posterior() (Relation, error) {
 // posteriorTop reduces the posterior to its argmax per task:
 // (task, top_label, top_p). Ties break to the lowest label, matching mv.
 func (c *Catalog) posteriorTop() (Relation, error) {
-	post, v, err := c.src.Posteriors(nil)
+	post, v, err := c.src.Posteriors(nil, 0, nil)
 	if err != nil {
 		return Relation{}, ErrUnavailable{err}
 	}

@@ -70,7 +70,7 @@ func (f *fakeSource) ScanShard(si, pos, beforeIdx int, dst []dataset.Answer) (in
 	return n, pos, pos >= len(f.answers)
 }
 func (f *fakeSource) NumChoices() int { return f.choices }
-func (f *fakeSource) Posteriors([][]float64) ([][]float64, uint64, error) {
+func (f *fakeSource) Posteriors([][]float64, uint64, func(int)) ([][]float64, uint64, error) {
 	if f.postErr != nil {
 		return nil, 0, f.postErr
 	}

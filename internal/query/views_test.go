@@ -5,8 +5,10 @@ import (
 	"testing"
 
 	"truthinference/internal/assign"
+	"truthinference/internal/core"
 	"truthinference/internal/dataset"
 	"truthinference/internal/methods/direct"
+	"truthinference/internal/methods/ds"
 	"truthinference/internal/query"
 	"truthinference/internal/simulate"
 	"truthinference/internal/stream"
@@ -17,13 +19,22 @@ import (
 // 24,945 answers), with an uncertainty ledger beside it: the tenant the
 // serve-mix benchmark workload queries.
 func dProductService(tb testing.TB) (*stream.Service, *assign.Ledger) {
+	return dProductServiceOf(tb, direct.NewMV())
+}
+
+// dProductServiceOf serves method over D_Product at scale 1.0 after one
+// epoch, with an uncertainty ledger beside it.
+func dProductServiceOf(tb testing.TB, method core.Method) (*stream.Service, *assign.Ledger) {
 	tb.Helper()
 	d := simulate.Generate(simulate.DProduct, 1)
-	svc, err := stream.NewService(stream.NewStoreAt(d, 1, stream.DefaultShards), stream.Config{Method: direct.NewMV()})
+	svc, err := stream.NewService(stream.NewStoreAt(d, 1, stream.DefaultShards), stream.Config{Method: method})
 	if err != nil {
 		tb.Fatal(err)
 	}
 	tb.Cleanup(func() { svc.Close() })
+	if err := svc.Refresh(); err != nil {
+		tb.Fatal(err)
+	}
 	led, err := assign.NewLedger(svc, assign.Config{Policy: assign.Uncertainty{}, Redundancy: 1 << 20})
 	if err != nil {
 		tb.Fatal(err)
@@ -84,13 +95,27 @@ func BenchmarkViews(b *testing.B) {
 // fresh worker and completed. On MV the ingest moves both the store and
 // the result version, so every round's Assign syncs the ledger.
 func ledgerRound(tb testing.TB, svc *stream.Service, led *assign.Ledger, i int) {
+	assignRound(tb, svc, led, i, 100000+i)
+}
+
+// knownRound is ledgerRound with the lease assigned to a worker of
+// D_Product, a different one each round.
+func knownRound(tb testing.TB, svc *stream.Service, led *assign.Ledger, i int) {
+	assignRound(tb, svc, led, i, i%dProductWorkers)
+}
+
+// dProductWorkers is D_Product's worker count at scale 1.0.
+const dProductWorkers = 176
+
+// assignRound ingests a single answer, then assigns worker a lease and
+// completes it.
+func assignRound(tb testing.TB, svc *stream.Service, led *assign.Ledger, i, w int) {
 	tasks, _, _ := svc.Dims()
 	if _, err := svc.Ingest(stream.Batch{Answers: []dataset.Answer{
 		{Task: i * 7919 % tasks, Worker: 1000 + i%64, Value: float64(i % 2)},
 	}}); err != nil {
 		tb.Fatal(err)
 	}
-	w := 100000 + i
 	lease, err := led.Assign(w)
 	if err != nil {
 		tb.Fatal(err)
@@ -148,7 +173,11 @@ func TestLedgerSyncAllocations(t *testing.T) {
 
 // BenchmarkLedger times the two rounds TestLedgerSyncAllocations
 // measures: a single-answer ingest plus Assign plus Complete, and a
-// single-answer ingest plus the spend-vs-budget view.
+// single-answer ingest plus the spend-vs-budget view. Both request from
+// fresh workers at the prior, so every Assign after the first reads the
+// ledger's cached scores. The D&S round requests from D_Product's own
+// workers, each with its own quality estimate, so every Assign misses the
+// cache and scores every task.
 func BenchmarkLedger(b *testing.B) {
 	svc, led := dProductService(b)
 	b.Run("ingest-assign-complete", func(b *testing.B) {
@@ -161,6 +190,22 @@ func BenchmarkLedger(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			spendRound(b, svc, led, i)
+		}
+	})
+	b.Run("ds-known-worker", func(b *testing.B) {
+		svc, led := dProductServiceOf(b, ds.New())
+		for w := 0; w < dProductWorkers; w++ {
+			q, err := svc.WorkerQuality(w)
+			next, nerr := svc.WorkerQuality((w + 1) % dProductWorkers)
+			if err != nil || nerr != nil || q == next {
+				b.Fatalf("workers %d and %d: qualities %v, %v (%v, %v); each round must miss the score cache",
+					w, (w+1)%dProductWorkers, q, next, err, nerr)
+			}
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			knownRound(b, svc, led, i)
 		}
 	})
 }

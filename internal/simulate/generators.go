@@ -164,8 +164,7 @@ func genSRel(rng *rand.Rand, scale float64) *dataset.Dataset {
 // Zipf rank (heavy rank ⇒ noisier + more biased) to reproduce exactly
 // that ceiling. Note: the published per-worker mean accuracy (0.65,
 // Fig 3d) is inconsistent with every method scoring 36% under any
-// plausible answer distribution; we calibrate to the method table, the
-// deviation is recorded in EXPERIMENTS.md.
+// plausible answer distribution; we calibrate to the method table.
 func genSAdult(rng *rand.Rand, scale float64) *dataset.Dataset {
 	const ell = 4
 	numTasks := scaleCount(11040, scale, 120)

@@ -31,6 +31,7 @@ type incremental struct {
 
 	res    *core.Result
 	counts []float64 // MV: task-major tasks×ℓ vote counts
+	rowVer []uint64  // MV: the batch version each posterior row was last rewritten at
 	sums   []float64 // Mean: per-task running sums
 	ns     []int     // Mean: per-task answer counts
 }
@@ -52,7 +53,7 @@ func newIncremental(method string, seed int64, ell int) *incremental {
 // would (the MV tie-break over an all-zero count row with a uniform
 // posterior, or 0 for Mean and Median) and giving new workers the
 // direct methods' uniform quality 1.
-func (inc *incremental) grow(numTasks, numWorkers int) {
+func (inc *incremental) grow(version uint64, numTasks, numWorkers int) {
 	r := inc.res
 	for len(r.WorkerQuality) < numWorkers {
 		r.WorkerQuality = append(r.WorkerQuality, 1)
@@ -65,9 +66,10 @@ func (inc *incremental) grow(numTasks, numWorkers int) {
 	switch inc.method {
 	case "MV":
 		inc.counts = append(inc.counts, make([]float64, (numTasks-n)*inc.ell)...)
+		inc.rowVer = append(inc.rowVer, make([]uint64, numTasks-n)...)
 		r.Posterior = append(r.Posterior, core.UniformPosterior(numTasks-n, inc.ell)...)
 		for i := n; i < numTasks; i++ {
-			inc.relabelMV(i)
+			inc.relabelMV(version, i)
 		}
 	case "Mean":
 		inc.sums = append(inc.sums, make([]float64, numTasks-n)...)
@@ -75,15 +77,16 @@ func (inc *incremental) grow(numTasks, numWorkers int) {
 	}
 }
 
-// apply folds a delta of appended answers into the state and relabels
-// the touched tasks. numTasks and numWorkers are the store's ranges
-// after the delta; taskValues returns one task's full answer multiset in
-// append order (used only by Median, which has no constant-size update).
-// Batches must be applied in ingestion order; the service serializes
-// ingest, so the delta of each call is exactly the batch it just
-// committed.
-func (inc *incremental) apply(answers []dataset.Answer, numTasks, numWorkers int, taskValues func(task int) []float64) {
-	inc.grow(numTasks, numWorkers)
+// apply folds a delta of appended answers, committed at store version
+// version, into the state and relabels the touched tasks, stamping each
+// rewritten MV posterior row with version. numTasks and numWorkers are
+// the store's ranges after the delta; taskValues returns one task's full
+// answer multiset in append order (used only by Median, which has no
+// constant-size update). Batches must be applied in ingestion order; the
+// service serializes ingest, so the delta of each call is exactly the
+// batch it just committed.
+func (inc *incremental) apply(version uint64, answers []dataset.Answer, numTasks, numWorkers int, taskValues func(task int) []float64) {
+	inc.grow(version, numTasks, numWorkers)
 	touched := map[int]bool{}
 	for _, a := range answers {
 		switch inc.method {
@@ -98,7 +101,7 @@ func (inc *incremental) apply(answers []dataset.Answer, numTasks, numWorkers int
 	for i := range touched {
 		switch inc.method {
 		case "MV":
-			inc.relabelMV(i)
+			inc.relabelMV(version, i)
 		case "Mean":
 			inc.res.Truth[i] = inc.sums[i] / float64(inc.ns[i])
 		case "Median":
@@ -108,9 +111,10 @@ func (inc *incremental) apply(answers []dataset.Answer, numTasks, numWorkers int
 }
 
 // applyDataset folds a whole existing dataset (e.g. a preloaded store
-// or a recovered snapshot) into freshly initialized state.
-func (inc *incremental) applyDataset(d *dataset.Dataset) {
-	inc.apply(d.Answers, d.NumTasks, d.NumWorkers, func(task int) []float64 {
+// or a recovered snapshot) taken at store version version into freshly
+// initialized state.
+func (inc *incremental) applyDataset(version uint64, d *dataset.Dataset) {
+	inc.apply(version, d.Answers, d.NumTasks, d.NumWorkers, func(task int) []float64 {
 		idxs := d.TaskAnswers(task)
 		vals := make([]float64, len(idxs))
 		for k, ai := range idxs {
@@ -122,8 +126,9 @@ func (inc *incremental) applyDataset(d *dataset.Dataset) {
 
 // relabelMV recomputes task i's plurality label, with the same
 // (seed, task)-hashed tie-break as the batch MV implementation, and its
-// posterior row, the normalized vote counts.
-func (inc *incremental) relabelMV(i int) {
+// posterior row, the normalized vote counts, which it stamps with the
+// version of the batch being folded.
+func (inc *incremental) relabelMV(version uint64, i int) {
 	row := inc.counts[i*inc.ell : (i+1)*inc.ell]
 	inc.res.Truth[i] = float64(core.ArgmaxTieBreak(row, func(n int) int {
 		return randx.HashPick(n, inc.seed, int64(i))
@@ -131,6 +136,7 @@ func (inc *incremental) relabelMV(i int) {
 	post := inc.res.Posterior[i]
 	copy(post, row)
 	mathx.Normalize(post)
+	inc.rowVer[i] = version
 }
 
 // relabelMedian recomputes task i's median from its full answer

@@ -168,7 +168,7 @@ func NewService(store *Store, cfg Config) (*Service, error) {
 		// forever after.
 		snap, version := store.Snapshot()
 		s.inc = newIncremental(cfg.Method.Name(), cfg.Options.Seed, snap.NumChoices)
-		s.inc.applyDataset(snap)
+		s.inc.applyDataset(version, snap)
 		s.res, s.resVersion = s.inc.res, version
 	}
 	return s, nil
@@ -206,7 +206,7 @@ func (s *Service) Ingest(b Batch) (uint64, error) {
 		// Median re-reads touched tasks through the owning shard only.
 		tasks, workers, _ := s.store.Dims()
 		s.mu.Lock()
-		s.inc.apply(b.Answers, tasks, workers, s.store.TaskValues)
+		s.inc.apply(version, b.Answers, tasks, workers, s.store.TaskValues)
 		s.resVersion = version
 		s.mu.Unlock()
 		s.cfg.Metrics.observeFolded(len(b.Answers))

@@ -123,14 +123,20 @@ func (s *Service) ResultVersion() uint64 {
 	return s.resVersion
 }
 
-// Posteriors copies every task's posterior distribution over the choice
-// labels from the last published Result.Posterior (for MV, each task's
-// vote shares, uniform for answer-less tasks) into dst and returns it,
-// plus the result version the rows reflect. dst is reused when its rows
-// have ℓ entries and grown by the tasks added since; nil allocates.
-// Numeric methods return ErrNoPosterior, and iterative methods return
-// ErrNotInferred before their first epoch.
-func (s *Service) Posteriors(dst [][]float64) ([][]float64, uint64, error) {
+// Posteriors brings dst up to every task's posterior distribution over
+// the choice labels in the last published Result.Posterior (for MV, each
+// task's vote shares, uniform for answer-less tasks) and returns it, plus
+// the result version the rows reflect. It is a delta read: dst is nil or
+// the rows an earlier call returned at result version since, and only
+// rows the caller lacks or that changed after since are copied. The rows
+// of tasks added since (every row, when dst is nil) are always copied;
+// of the rest, an epoch's result rewrites every row when it publishes,
+// and the incremental MV fold only the rows it stamped with a later
+// batch version. changed, when non-nil, is called with the task of each
+// copied row, under the service's read lock. The query catalog passes
+// (nil, 0, nil) for a full copy. Numeric methods return ErrNoPosterior,
+// and iterative methods return ErrNotInferred before their first epoch.
+func (s *Service) Posteriors(dst [][]float64, since uint64, changed func(task int)) ([][]float64, uint64, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if s.res == nil {
@@ -145,12 +151,31 @@ func (s *Service) Posteriors(dst [][]float64) ([][]float64, uint64, error) {
 	if len(dst) > 0 && len(dst[0]) != ell {
 		dst = nil
 	}
+	held := min(len(dst), n)
 	if len(dst) < n {
 		dst = append(dst, core.UniformPosterior(n-len(dst), ell)...)
 	}
 	dst = dst[:n]
-	for i, row := range s.res.Posterior {
-		copy(dst[i], row)
+	rows := s.res.Posterior
+	switch {
+	case since >= s.resVersion: // nothing was rewritten
+	case s.inc == nil: // an epoch's result: every row is new
+		held = 0
+	default:
+		for t, v := range s.inc.rowVer[:held] {
+			if v > since {
+				copy(dst[t], rows[t])
+				if changed != nil {
+					changed(t)
+				}
+			}
+		}
+	}
+	for t := held; t < n; t++ {
+		copy(dst[t], rows[t])
+		if changed != nil {
+			changed(t)
+		}
 	}
 	return dst, s.resVersion, nil
 }
@@ -169,7 +194,7 @@ func (s *Service) Entropies() ([]float64, uint64, error) {
 	}
 	s.mu.RUnlock()
 
-	post, version, err := s.Posteriors(nil)
+	post, version, err := s.Posteriors(nil, 0, nil)
 	if err != nil {
 		return nil, 0, err
 	}

@@ -2,7 +2,9 @@ package stream
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"math/rand"
 	"slices"
 	"strings"
 	"sync"
@@ -92,7 +94,7 @@ func TestPosteriorsIncrementalMV(t *testing.T) {
 		{Task: 0, Worker: 0, Value: 1}, {Task: 0, Worker: 1, Value: 1}, {Task: 0, Worker: 2, Value: 0},
 		{Task: 1, Worker: 3, Value: 0},
 	}})
-	post, version, err := svc.Posteriors(nil)
+	post, version, err := svc.Posteriors(nil, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +122,7 @@ func TestPosteriorsUnavailable(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer svc.Close()
-	if _, _, err := svc.Posteriors(nil); !errors.Is(err, ErrNoPosterior) {
+	if _, _, err := svc.Posteriors(nil, 0, nil); !errors.Is(err, ErrNoPosterior) {
 		t.Fatalf("Posteriors on Mean = %v, want ErrNoPosterior", err)
 	}
 	if _, _, err := svc.Entropies(); !errors.Is(err, ErrNoPosterior) {
@@ -137,7 +139,7 @@ func TestPosteriorsUnavailable(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer svc2.Close()
-	if _, _, err := svc2.Posteriors(nil); !errors.Is(err, ErrNotInferred) {
+	if _, _, err := svc2.Posteriors(nil, 0, nil); !errors.Is(err, ErrNotInferred) {
 		t.Fatalf("Posteriors before first epoch = %v, want ErrNotInferred", err)
 	}
 }
@@ -174,6 +176,190 @@ func TestEntropiesCacheInvalidation(t *testing.T) {
 	if ent3[0] >= ent[0] {
 		t.Errorf("entropy after a tie-breaking vote = %v, want < %v", ent3[0], ent[0])
 	}
+}
+
+// deltaRead is a follower of Posteriors: it keeps the rows and the
+// result version of its last read and lists the rows each read copies.
+type deltaRead struct {
+	rows   [][]float64
+	since  uint64
+	listed []int
+}
+
+// read brings the follower up to the published posterior.
+func (d *deltaRead) read(tb testing.TB, svc *Service) {
+	tb.Helper()
+	d.listed = d.listed[:0]
+	rows, v, err := svc.Posteriors(d.rows, d.since, func(task int) { d.listed = append(d.listed, task) })
+	if err != nil {
+		tb.Fatal(err)
+	}
+	d.rows, d.since = rows, v
+}
+
+// sameRows fails unless got and want hold the same rows bit for bit.
+func sameRows(tb testing.TB, at string, got, want [][]float64) {
+	tb.Helper()
+	if len(got) != len(want) {
+		tb.Fatalf("%s: %d rows, a full copy has %d", at, len(got), len(want))
+	}
+	for task := range want {
+		for k := range want[task] {
+			if math.Float64bits(got[task][k]) != math.Float64bits(want[task][k]) {
+				tb.Fatalf("%s: row %d is %v, a full copy has %v", at, task, got[task], want[task])
+			}
+		}
+	}
+}
+
+// fullCopy is Posteriors(nil, 0, nil), failing on error.
+func fullCopy(tb testing.TB, svc *Service) ([][]float64, uint64) {
+	tb.Helper()
+	rows, v, err := svc.Posteriors(nil, 0, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return rows, v
+}
+
+// TestPosteriorsDeltaRead pins the delta read. On MV it copies exactly
+// the rows the fold rewrote after since (every task a later batch
+// answered) plus the tasks added since, none at the current version, and
+// its rows equal a full copy bit for bit. After a D&S epoch it copies
+// every row, and between epochs none, however many batches land.
+func TestPosteriorsDeltaRead(t *testing.T) {
+	t.Run("MV", func(t *testing.T) {
+		store, err := NewStoreN("delta", dataset.SingleChoice, 3, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		svc, err := NewService(store, Config{Method: direct.NewMV(), Options: optsSeq(1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer svc.Close()
+		ingestT(t, svc, Batch{NumTasks: 30, NumWorkers: 5})
+		rng := rand.New(rand.NewSource(4))
+		var d deltaRead
+		for round := 0; round < 300; round++ {
+			held := len(d.rows)
+			touched := map[int]bool{}
+			for range rng.Intn(4) {
+				tasks, _, _ := svc.Dims()
+				var b Batch
+				if rng.Intn(5) == 0 {
+					b.NumTasks = tasks + 1 + rng.Intn(3)
+					tasks = b.NumTasks
+				}
+				for range rng.Intn(4) {
+					task := rng.Intn(tasks)
+					b.Answers = append(b.Answers, dataset.Answer{Task: task, Worker: rng.Intn(9), Value: float64(rng.Intn(3))})
+					touched[task] = true
+				}
+				ingestT(t, svc, b)
+			}
+			d.read(t, svc)
+			var want []int
+			for task := range d.rows {
+				if task >= held || touched[task] {
+					want = append(want, task)
+				}
+			}
+			if !slices.Equal(d.listed, want) {
+				t.Fatalf("round %d: the delta read copied rows %v, want %v", round, d.listed, want)
+			}
+			full, v := fullCopy(t, svc)
+			if d.since != v {
+				t.Fatalf("round %d: delta read at version %d, a full copy at %d", round, d.since, v)
+			}
+			sameRows(t, fmt.Sprintf("round %d", round), d.rows, full)
+			if d.read(t, svc); len(d.listed) != 0 {
+				t.Fatalf("round %d: a read at the current version copied rows %v", round, d.listed)
+			}
+		}
+	})
+	t.Run("D&S", func(t *testing.T) {
+		store, err := NewStoreN("delta", dataset.SingleChoice, 3, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		svc, err := NewService(store, Config{Method: ds.New(), Options: optsSeq(1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer svc.Close()
+		rng := rand.New(rand.NewSource(5))
+		batch := func() Batch {
+			var b Batch
+			for range 8 {
+				b.Answers = append(b.Answers, dataset.Answer{Task: rng.Intn(25), Worker: rng.Intn(6), Value: float64(rng.Intn(3))})
+			}
+			return b
+		}
+		var d deltaRead
+		for epoch := 0; epoch < 5; epoch++ {
+			ingestT(t, svc, batch())
+			if err := svc.Refresh(); err != nil {
+				t.Fatal(err)
+			}
+			d.read(t, svc)
+			if len(d.listed) != len(d.rows) || len(d.rows) == 0 {
+				t.Fatalf("epoch %d: the delta read copied %d of %d rows, want every row", epoch, len(d.listed), len(d.rows))
+			}
+			ingestT(t, svc, batch()) // lands after the epoch: the result stays
+			if d.read(t, svc); len(d.listed) != 0 {
+				t.Fatalf("epoch %d: a read at the current version copied rows %v", epoch, d.listed)
+			}
+			full, _ := fullCopy(t, svc)
+			sameRows(t, fmt.Sprintf("epoch %d", epoch), d.rows, full)
+		}
+	})
+}
+
+// TestPosteriorsDeltaReadBesideIngest runs a follower of the delta read
+// beside a writer (run it under -race): whenever a full copy reflects the
+// same result version as the follower's read, the two are equal bit for
+// bit, and after the writer stops one more read equals a full copy.
+func TestPosteriorsDeltaReadBesideIngest(t *testing.T) {
+	store, err := NewStoreN("delta", dataset.SingleChoice, 3, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, err := NewService(store, Config{Method: direct.NewMV(), Options: optsSeq(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 2000; i++ {
+			if _, err := svc.Ingest(Batch{Answers: []dataset.Answer{
+				{Task: i * 7 % (50 + i/10), Worker: i % 13, Value: float64(i % 3)},
+			}}); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	var d deltaRead
+	compared := 0
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		d.read(t, svc)
+		if full, v := fullCopy(t, svc); v == d.since {
+			sameRows(t, fmt.Sprintf("version %d", v), d.rows, full)
+			compared++
+		}
+	}
+	d.read(t, svc)
+	full, _ := fullCopy(t, svc)
+	sameRows(t, "after the writer", d.rows, full)
+	t.Logf("%d reads compared at a matching version", compared)
 }
 
 // TestAnswersSince pins the store's delta walk: AnswersSince(k) visits
