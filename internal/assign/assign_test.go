@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"strings"
 	"sync"
 	"testing"
@@ -206,6 +207,53 @@ func TestExpectedAccuracyGain(t *testing.T) {
 	// Never negative, even where one answer cannot flip the argmax.
 	if g := ExpectedAccuracyGain([]float64{1, 0}, 0.9); g < 0 {
 		t.Errorf("gain on a settled posterior = %v, want ≥ 0", g)
+	}
+}
+
+// TestExpectedAccuracyGainMatchesDefinition checks the gain bit for bit
+// against its definition, Σ_a max_z p(z)·Pr(a|z) − max_z p(z) taken over
+// every (a, z) pair, on random, tied, one-hot and zero distributions of
+// 2 to 8 labels and qualities from 0 to 1.
+func TestExpectedAccuracyGainMatchesDefinition(t *testing.T) {
+	definition := func(p []float64, q float64) float64 {
+		off := (1 - q) / float64(len(p)-1)
+		var cur, exp float64
+		for _, x := range p {
+			cur = math.Max(cur, x)
+		}
+		for a := range p {
+			var best float64
+			for z, x := range p {
+				pr := off
+				if a == z {
+					pr = q
+				}
+				best = math.Max(best, x*pr)
+			}
+			exp += best
+		}
+		return math.Max(exp-cur, 0)
+	}
+	rng := rand.New(rand.NewSource(9))
+	for i := 0; i < 20000; i++ {
+		p := make([]float64, 2+rng.Intn(7))
+		switch i % 4 {
+		case 0: // random masses
+			for k := range p {
+				p[k] = rng.Float64()
+			}
+		case 1: // ties among a few levels
+			for k := range p {
+				p[k] = float64(rng.Intn(3)) / 4
+			}
+		case 2: // one-hot
+			p[rng.Intn(len(p))] = 1
+		} // case 3: all zero
+		q := []float64{0, 1 / float64(len(p)), rng.Float64(), 1 - 1e-9, 1}[i%5]
+		got, want := ExpectedAccuracyGain(p, q), definition(p, q)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("ExpectedAccuracyGain(%v, %v) = %v, the definition gives %v", p, q, got, want)
+		}
 	}
 }
 

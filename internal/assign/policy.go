@@ -171,36 +171,44 @@ func (Uncertainty) Cacheable() bool { return true }
 
 // ExpectedAccuracyGain returns the expected increase of max_z p(z) after
 // observing one answer from a worker with probability-correct q (errors
-// uniform over the other ℓ−1 labels). It is ≥ 0 for q ≥ 1/ℓ and exactly
-// 0 at q = 1/ℓ (an uninformative answer cannot sharpen the posterior).
+// uniform over the other ℓ−1 labels), for a distribution p. It is ≥ 0
+// for q ≥ 1/ℓ and exactly 0 at q = 1/ℓ (an uninformative answer cannot
+// sharpen the posterior).
 func ExpectedAccuracyGain(p []float64, q float64) float64 {
 	ell := len(p)
 	if ell < 2 {
 		return 0
 	}
 	off := (1 - q) / float64(ell-1)
-	var cur float64
-	for _, x := range p {
-		if x > cur {
-			cur = x
+	// top = max_z p(z), at its first index, and second the largest mass
+	// at any other index.
+	top, second, at := 0.0, 0.0, -1
+	for z, x := range p {
+		if x > top {
+			top, second, at = x, top, z
+		} else if x > second {
+			second = x
 		}
 	}
 	var exp float64
-	for a := 0; a < ell; a++ {
+	for a, x := range p {
 		// max_z p(z)·Pr(a|z): the top joint mass if the worker answers a.
+		// Rounding is monotone, so max_{z≠a} p(z)·off is the largest
+		// other mass times off, the same product the max picks.
+		other := top
+		if a == at {
+			other = second
+		}
 		var best float64
-		for z := 0; z < ell; z++ {
-			pr := off
-			if a == z {
-				pr = q
-			}
-			if j := p[z] * pr; j > best {
-				best = j
-			}
+		if j := x * q; j > best {
+			best = j
+		}
+		if j := other * off; j > best {
+			best = j
 		}
 		exp += best
 	}
-	gain := exp - cur
+	gain := exp - top
 	if gain < 0 {
 		// Guard against float rounding; the true gain is never negative.
 		return 0

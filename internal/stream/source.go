@@ -133,7 +133,8 @@ func (s *Service) ResultVersion() uint64 {
 // of the rest, an epoch's result rewrites every row when it publishes,
 // and the incremental MV fold only the rows it stamped with a later
 // batch version. changed, when non-nil, is called with the task of each
-// copied row, under the service's read lock. The query catalog passes
+// copied row under the service's read lock, so it must not call back
+// into the service (as with AnswersSince). The query catalog passes
 // (nil, 0, nil) for a full copy. Numeric methods return ErrNoPosterior,
 // and iterative methods return ErrNotInferred before their first epoch.
 func (s *Service) Posteriors(dst [][]float64, since uint64, changed func(task int)) ([][]float64, uint64, error) {
