@@ -151,7 +151,8 @@ func diffTruths(t *testing.T, method string, numeric bool, got, want []float64) 
 // SHA-256 over the float64 bits of every Result field. TestGoldenTruths
 // catches a changed label; this catches any changed bit, which is the
 // contract of kernel rewrites that must not move outputs (columnar sweeps,
-// transcendentals hoisted out of inner loops). Run it after
+// transcendentals hoisted out of inner loops). testdata/options.json
+// holds the same digests for each of optionRows. Run it after
 // TestGoldenTruths, which regenerates the datasets under -update.
 //
 // The digests are pinned on amd64 only. Elsewhere the compiler fuses
@@ -162,15 +163,11 @@ func TestGoldenDigests(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("result digests are pinned on amd64; on %s fused multiply-adds and the pure-Go math.Exp change last bits", runtime.GOARCH)
 	}
-	digests := map[string]map[string]string{}
+	digests := map[string]map[string]string{}            // dataset → method → digest
+	options := map[string]map[string]map[string]string{} // row → dataset → method → digest
 	if !*update {
-		data, err := os.ReadFile(digestsPath())
-		if err != nil {
-			t.Fatalf("golden digests missing (run with -update to bless): %v", err)
-		}
-		if err := json.Unmarshal(data, &digests); err != nil {
-			t.Fatal(err)
-		}
+		readJSON(t, digestsPath(), &digests)
+		readJSON(t, optionsPath(), &options)
 	}
 	for _, c := range corpus {
 		t.Run(c.name, func(t *testing.T) {
@@ -180,6 +177,12 @@ func TestGoldenDigests(t *testing.T) {
 			}
 			if *update {
 				digests[c.name] = map[string]string{}
+				for _, row := range optionRows {
+					if options[row.name] == nil {
+						options[row.name] = map[string]map[string]string{}
+					}
+					options[row.name][c.name] = map[string]string{}
+				}
 			}
 			for _, m := range ti.MethodsForType(d.Type) {
 				res, err := m.Infer(d, goldenOptions)
@@ -187,29 +190,135 @@ func TestGoldenDigests(t *testing.T) {
 					t.Errorf("%s: %v", m.Name(), err)
 					continue
 				}
-				got := resultDigest(res)
-				if *update {
-					digests[c.name][m.Name()] = got
-					continue
-				}
-				want, ok := digests[c.name][m.Name()]
-				switch {
-				case !ok:
-					t.Errorf("%s: no golden digest recorded (run with -update to bless)", m.Name())
-				case got != want:
-					t.Errorf("%s: result digest %s, golden %s: some output bit changed", m.Name(), got, want)
+				checkDigest(t, digests[c.name], m.Name(), m.Name(), res)
+				for _, row := range optionRows {
+					opts, ok := row.options(m, d, res)
+					if !ok {
+						continue
+					}
+					label := m.Name() + " at " + row.name
+					res, err := m.Infer(d, opts)
+					if err != nil {
+						t.Errorf("%s: %v", label, err)
+						continue
+					}
+					checkDigest(t, options[row.name][c.name], m.Name(), label, res)
 				}
 			}
 		})
 	}
 	if *update {
-		data, err := json.MarshalIndent(digests, "", " ")
-		if err != nil {
-			t.Fatal(err)
+		writeJSON(t, digestsPath(), digests)
+		writeJSON(t, optionsPath(), options)
+	}
+}
+
+// optionRows are the option paths goldenOptions leaves out, each pinned
+// for every method whose capabilities accept its option. At cap 3 the EM
+// loops stop unconverged, and PM on choice4 converges on exactly its
+// last allowed step. At tolerance 2 most loops stop after one step,
+// while categorical CATD and PM, whose stop rule ignores the tolerance,
+// still take two or three.
+var optionRows = []struct {
+	name string
+	// options returns the row's options for m on d, given m's result at
+	// goldenOptions, or false when m's capabilities refuse the option.
+	options func(m ti.Method, d *ti.Dataset, def *ti.Result) (ti.Options, bool)
+}{
+	{"cap 1", withOptions(func(o *ti.Options) { o.MaxIterations = 1 })},
+	{"cap 3", withOptions(func(o *ti.Options) { o.MaxIterations = 3 })},
+	{"tolerance 0.5", withOptions(func(o *ti.Options) { o.Tolerance = 0.5 })},
+	{"tolerance 2", withOptions(func(o *ti.Options) { o.Tolerance = 2 })},
+	{"parallelism 2", withOptions(func(o *ti.Options) { o.Parallelism = 2 })},
+	{"golden tasks", func(m ti.Method, d *ti.Dataset, _ *ti.Result) (ti.Options, bool) {
+		// Every third task with a known truth.
+		o := goldenOptions
+		o.Golden = map[int]float64{}
+		for i := 0; i < d.NumTasks; i += 3 {
+			if v, ok := d.Truth[i]; ok {
+				o.Golden[i] = v
+			}
 		}
-		if err := os.WriteFile(digestsPath(), append(data, '\n'), 0o644); err != nil {
-			t.Fatal(err)
+		return o, m.Capabilities().Golden
+	}},
+	{"qualification", func(m ti.Method, d *ti.Dataset, _ *ti.Result) (ti.Options, bool) {
+		// Accuracies on categorical data, squared errors on numeric
+		// data, and NaN (the cold default) for every third worker.
+		o := goldenOptions
+		q := make([]float64, d.NumWorkers)
+		for w := range q {
+			switch {
+			case w%3 == 0:
+				q[w] = math.NaN()
+			case d.Type == ti.Numeric:
+				q[w] = 25 * float64(1+w%4)
+			default:
+				q[w] = 0.55 + 0.1*float64(w%4)
+			}
 		}
+		if d.Type == ti.Numeric {
+			o.QualificationError = q
+		} else {
+			o.QualificationAccuracy = q
+		}
+		return o, m.Capabilities().Qualification
+	}},
+	{"warm start", func(_ ti.Method, _ *ti.Dataset, def *ti.Result) (ti.Options, bool) {
+		o := goldenOptions
+		o.WarmStart = def.Warm()
+		return o, true
+	}},
+}
+
+// withOptions returns an optionRows entry that every method accepts:
+// goldenOptions changed by set.
+func withOptions(set func(*ti.Options)) func(ti.Method, *ti.Dataset, *ti.Result) (ti.Options, bool) {
+	return func(ti.Method, *ti.Dataset, *ti.Result) (ti.Options, bool) {
+		o := goldenOptions
+		set(&o)
+		return o, true
+	}
+}
+
+// checkDigest compares res's digest with table[method], or records it
+// there under -update. label names the run in failures.
+func checkDigest(t *testing.T, table map[string]string, method, label string, res *ti.Result) {
+	t.Helper()
+	got := resultDigest(res)
+	if *update {
+		table[method] = got
+		return
+	}
+	want, ok := table[method]
+	switch {
+	case !ok:
+		t.Errorf("%s: no golden digest recorded (run with -update to bless)", label)
+	case got != want:
+		t.Errorf("%s: result digest %s, golden %s: some output bit changed", label, got, want)
+	}
+}
+
+func optionsPath() string { return filepath.Join("testdata", "options.json") }
+
+func readJSON(t *testing.T, path string, v any) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("golden digests missing (run with -update to bless): %v", err)
+	}
+	if err := json.Unmarshal(data, v); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func writeJSON(t *testing.T, path string, v any) {
+	t.Helper()
+	data, err := json.MarshalIndent(v, "", " ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+		t.Fatal(err)
 	}
 }
 
