@@ -18,10 +18,11 @@ import (
 )
 
 // allocGateCrowd is noisy enough (45%-accurate workers over 3 choices)
-// that D&S keeps moving its confusion matrices, PM keeps flipping labels
-// and GLAD keeps moving its abilities well past the caps used below:
-// with Tolerance pinned to an unreachable 1e-300, none of them converges
-// before iteration 10. BCC and CBCC always run their full sweep schedule.
+// that D&S and LFC keep moving their confusion matrices, ZC its worker
+// probabilities, PM keeps flipping labels and GLAD keeps moving its
+// abilities well past the caps used below: with Tolerance pinned to an
+// unreachable 1e-300, none of them converges before iteration 10. BCC
+// and CBCC always run their full sweep schedule.
 func allocGateCrowd() *dataset.Dataset {
 	acc := make([]float64, 15)
 	for w := range acc {
@@ -37,20 +38,51 @@ func allocGateCrowd() *dataset.Dataset {
 	})
 }
 
+// allocGateDecisionCrowd feeds Multi, which runs on decision tasks only;
+// its gradient ascent keeps moving the task embeddings past the caps.
+func allocGateDecisionCrowd() *dataset.Dataset {
+	return testutil.Categorical(testutil.CrowdSpec{
+		NumTasks: 80, NumWorkers: 15, NumChoices: 2, Redundancy: 5, Seed: 11,
+	})
+}
+
+// allocGateNumericCrowd feeds the numeric loops of LFC_N, CATD and PM,
+// whose truth estimates keep moving past the caps.
+func allocGateNumericCrowd() *dataset.Dataset {
+	return testutil.Numeric(testutil.NumericSpec{
+		NumTasks: 80, NumWorkers: 15, Redundancy: 5, Seed: 11,
+	})
+}
+
 func TestSweepAllocationRegression(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	d := allocGateCrowd()
+	categorical, decision, numeric := allocGateCrowd(), allocGateDecisionCrowd(), allocGateNumericCrowd()
 	const loCap, hiCap = 4, 10
 	for _, tc := range []struct {
 		name string
+		// subtest names the run when the method has more than one crowd.
+		subtest string
+		d       *dataset.Dataset
 		// gibbs methods report Converged by definition, so only their
 		// iteration count shows whether a run swept to its cap.
 		gibbs bool
-	}{{"D&S", false}, {"PM", false}, {"GLAD", false}, {"BCC", true}, {"CBCC", true}} {
-		name := tc.name
-		t.Run(name, func(t *testing.T) {
+	}{
+		{"D&S", "D&S", categorical, false},
+		{"PM", "PM", categorical, false},
+		{"GLAD", "GLAD", categorical, false},
+		{"BCC", "BCC", categorical, true},
+		{"CBCC", "CBCC", categorical, true},
+		{"ZC", "ZC", categorical, false},
+		{"LFC", "LFC", categorical, false},
+		{"Multi", "Multi", decision, false},
+		{"LFC_N", "LFC_N", numeric, false},
+		{"CATD", "CATD numeric", numeric, false},
+		{"PM", "PM numeric", numeric, false},
+	} {
+		name, d := tc.name, tc.d
+		t.Run(tc.subtest, func(t *testing.T) {
 			m, err := GetMethod(name)
 			if err != nil {
 				t.Fatal(err)

@@ -163,17 +163,18 @@ func TestKernelMatchesMapImplementation(t *testing.T) {
 	}
 	for _, d := range kernelCorpus() {
 		for _, par := range []int{1, 4} {
-			for name, priors := range map[string]func(int, int, int) float64{"ds": nil, "lfc-priors": lfcPriors} {
-				opts := core.Options{Seed: 7, MaxIterations: 50, Parallelism: par}
-				want, err := runMapReference(d, opts, priors)
-				if err != nil {
-					t.Fatal(err)
+			for _, row := range testutil.EdgeOptions(core.Options{Seed: 7, MaxIterations: 50, Parallelism: par}) {
+				for name, priors := range map[string]func(int, int, int) float64{"ds": nil, "lfc-priors": lfcPriors} {
+					want, err := runMapReference(d, row.Opts, priors)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := run(d, row.Opts, priors)
+					if err != nil {
+						t.Fatal(err)
+					}
+					testutil.RequireIdenticalResults(t, name+" "+row.Name, got, want)
 				}
-				got, err := run(d, opts, priors)
-				if err != nil {
-					t.Fatal(err)
-				}
-				testutil.RequireIdenticalResults(t, name, got, want)
 			}
 		}
 	}

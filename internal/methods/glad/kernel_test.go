@@ -143,29 +143,25 @@ func TestKernelMatchesMapImplementation(t *testing.T) {
 		for _, par := range []int{1, 4} {
 			base := core.Options{Seed: 7, MaxIterations: 25, Parallelism: par}
 			for _, row := range optionRows(t, d, base) {
-				want, err := inferMapReference(d, row.opts)
+				want, err := inferMapReference(d, row.Opts)
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := New().Infer(d, row.opts)
+				got, err := New().Infer(d, row.Opts)
 				if err != nil {
 					t.Fatal(err)
 				}
-				testutil.RequireIdenticalResults(t, "glad "+row.name, got, want)
+				testutil.RequireIdenticalResults(t, "glad "+row.Name, got, want)
 			}
 		}
 	}
 }
 
-type optionRow struct {
-	name string
-	opts core.Options
-}
-
-// optionRows returns base plus one variant per option path: every third
-// task pinned to its truth, qualification accuracies for all but every
-// third worker, and a warm start from a shorter run's Result.Warm().
-func optionRows(t *testing.T, d *dataset.Dataset, base core.Options) []optionRow {
+// optionRows returns base, its testutil.EdgeOptions variants, and one
+// variant per option path: every third task pinned to its truth,
+// qualification accuracies for all but every third worker, and a warm
+// start from a shorter run's Result.Warm().
+func optionRows(t *testing.T, d *dataset.Dataset, base core.Options) []testutil.OptionRow {
 	t.Helper()
 	golden := base
 	golden.Golden = map[int]float64{}
@@ -188,7 +184,8 @@ func optionRows(t *testing.T, d *dataset.Dataset, base core.Options) []optionRow
 	}
 	warm := base
 	warm.WarmStart = prev.Warm()
-	return []optionRow{{"plain", base}, {"golden", golden}, {"qualification", qual}, {"warm start", warm}}
+	return append(testutil.EdgeOptions(base), testutil.OptionRow{Name: "golden", Opts: golden},
+		testutil.OptionRow{Name: "qualification", Opts: qual}, testutil.OptionRow{Name: "warm start", Opts: warm})
 }
 
 // arrivalOrder returns d with its answers shuffled, so the answer order no

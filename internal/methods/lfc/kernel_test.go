@@ -117,16 +117,17 @@ func TestKernelMatchesMapImplementation(t *testing.T) {
 	m := NewNumeric()
 	for _, d := range corpus {
 		for _, par := range []int{1, 4} {
-			opts := core.Options{Seed: 7, MaxIterations: 50, Parallelism: par}
-			want, err := inferNumericMapReference(d, opts)
-			if err != nil {
-				t.Fatal(err)
+			for _, row := range testutil.EdgeOptions(core.Options{Seed: 7, MaxIterations: 50, Parallelism: par}) {
+				want, err := inferNumericMapReference(d, row.Opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := m.Infer(d, row.Opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				testutil.RequireIdenticalResults(t, "lfc-n "+row.Name, got, want)
 			}
-			got, err := m.Infer(d, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			testutil.RequireIdenticalResults(t, "lfc-n", got, want)
 		}
 	}
 }

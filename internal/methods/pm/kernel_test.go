@@ -193,28 +193,30 @@ func TestKernelMatchesMapImplementation(t *testing.T) {
 	m := New()
 	for _, d := range categorical {
 		for _, par := range []int{1, 4} {
-			opts := core.Options{Seed: 7, MaxIterations: 50, Parallelism: par}
-			want, err := inferCategoricalMapReference(d, opts)
-			if err != nil {
-				t.Fatal(err)
+			for _, row := range testutil.EdgeOptions(core.Options{Seed: 7, MaxIterations: 50, Parallelism: par}) {
+				want, err := inferCategoricalMapReference(d, row.Opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := m.Infer(d, row.Opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				testutil.RequireIdenticalResults(t, "pm-categorical "+row.Name, got, want)
 			}
-			got, err := m.Infer(d, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			testutil.RequireIdenticalResults(t, "pm-categorical", got, want)
 		}
 	}
 	for _, par := range []int{1, 4} {
-		opts := core.Options{Seed: 7, MaxIterations: 50, Parallelism: par}
-		want, err := inferNumericMapReference(numeric, opts)
-		if err != nil {
-			t.Fatal(err)
+		for _, row := range testutil.EdgeOptions(core.Options{Seed: 7, MaxIterations: 50, Parallelism: par}) {
+			want, err := inferNumericMapReference(numeric, row.Opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := m.Infer(numeric, row.Opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			testutil.RequireIdenticalResults(t, "pm-numeric "+row.Name, got, want)
 		}
-		got, err := m.Infer(numeric, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		testutil.RequireIdenticalResults(t, "pm-numeric", got, want)
 	}
 }

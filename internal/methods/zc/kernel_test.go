@@ -106,16 +106,17 @@ func TestKernelMatchesMapImplementation(t *testing.T) {
 	}
 	for _, d := range corpus {
 		for _, par := range []int{1, 4} {
-			opts := core.Options{Seed: 7, MaxIterations: 50, Parallelism: par}
-			want, err := inferMapReference(d, opts)
-			if err != nil {
-				t.Fatal(err)
+			for _, row := range testutil.EdgeOptions(core.Options{Seed: 7, MaxIterations: 50, Parallelism: par}) {
+				want, err := inferMapReference(d, row.Opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := New().Infer(d, row.Opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				testutil.RequireIdenticalResults(t, "zc "+row.Name, got, want)
 			}
-			got, err := New().Infer(d, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			testutil.RequireIdenticalResults(t, "zc", got, want)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package testutil
 
 import (
+	"fmt"
 	"testing"
 
 	"truthinference/internal/core"
@@ -38,6 +39,31 @@ func RequireIdenticalResults(t *testing.T, label string, got, want *core.Result)
 			requireIdenticalVec(t, label, "Confusion row", got.Confusion[w][j], want.Confusion[w][j])
 		}
 	}
+}
+
+// OptionRow is one named option set of a cross-check table.
+type OptionRow struct {
+	Name string
+	Opts core.Options
+}
+
+// EdgeOptions returns base followed by the variants that end an iterative
+// loop early: caps of 1 and 3 iterations and tolerances of 0.5 and 2. The
+// kernel cross-check tests run each, so they compare the stop rule as
+// well as the sweeps.
+func EdgeOptions(base core.Options) []OptionRow {
+	rows := []OptionRow{{"plain", base}}
+	for _, c := range []int{1, 3} {
+		o := base
+		o.MaxIterations = c
+		rows = append(rows, OptionRow{fmt.Sprintf("cap %d", c), o})
+	}
+	for _, tol := range []float64{0.5, 2} {
+		o := base
+		o.Tolerance = tol
+		rows = append(rows, OptionRow{fmt.Sprintf("tolerance %g", tol), o})
+	}
+	return rows
 }
 
 func requireIdenticalVec(t *testing.T, label, field string, got, want []float64) {
