@@ -30,8 +30,10 @@ type Options struct {
 	// tie-breaking). Two runs with equal options are byte-identical.
 	Seed int64
 
-	// MaxIterations bounds the Algorithm-1 loop. Zero means
-	// DefaultMaxIterations.
+	// MaxIterations bounds the Algorithm-1 loop. Zero means the method's
+	// own default: DefaultMaxIterations (100) for the loops Iterate runs,
+	// 30 outer iterations for Minimax, 120 Gibbs sweeps for BCC and CBCC,
+	// and 20 message rounds for KOS.
 	MaxIterations int
 
 	// Tolerance is the convergence threshold on the parameter change
@@ -182,8 +184,12 @@ type Result struct {
 
 	// Iterations is the number of two-step iterations executed.
 	Iterations int
-	// Converged reports whether the parameter change fell below the
-	// tolerance before MaxIterations.
+	// Converged reports whether the method's stop rule ended the run
+	// before its cap. Most iterative methods stop when the parameters
+	// they watch move less than the tolerance (Iterate). Categorical CATD
+	// and PM stop when no label changed, and Minimax also when at most
+	// 0.1% of labels changed. BCC, CBCC, KOS, MV, Mean and Median run a
+	// fixed schedule and always report true.
 	Converged bool
 }
 
@@ -265,6 +271,40 @@ func MaxAbsDiff(a, b []float64) float64 {
 		}
 	}
 	return m
+}
+
+// Iterate runs the two-step loop of Algorithm 1 that every iterative
+// method shares: step(iter) for iter = 1, 2, … up to opts.MaxIter().
+// Before each step it copies every watched vector. After it, the loop
+// has converged when step reports done, or when every watched vector
+// moved by less than opts.Tol() (MaxAbsDiff, strictly). With nothing
+// watched, only done or the cap ends the loop. It returns the number of
+// steps taken, which is the cap when the loop never converged.
+//
+// The copies are allocated once per call, so a step costs only what step
+// itself allocates.
+func Iterate(opts Options, step func(iter int) (done bool), watch ...[]float64) (iterations int, converged bool) {
+	maxIter, tol := opts.MaxIter(), opts.Tol()
+	prev := make([][]float64, len(watch))
+	for i, w := range watch {
+		prev[i] = make([]float64, len(w))
+	}
+	for iter := 1; iter <= maxIter; iter++ {
+		for i, w := range watch {
+			copy(prev[i], w)
+		}
+		if step(iter) {
+			return iter, true
+		}
+		settled := len(watch) > 0
+		for i, w := range watch {
+			settled = settled && MaxAbsDiff(w, prev[i]) < tol
+		}
+		if settled {
+			return iter, true
+		}
+	}
+	return maxIter, false
 }
 
 // ArgmaxTieBreak returns the index of the maximum of w; exact ties are

@@ -88,7 +88,6 @@ func (m *CATD) Infer(d *dataset.Dataset, opts core.Options) (*core.Result, error
 
 	c := d.CSR()
 	truth := make([]float64, d.NumTasks)
-	prevTruth := make([]float64, d.NumTasks)
 	categorical := d.Categorical()
 	// Per-slot vote scratch; ForSlot keeps concurrent chunks on distinct
 	// slots, replacing the old per-chunk allocation.
@@ -154,29 +153,21 @@ func (m *CATD) Infer(d *dataset.Dataset, opts core.Options) (*core.Result, error
 		}
 	}
 
-	var iter int
-	converged := false
-	for iter = 1; iter <= opts.MaxIter(); iter++ {
+	// Numeric truths converge on the tolerance. Categorical truths are
+	// labels: the loop watches nothing and stops once no label changed,
+	// whatever the tolerance.
+	watch, prevTruth := [][]float64{truth}, []float64(nil)
+	if categorical {
+		watch, prevTruth = nil, make([]float64, d.NumTasks)
+	}
+	iter, converged := core.Iterate(opts, func(iter int) bool {
 		copy(prevTruth, truth)
 		curIter = int64(iter)
 		pool.ForSlot(d.NumTasks, truthStep)
 		pool.ForSlot(d.NumWorkers, qualityStep)
 		normalizeWeights(q)
-
-		var done bool
-		if d.Categorical() {
-			done = iter > 1 && core.MaxAbsDiff(truth, prevTruth) == 0
-		} else {
-			done = core.MaxAbsDiff(truth, prevTruth) < opts.Tol()
-		}
-		if done {
-			converged = true
-			break
-		}
-	}
-	if iter > opts.MaxIter() {
-		iter = opts.MaxIter()
-	}
+		return categorical && iter > 1 && core.MaxAbsDiff(truth, prevTruth) == 0
+	}, watch...)
 	return &core.Result{
 		Truth:         truth,
 		WorkerQuality: q,

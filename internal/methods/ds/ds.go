@@ -130,7 +130,6 @@ func run(d *dataset.Dataset, opts core.Options, priors func(worker, j, k int) fl
 		postFlat = post[0][:d.NumTasks*ell]
 	}
 
-	flatPrev := make([]float64, d.NumWorkers*ell*ell)
 	logPrior := make([]float64, ell)
 	logConf := newConfusion(d.NumWorkers, ell)
 
@@ -188,10 +187,7 @@ func run(d *dataset.Dataset, opts core.Options, priors func(worker, j, k int) fl
 		}
 	}
 
-	var iter int
-	converged := false
-	for iter = 1; iter <= opts.MaxIter(); iter++ {
-		copy(flatPrev, conf.flat)
+	iter, converged := core.Iterate(opts, func(int) bool {
 		pool.ForSlot(d.NumWorkers, mStep)
 		// Class prior: an O(tasks·ℓ) reduction, kept sequential so its
 		// summation order never depends on the chunk layout.
@@ -211,15 +207,8 @@ func run(d *dataset.Dataset, opts core.Options, priors func(worker, j, k int) fl
 		pool.ForSlot(d.NumWorkers, logStep)
 		pool.ForSlot(d.NumTasks, eStep)
 		core.PinGolden(post, opts.Golden)
-
-		if core.MaxAbsDiff(conf.flat, flatPrev) < opts.Tol() {
-			converged = true
-			break
-		}
-	}
-	if iter > opts.MaxIter() {
-		iter = opts.MaxIter()
-	}
+		return false
+	}, conf.flat)
 
 	truth := core.PosteriorLabels(post, opts.Golden, rng.Intn)
 	return &core.Result{

@@ -86,7 +86,6 @@ func (m *GLAD) Infer(d *dataset.Dataset, opts core.Options) (*core.Result, error
 	pool := opts.EnginePool()
 	c := d.CSR()
 	post := core.UniformPosterior(d.NumTasks, d.NumChoices)
-	prevAlpha := make([]float64, d.NumWorkers)
 	gradAlpha := make([]float64, d.NumWorkers)
 	gradLogBeta := make([]float64, d.NumTasks)
 
@@ -169,15 +168,12 @@ func (m *GLAD) Infer(d *dataset.Dataset, opts core.Options) (*core.Result, error
 		}
 	}
 
-	var iter int
-	converged := false
-	for iter = 1; iter <= opts.MaxIter(); iter++ {
+	iter, converged := core.Iterate(opts, func(int) bool {
 		pool.ForSlot(d.NumTasks, eStep)
 		core.PinGolden(post, opts.Golden)
 
 		// M-step: gradient ascent on the expected complete
 		// log-likelihood Q(α, log β).
-		copy(prevAlpha, alpha)
 		for step := 0; step < gradSteps; step++ {
 			refresh = step > 0
 			pool.ForSlot(d.NumTasks, betaStep)
@@ -189,15 +185,8 @@ func (m *GLAD) Infer(d *dataset.Dataset, opts core.Options) (*core.Result, error
 				logBeta[i] = mathx.Clamp(logBeta[i]+learningRate*gradLogBeta[i], -5, 5)
 			}
 		}
-
-		if core.MaxAbsDiff(alpha, prevAlpha) < opts.Tol() {
-			converged = true
-			break
-		}
-	}
-	if iter > opts.MaxIter() {
-		iter = opts.MaxIter()
-	}
+		return false
+	}, alpha)
 
 	truth := core.PosteriorLabels(post, opts.Golden, rng.Intn)
 	return &core.Result{

@@ -150,8 +150,6 @@ func (m *LFCN) Infer(d *dataset.Dataset, opts core.Options) (*core.Result, error
 	}
 
 	pool := opts.EnginePool()
-	prevTruth := make([]float64, d.NumTasks)
-	prevVar := make([]float64, d.NumWorkers)
 
 	// Truth step: precision-weighted mean, fanned out over tasks.
 	truthStep := func(_, ilo, ihi int) {
@@ -202,25 +200,14 @@ func (m *LFCN) Infer(d *dataset.Dataset, opts core.Options) (*core.Result, error
 		pool.ForSlot(d.NumWorkers, varStep)
 	}
 
-	var iter int
-	converged := false
-	for iter = 1; iter <= opts.MaxIter(); iter++ {
-		copy(prevTruth, truth)
-		copy(prevVar, variance)
+	// Converge on both parameter families: on the first iteration the
+	// truth step reproduces the per-task means (all variances start
+	// equal), so the truth delta alone would spuriously trip.
+	iter, converged := core.Iterate(opts, func(int) bool {
 		pool.ForSlot(d.NumTasks, truthStep)
 		pool.ForSlot(d.NumWorkers, varStep)
-		// Converge on both parameter families: on the first iteration the
-		// truth step reproduces the per-task means (all variances start
-		// equal), so the truth delta alone would spuriously trip.
-		if core.MaxAbsDiff(truth, prevTruth) < opts.Tol() &&
-			core.MaxAbsDiff(variance, prevVar) < opts.Tol() {
-			converged = true
-			break
-		}
-	}
-	if iter > opts.MaxIter() {
-		iter = opts.MaxIter()
-	}
+		return false
+	}, truth, variance)
 
 	quality := make([]float64, d.NumWorkers)
 	for w := range quality {

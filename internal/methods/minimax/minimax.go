@@ -169,25 +169,22 @@ func (m *Minimax) Infer(d *dataset.Dataset, opts core.Options) (*core.Result, er
 		}
 	}
 	pi := make([]float64, ell) // scratch softmax
-	prevMu := make([]float64, d.NumTasks*ell)
-	flatMu := func() []float64 {
-		out := prevMu
-		for i, row := range mu {
-			copy(out[i*ell:(i+1)*ell], row)
-		}
-		return out
+	// Every write to μ lands in place in UniformPosterior's flat backing
+	// array, so the loop watches μ as that one slice.
+	var flatMu []float64
+	if d.NumTasks > 0 {
+		flatMu = mu[0][:d.NumTasks*ell]
 	}
-	muSnapshot := make([]float64, d.NumTasks*ell)
 
-	maxIter := DefaultOuterIterations
-	if opts.MaxIterations > 0 {
-		maxIter = opts.MaxIterations
+	outer := opts
+	if outer.MaxIterations <= 0 {
+		outer.MaxIterations = DefaultOuterIterations
 	}
-	var iter int
-	converged := false
-	for iter = 1; iter <= maxIter; iter++ {
-		copy(muSnapshot, flatMu())
-
+	// Converge on the soft distribution or, since only the argmax
+	// determines the output, on near-stability of the hard labels (which
+	// also halts the small label-churn orbits the inner fit can enter on
+	// skewed crowds).
+	iter, converged := core.Iterate(outer, func(int) bool {
 		// Inner dual fit of (σ, τ) by gradient ascent against the current
 		// hard labels (argmax of μ). Fitting against the soft μ is
 		// unstable here: a soft truth distribution spreads each answer's
@@ -293,20 +290,8 @@ func (m *Minimax) Infer(d *dataset.Dataset, opts core.Options) (*core.Result, er
 			}
 		})
 		core.PinGolden(mu, opts.Golden)
-
-		// Converge on the soft distribution or, since only the argmax
-		// determines the output, on near-stability of the hard labels
-		// (which also halts the small label-churn orbits the inner fit
-		// can enter on skewed crowds).
-		if core.MaxAbsDiff(flatMu(), muSnapshot) < opts.Tol() ||
-			labelChurn(hard, hardLabels(mu)) <= churnFraction*float64(d.NumTasks) {
-			converged = true
-			break
-		}
-	}
-	if iter > maxIter {
-		iter = maxIter
-	}
+		return labelChurn(hard, hardLabels(mu)) <= churnFraction*float64(d.NumTasks)
+	}, flatMu)
 
 	truth := core.PosteriorLabels(mu, opts.Golden, rng.Intn)
 	// Worker quality summary: mean diagonal of the implied confusion

@@ -112,7 +112,6 @@ func (m *Multi) Infer(d *dataset.Dataset, opts core.Options) (*core.Result, erro
 	gx := make([]float64, len(x))
 	gu := make([]float64, len(u))
 	gt := make([]float64, len(tauB))
-	prevX := make([]float64, len(x))
 	// Per-degree normalizers keep the update scale independent of how
 	// many answers a task or worker has: without them a worker with
 	// hundreds of answers takes steps hundreds of times larger than the
@@ -126,10 +125,7 @@ func (m *Multi) Infer(d *dataset.Dataset, opts core.Options) (*core.Result, erro
 		workerDeg[w] = math.Max(1, float64(len(d.WorkerAnswers(w))))
 	}
 
-	var iter int
-	converged := false
-	for iter = 1; iter <= opts.MaxIter(); iter++ {
-		copy(prevX, x)
+	iter, converged := core.Iterate(opts, func(int) bool {
 		for step := 0; step < gradSteps; step++ {
 			for idx := range gx {
 				gx[idx] = -priorWeight * x[idx]
@@ -169,14 +165,8 @@ func (m *Multi) Infer(d *dataset.Dataset, opts core.Options) (*core.Result, erro
 				tauB[w] += learningRate * gt[w]
 			}
 		}
-		if core.MaxAbsDiff(x, prevX) < opts.Tol() {
-			converged = true
-			break
-		}
-	}
-	if iter > opts.MaxIter() {
-		iter = opts.MaxIter()
-	}
+		return false
+	}, x)
 
 	// Consensus worker: answer-count weighted mean direction and bias.
 	uBar := make([]float64, K)

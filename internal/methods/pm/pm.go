@@ -217,9 +217,9 @@ func (m *PM) inferCategorical(d *dataset.Dataset, opts core.Options) (*core.Resu
 		}
 	}
 
-	var iter int
-	converged := false
-	for iter = 1; iter <= opts.MaxIter(); iter++ {
+	// The truths are labels, so the loop stops once no label changed,
+	// whatever the tolerance.
+	iter, converged := core.Iterate(opts, func(iter int) bool {
 		copy(prevTruth, truth)
 		curIter = int64(iter)
 		for _, ls := range lossBySlot {
@@ -252,14 +252,8 @@ func (m *PM) inferCategorical(d *dataset.Dataset, opts core.Options) (*core.Resu
 				q[w] = 0 // normalize -0 from -log(1)
 			}
 		}
-		if iter > 1 && core.MaxAbsDiff(truth, prevTruth) == 0 {
-			converged = true
-			break
-		}
-	}
-	if iter > opts.MaxIter() {
-		iter = opts.MaxIter()
-	}
+		return iter > 1 && core.MaxAbsDiff(truth, prevTruth) == 0
+	})
 	return &core.Result{
 		Truth:         truth,
 		WorkerQuality: q,
@@ -293,7 +287,6 @@ func (m *PM) inferNumeric(d *dataset.Dataset, opts core.Options) (*core.Result, 
 	pool := opts.EnginePool()
 	c := d.CSR()
 	truth := make([]float64, d.NumTasks)
-	prevTruth := make([]float64, d.NumTasks)
 	losses := make([]float64, d.NumWorkers)
 
 	// Step 1: weighted mean minimizes the weighted squared loss; fanned
@@ -332,10 +325,7 @@ func (m *PM) inferNumeric(d *dataset.Dataset, opts core.Options) (*core.Result, 
 		}
 	}
 
-	var iter int
-	converged := false
-	for iter = 1; iter <= opts.MaxIter(); iter++ {
-		copy(prevTruth, truth)
+	iter, converged := core.Iterate(opts, func(int) bool {
 		pool.ForSlot(d.NumTasks, truthStep)
 		pool.ForSlot(d.NumWorkers, lossStep)
 		maxLoss := lossEpsilon
@@ -354,14 +344,8 @@ func (m *PM) inferNumeric(d *dataset.Dataset, opts core.Options) (*core.Result, 
 			}
 			q[w] = qw
 		}
-		if core.MaxAbsDiff(truth, prevTruth) < opts.Tol() {
-			converged = true
-			break
-		}
-	}
-	if iter > opts.MaxIter() {
-		iter = opts.MaxIter()
-	}
+		return false
+	}, truth)
 	return &core.Result{
 		Truth:         truth,
 		WorkerQuality: q,

@@ -123,16 +123,13 @@ func (m *VI) inferMF(d *dataset.Dataset, opts core.Options) (*core.Result, error
 
 	pool := opts.EnginePool()
 	post := core.UniformPosterior(d.NumTasks, 2)
-	prevA := make([]float64, d.NumWorkers)
 	// Per-worker digamma expectations, refreshed once per iteration: the
 	// task update reads E[ln q_w] once per answer, and digamma is far too
 	// expensive to recompute |W_i| times per task.
 	elnq := make([]float64, d.NumWorkers)
 	eln1q := make([]float64, d.NumWorkers)
 
-	var iter int
-	converged := false
-	for iter = 1; iter <= opts.MaxIter(); iter++ {
+	iter, converged := core.Iterate(opts, func(int) bool {
 		pool.For(d.NumWorkers, func(wlo, whi int) {
 			for w := wlo; w < whi; w++ {
 				dab := mathx.Digamma(a[w] + b[w])
@@ -160,7 +157,6 @@ func (m *VI) inferMF(d *dataset.Dataset, opts core.Options) (*core.Result, error
 
 		// Worker update: Beta(a,b) with expected correct/incorrect
 		// counts, fanned out over workers.
-		copy(prevA, a)
 		pool.For(d.NumWorkers, func(wlo, whi int) {
 			for w := wlo; w < whi; w++ {
 				aw, bw := PriorA, PriorB
@@ -173,15 +169,8 @@ func (m *VI) inferMF(d *dataset.Dataset, opts core.Options) (*core.Result, error
 				a[w], b[w] = aw, bw
 			}
 		})
-
-		if core.MaxAbsDiff(a, prevA) < opts.Tol() {
-			converged = true
-			break
-		}
-	}
-	if iter > opts.MaxIter() {
-		iter = opts.MaxIter()
-	}
+		return false
+	}, a)
 
 	truth := core.PosteriorLabels(post, opts.Golden, rng.Intn)
 	quality := make([]float64, d.NumWorkers)
@@ -222,7 +211,6 @@ func (m *VI) inferBP(d *dataset.Dataset, opts core.Options) (*core.Result, error
 	pool := opts.EnginePool()
 	wSum := make([]float64, d.NumWorkers)
 	wCount := make([]float64, d.NumWorkers)
-	prevMu := make([]float64, nEdges)
 
 	post := core.UniformPosterior(d.NumTasks, 2)
 	taskLog0 := make([]float64, d.NumTasks)
@@ -230,10 +218,7 @@ func (m *VI) inferBP(d *dataset.Dataset, opts core.Options) (*core.Result, error
 	edgeLog0 := make([]float64, nEdges)
 	edgeLog1 := make([]float64, nEdges)
 
-	var iter int
-	converged := false
-	for iter = 1; iter <= opts.MaxIter(); iter++ {
-		copy(prevMu, mu)
+	iter, converged := core.Iterate(opts, func(int) bool {
 		// Accumulate worker totals once per round, fanned out over
 		// workers (each sum spans only that worker's edges, in ascending
 		// edge order).
@@ -304,15 +289,8 @@ func (m *VI) inferBP(d *dataset.Dataset, opts core.Options) (*core.Result, error
 				post[i][0], post[i][1] = logw[0], logw[1]
 			}
 		})
-
-		if core.MaxAbsDiff(mu, prevMu) < opts.Tol() {
-			converged = true
-			break
-		}
-	}
-	if iter > opts.MaxIter() {
-		iter = opts.MaxIter()
-	}
+		return false
+	}, mu)
 
 	truth := core.PosteriorLabels(post, nil, rng.Intn)
 	quality := make([]float64, d.NumWorkers)

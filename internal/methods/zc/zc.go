@@ -76,7 +76,6 @@ func (m *ZC) Infer(d *dataset.Dataset, opts core.Options) (*core.Result, error) 
 	pool := opts.EnginePool()
 	c := d.CSR()
 	post := core.UniformPosterior(d.NumTasks, d.NumChoices)
-	prevQ := make([]float64, d.NumWorkers)
 	logCorrect := make([]float64, d.NumWorkers)
 	logWrong := make([]float64, d.NumWorkers)
 
@@ -129,24 +128,13 @@ func (m *ZC) Infer(d *dataset.Dataset, opts core.Options) (*core.Result, error) 
 		}
 	}
 
-	var iter int
-	converged := false
-	for iter = 1; iter <= opts.MaxIter(); iter++ {
+	iter, converged := core.Iterate(opts, func(int) bool {
 		pool.ForSlot(d.NumWorkers, logStep)
 		pool.ForSlot(d.NumTasks, eStep)
 		core.PinGolden(post, opts.Golden)
-
-		copy(prevQ, q)
 		pool.ForSlot(d.NumWorkers, mStep)
-
-		if core.MaxAbsDiff(q, prevQ) < opts.Tol() {
-			converged = true
-			break
-		}
-	}
-	if iter > opts.MaxIter() {
-		iter = opts.MaxIter()
-	}
+		return false
+	}, q)
 
 	truth := core.PosteriorLabels(post, opts.Golden, rng.Intn)
 	return &core.Result{

@@ -1,7 +1,6 @@
 package testutil
 
 import (
-	"fmt"
 	"testing"
 
 	"truthinference/internal/core"
@@ -52,17 +51,9 @@ type OptionRow struct {
 // kernel cross-check tests run each, so they compare the stop rule as
 // well as the sweeps.
 func EdgeOptions(base core.Options) []OptionRow {
-	rows := []OptionRow{{"plain", base}}
-	for _, c := range []int{1, 3} {
-		o := base
-		o.MaxIterations = c
-		rows = append(rows, OptionRow{fmt.Sprintf("cap %d", c), o})
-	}
-	for _, tol := range []float64{0.5, 2} {
-		o := base
-		o.Tolerance = tol
-		rows = append(rows, OptionRow{fmt.Sprintf("tolerance %g", tol), o})
-	}
+	rows := []OptionRow{{"plain", base}, {"cap 1", base}, {"cap 3", base}, {"tolerance 0.5", base}, {"tolerance 2", base}}
+	rows[1].Opts.MaxIterations, rows[2].Opts.MaxIterations = 1, 3
+	rows[3].Opts.Tolerance, rows[4].Opts.Tolerance = 0.5, 2
 	return rows
 }
 
