@@ -14,7 +14,6 @@ import (
 
 	"truthinference/internal/dataset"
 	"truthinference/internal/engine"
-	"truthinference/internal/randx"
 )
 
 // Defaults for iterative methods; individual methods may override via
@@ -342,19 +341,6 @@ func ArgmaxTieBreak(w []float64, pick func(n int) int) int {
 			rank--
 		}
 	}
-}
-
-// ArgmaxHashTie returns the index of the maximum of w with exact ties
-// broken by randx.HashPick3(seed, iter, entity), used by the
-// zero-allocation CSR truth sweeps of PM and CATD: the pick depends only
-// on (seed, iteration, entity), so it is identical at every parallelism
-// level. For every input it returns exactly what
-//
-//	ArgmaxTieBreak(w, func(n int) int { return randx.HashPick(n, seed, iter, entity) })
-//
-// returns; the closure does not escape, so it allocates nothing.
-func ArgmaxHashTie(w []float64, seed, iter, entity int64) int {
-	return ArgmaxTieBreak(w, func(n int) int { return randx.HashPick3(n, seed, iter, entity) })
 }
 
 // PosteriorLabels converts a tasks × choices posterior into hard labels

@@ -12,7 +12,9 @@
 //
 // and alternates this quality step with a weighted-aggregation truth step
 // (weighted vote for categorical tasks, weighted mean for numeric ones).
-// The chi-square quantile is computed by internal/mathx from scratch.
+// That truth step and the loss d are PM's, so CATD runs PM's loop,
+// pm.Optimize, with its own quality step. The chi-square quantile is
+// computed by internal/mathx from scratch.
 package catd
 
 import (
@@ -21,6 +23,7 @@ import (
 	"truthinference/internal/core"
 	"truthinference/internal/dataset"
 	"truthinference/internal/mathx"
+	"truthinference/internal/methods/pm"
 )
 
 // lossEpsilon keeps quality weights finite for workers with zero loss.
@@ -53,8 +56,6 @@ func (m *CATD) Infer(d *dataset.Dataset, opts core.Options) (*core.Result, error
 	if err := core.CheckSupport(m, d, opts); err != nil {
 		return nil, err
 	}
-	pool := opts.EnginePool()
-
 	// Precompute each worker's chi-square confidence coefficient; it
 	// depends only on |T^w|.
 	chi := make([]float64, d.NumWorkers)
@@ -81,93 +82,17 @@ func (m *CATD) Infer(d *dataset.Dataset, opts core.Options) (*core.Result, error
 		normalizeWeights(q)
 	}
 
-	var scale []float64
-	if !d.Categorical() {
-		scale = taskScales(d)
-	}
-
-	c := d.CSR()
-	truth := make([]float64, d.NumTasks)
-	categorical := d.Categorical()
-	// Per-slot vote scratch; ForSlot keeps concurrent chunks on distinct
-	// slots, replacing the old per-chunk allocation.
-	votesBySlot := make([][]float64, pool.Workers())
-	for s := range votesBySlot {
-		votesBySlot[s] = make([]float64, d.NumChoices)
-	}
-
-	// Truth step, fanned out over tasks. Vote ties break on a hash of
-	// (seed, iteration, task) so the pick is order-independent.
-	var curIter int64
-	truthStep := func(slot, ilo, ihi int) {
-		votes := votesBySlot[slot]
-		for i := ilo; i < ihi; i++ {
-			if gv, ok := opts.Golden[i]; ok {
-				truth[i] = gv
-				continue
-			}
-			if c.TaskDegree(i) == 0 {
-				continue
-			}
-			if categorical {
-				for k := range votes {
-					votes[k] = 0
-				}
-				for p := c.TaskOff[i]; p < c.TaskOff[i+1]; p++ {
-					votes[c.TaskLabel[p]] += q[c.TaskWorker[p]]
-				}
-				truth[i] = float64(core.ArgmaxHashTie(votes, opts.Seed, curIter, int64(i)))
-			} else {
-				var num, den float64
-				for p := c.TaskOff[i]; p < c.TaskOff[i+1]; p++ {
-					qw := q[c.TaskWorker[p]]
-					num += qw * c.TaskValue[p]
-					den += qw
-				}
-				if den > 0 {
-					truth[i] = num / den
-				}
-			}
-		}
-	}
-	// Quality step: χ² coefficient over accumulated loss, fanned out over
-	// workers; the mean-1 renormalization stays sequential.
-	qualityStep := func(_, wlo, whi int) {
-		for w := wlo; w < whi; w++ {
-			if c.WorkerDegree(w) == 0 {
-				continue
-			}
-			var loss float64
-			for p := c.WorkerOff[w]; p < c.WorkerOff[w+1]; p++ {
-				t := c.WorkerTask[p]
-				if categorical {
-					if int(c.WorkerLabel[p]) != int(truth[t]) {
-						loss++
-					}
-				} else {
-					dv := (c.WorkerValue[p] - truth[t]) / scale[t]
-					loss += dv * dv
-				}
+	// The truth step and the loss sums are PM's; the quality step is the
+	// χ² coefficient over each worker's loss, renormalized to mean 1.
+	truth, iter, converged := pm.Optimize(d, opts, q, func(losses []float64) {
+		for w, loss := range losses {
+			if chi[w] == 0 {
+				continue // no answers: the weight stays put
 			}
 			q[w] = chi[w] / (loss + lossEpsilon)
 		}
-	}
-
-	// Numeric truths converge on the tolerance. Categorical truths are
-	// labels: the loop watches nothing and stops once no label changed,
-	// whatever the tolerance.
-	watch, prevTruth := [][]float64{truth}, []float64(nil)
-	if categorical {
-		watch, prevTruth = nil, make([]float64, d.NumTasks)
-	}
-	iter, converged := core.Iterate(opts, func(iter int) bool {
-		copy(prevTruth, truth)
-		curIter = int64(iter)
-		pool.ForSlot(d.NumTasks, truthStep)
-		pool.ForSlot(d.NumWorkers, qualityStep)
 		normalizeWeights(q)
-		return categorical && iter > 1 && core.MaxAbsDiff(truth, prevTruth) == 0
-	}, watch...)
+	})
 	return &core.Result{
 		Truth:         truth,
 		WorkerQuality: q,
@@ -215,36 +140,4 @@ func normalizeWeights(q []float64) {
 	for i := range q {
 		q[i] /= mean
 	}
-}
-
-// taskScales mirrors the CRH normalization used by package pm.
-func taskScales(d *dataset.Dataset) []float64 {
-	vals := make([]float64, 0, len(d.Answers))
-	for _, a := range d.Answers {
-		vals = append(vals, a.Value)
-	}
-	global := math.Sqrt(mathx.Variance(vals))
-	if !(global > 0) {
-		global = 1
-	}
-	floor := 0.01 * global
-	out := make([]float64, d.NumTasks)
-	buf := make([]float64, 0, 64)
-	for i := 0; i < d.NumTasks; i++ {
-		idxs := d.TaskAnswers(i)
-		if len(idxs) == 0 {
-			out[i] = global
-			continue
-		}
-		buf = buf[:0]
-		for _, ai := range idxs {
-			buf = append(buf, d.Answers[ai].Value)
-		}
-		s := math.Sqrt(mathx.Variance(buf))
-		if s < floor {
-			s = floor
-		}
-		out[i] = s
-	}
-	return out
 }

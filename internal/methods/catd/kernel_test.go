@@ -6,6 +6,7 @@ import (
 	"truthinference/internal/core"
 	"truthinference/internal/dataset"
 	"truthinference/internal/mathx"
+	"truthinference/internal/methods/pm"
 	"truthinference/internal/randx"
 	"truthinference/internal/testutil"
 )
@@ -41,7 +42,7 @@ func inferMapReference(d *dataset.Dataset, opts core.Options) (*core.Result, err
 
 	var scale []float64
 	if !d.Categorical() {
-		scale = taskScales(d)
+		scale = pm.TaskScales(d)
 	}
 
 	truth := make([]float64, d.NumTasks)

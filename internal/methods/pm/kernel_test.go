@@ -12,8 +12,8 @@ import (
 
 // inferCategoricalMapReference is the pre-refactor PM coordinate descent,
 // preserved verbatim: index-slice walks, per-chunk vote scratch, and the
-// ArgmaxTieBreak + HashPick closure tie-break. The CSR kernels (with
-// core.ArgmaxHashTie) must reproduce it bit for bit.
+// ArgmaxTieBreak + HashPick closure tie-break. The CSR kernels, with
+// their inline hash tie-break, must reproduce it bit for bit.
 func inferCategoricalMapReference(d *dataset.Dataset, opts core.Options) (*core.Result, error) {
 	pool := opts.EnginePool()
 	q := initialQuality(d, opts, func(acc float64) float64 {
@@ -102,7 +102,7 @@ func inferCategoricalMapReference(d *dataset.Dataset, opts core.Options) (*core.
 func inferNumericMapReference(d *dataset.Dataset, opts core.Options) (*core.Result, error) {
 	q := initialQuality(d, opts, func(_ float64) float64 { return 1 })
 	warmQuality(opts, q)
-	scale := taskScales(d)
+	scale := TaskScales(d)
 
 	pool := opts.EnginePool()
 	truth := make([]float64, d.NumTasks)
@@ -186,7 +186,7 @@ func TestKernelMatchesMapImplementation(t *testing.T) {
 		testutil.Categorical(testutil.CrowdSpec{NumTasks: 12, NumWorkers: 5, NumChoices: 2, Redundancy: 4, Seed: 2}),
 		testutil.Categorical(testutil.CrowdSpec{NumTasks: 10, NumWorkers: 6, NumChoices: 4, Redundancy: 4, Seed: 3}),
 		// Uniform worker qualities on the first iteration make exact vote
-		// ties common, exercising the ArgmaxHashTie replacement.
+		// ties common, exercising the inline hash tie-break.
 		testutil.Categorical(testutil.CrowdSpec{NumTasks: 60, NumWorkers: 12, NumChoices: 3, Redundancy: 6, Seed: 9}),
 	}
 	numeric := testutil.Numeric(testutil.NumericSpec{NumTasks: 8, NumWorkers: 5, Redundancy: 3, Seed: 4})

@@ -59,22 +59,90 @@ func (m *PM) Infer(d *dataset.Dataset, opts core.Options) (*core.Result, error) 
 	if err := core.CheckSupport(m, d, opts); err != nil {
 		return nil, err
 	}
+	var q []float64
+	// floor replaces a new weight of zero or below: lossEpsilon keeps
+	// numeric weights strictly positive, while the categorical worst
+	// worker keeps weight 0 (there the floor only turns the -0 of -log(1)
+	// into +0, since a loss never exceeds the maximum).
+	floor := lossEpsilon
 	if d.Categorical() {
-		return m.inferCategorical(d, opts)
-	}
-	return m.inferNumeric(d, opts)
-}
-
-func (m *PM) inferCategorical(d *dataset.Dataset, opts core.Options) (*core.Result, error) {
-	pool := opts.EnginePool()
-	q := initialQuality(d, opts, func(acc float64) float64 {
 		// Map qualification accuracy onto the PM weight scale: a worker
 		// with error rate (1-acc) behaves like one whose normalized loss
 		// is (1-acc), so seed with -log(1-acc).
-		return -math.Log(math.Max(1-acc, lossEpsilon))
-	})
+		q = initialQuality(d, opts, func(acc float64) float64 {
+			return -math.Log(math.Max(1-acc, lossEpsilon))
+		})
+		floor = 0
+	} else {
+		q = initialQuality(d, opts, func(_ float64) float64 { return 1 })
+		if opts.QualificationError != nil {
+			maxErr := lossEpsilon
+			for _, e := range opts.QualificationError {
+				if !math.IsNaN(e) && e > maxErr {
+					maxErr = e
+				}
+			}
+			for w := range q {
+				if !math.IsNaN(opts.QualificationError[w]) {
+					q[w] = -math.Log((opts.QualificationError[w] + lossEpsilon) / (maxErr + lossEpsilon))
+					if q[w] <= 0 {
+						q[w] = lossEpsilon
+					}
+				}
+			}
+		}
+	}
 	warmQuality(opts, q)
 
+	c := d.CSR()
+	// Step 2: q_w = -log(loss_w / max loss). O(workers) per iteration,
+	// far off the hot path.
+	truth, iter, converged := Optimize(d, opts, q, func(losses []float64) {
+		maxLoss := lossEpsilon
+		for _, loss := range losses {
+			if loss > maxLoss {
+				maxLoss = loss
+			}
+		}
+		for w, loss := range losses {
+			if c.WorkerDegree(w) == 0 {
+				continue
+			}
+			qw := -math.Log((loss + lossEpsilon) / (maxLoss + lossEpsilon))
+			if qw <= 0 {
+				qw = floor
+			}
+			q[w] = qw
+		}
+	})
+	return &core.Result{
+		Truth:         truth,
+		WorkerQuality: q,
+		Iterations:    iter,
+		Converged:     converged,
+	}, nil
+}
+
+// Optimize runs the coordinate descent PM and CATD share, the paper's
+// Algorithm 1 with a weighted-aggregation truth step, and leaves the
+// quality step to weigh. q holds the starting weights. Each iteration
+// sets every truth to the q-weighted vote (categorical tasks) or the
+// q-weighted mean (numeric tasks), golden tasks keeping their known
+// truth, then sums each worker's loss against the new truths, the 0/1
+// loss or the squared loss scaled by TaskScales, and passes the sums to
+// weigh, which must rewrite q in place; a worker without answers has
+// loss 0. Numeric runs stop once no truth moves by the tolerance.
+// Categorical truths are labels: the run stops once an iteration after
+// the first changed no label, whatever the tolerance.
+func Optimize(d *dataset.Dataset, opts core.Options, q []float64, weigh func(losses []float64)) (truth []float64, iterations int, converged bool) {
+	if d.Categorical() {
+		return optimizeCategorical(d, opts, q, weigh)
+	}
+	return optimizeNumeric(d, opts, q, weigh)
+}
+
+func optimizeCategorical(d *dataset.Dataset, opts core.Options, q []float64, weigh func(losses []float64)) ([]float64, int, bool) {
+	pool := opts.EnginePool()
 	c := d.CSR()
 	truth := make([]float64, d.NumTasks)
 	prevTruth := make([]float64, d.NumTasks)
@@ -96,7 +164,7 @@ func (m *PM) inferCategorical(d *dataset.Dataset, opts core.Options) (*core.Resu
 	// count, each task can fold its answers' losses into a per-slot
 	// accumulator on the spot — integer-valued float64 additions are exact
 	// in any order, so the per-slot sums reduced in fixed slot order
-	// reproduce the separate worker-major sweep bit for bit while visiting
+	// reproduce a separate worker-major sweep bit for bit while visiting
 	// every answer once instead of twice. Vote ties are broken by a hash
 	// of (seed, iteration, task) instead of a shared RNG so the pick is
 	// the same at every parallelism level. curIter is read through the
@@ -128,9 +196,10 @@ func (m *PM) inferCategorical(d *dataset.Dataset, opts core.Options) (*core.Resu
 				for j, lb := range labels {
 					votes[lb] += q[workers[j]]
 				}
-				// core.ArgmaxHashTie, replicated inline: the call (and its
-				// internal loop) is too large for the inliner, and this is
-				// the hottest call site in the method.
+				// The argmax with exact ties broken by
+				// randx.HashPick3(ties, seed, iteration, task), the rank
+				// counted in index order among the tied labels, written
+				// out inline because this is the method's hottest loop.
 				best := votes[0]
 				pick, ties := 0, 1
 				for k := 1; k < len(votes); k++ {
@@ -171,11 +240,11 @@ func (m *PM) inferCategorical(d *dataset.Dataset, opts core.Options) (*core.Resu
 	if d.NumChoices == 2 {
 		// Decision fast path: the two vote tallies live in registers
 		// instead of the votes array, accumulated branchlessly — adding
-		// q·0.0 to the other tally is an exact no-op, so the per-label
-		// accumulation order (and hence every bit) matches the generic
-		// kernel — and the two-way argmax + hash tie-break is inlined
-		// (rank 0 keeps label 0, so the pick is the hash rank itself,
-		// exactly ArgmaxHashTie's walk).
+		// q·0.0 to the other tally is an exact no-op for finite weights,
+		// so the per-label accumulation order (and hence every bit)
+		// matches the generic kernel — and the two-way argmax + hash
+		// tie-break is inlined (rank 0 keeps label 0, so the pick is the
+		// hash rank itself, exactly the generic kernel's walk).
 		truthStep = func(slot, ilo, ihi int) {
 			taskOff, taskLabel, taskWorker := c.TaskOff, c.TaskLabel, c.TaskWorker
 			lossW := lossBySlot[slot]
@@ -217,8 +286,6 @@ func (m *PM) inferCategorical(d *dataset.Dataset, opts core.Options) (*core.Resu
 		}
 	}
 
-	// The truths are labels, so the loop stops once no label changed,
-	// whatever the tolerance.
 	iter, converged := core.Iterate(opts, func(iter int) bool {
 		copy(prevTruth, truth)
 		curIter = int64(iter)
@@ -228,61 +295,23 @@ func (m *PM) inferCategorical(d *dataset.Dataset, opts core.Options) (*core.Resu
 			}
 		}
 		pool.ForSlot(d.NumTasks, truthStep)
-		// Step 2: q_w = -log(loss_w / max loss). Reduce the per-slot
-		// counts in fixed slot order, then the max reduction; both are
-		// O(slots·workers), far off the hot path.
+		// Reduce the per-slot counts in fixed slot order: O(slots·workers),
+		// far off the hot path.
 		copy(losses, lossBySlot[0])
 		for s := 1; s < len(lossBySlot); s++ {
 			for w, v := range lossBySlot[s] {
 				losses[w] += v
 			}
 		}
-		maxLoss := lossEpsilon
-		for _, loss := range losses {
-			if loss > maxLoss {
-				maxLoss = loss
-			}
-		}
-		for w := range q {
-			if c.WorkerDegree(w) == 0 {
-				continue
-			}
-			q[w] = -math.Log((losses[w] + lossEpsilon) / (maxLoss + lossEpsilon))
-			if q[w] == 0 {
-				q[w] = 0 // normalize -0 from -log(1)
-			}
-		}
+		weigh(losses)
 		return iter > 1 && core.MaxAbsDiff(truth, prevTruth) == 0
 	})
-	return &core.Result{
-		Truth:         truth,
-		WorkerQuality: q,
-		Iterations:    iter,
-		Converged:     converged,
-	}, nil
+	return truth, iter, converged
 }
 
-func (m *PM) inferNumeric(d *dataset.Dataset, opts core.Options) (*core.Result, error) {
-	q := initialQuality(d, opts, func(_ float64) float64 { return 1 })
-	if opts.QualificationError != nil {
-		maxErr := lossEpsilon
-		for _, e := range opts.QualificationError {
-			if !math.IsNaN(e) && e > maxErr {
-				maxErr = e
-			}
-		}
-		for w := range q {
-			if !math.IsNaN(opts.QualificationError[w]) {
-				q[w] = -math.Log((opts.QualificationError[w] + lossEpsilon) / (maxErr + lossEpsilon))
-				if q[w] <= 0 {
-					q[w] = lossEpsilon
-				}
-			}
-		}
-	}
-	warmQuality(opts, q)
+func optimizeNumeric(d *dataset.Dataset, opts core.Options, q []float64, weigh func(losses []float64)) ([]float64, int, bool) {
 	// Per-task scale for the CRH loss normalization.
-	scale := taskScales(d)
+	scale := TaskScales(d)
 
 	pool := opts.EnginePool()
 	c := d.CSR()
@@ -311,8 +340,7 @@ func (m *PM) inferNumeric(d *dataset.Dataset, opts core.Options) (*core.Result, 
 			}
 		}
 	}
-	// Step 2: normalized squared losses → -log weights; per-worker
-	// losses fan out, the max reduction stays sequential.
+	// Normalized squared losses, fanned out over workers.
 	lossStep := func(_, wlo, whi int) {
 		for w := wlo; w < whi; w++ {
 			var loss float64
@@ -328,30 +356,10 @@ func (m *PM) inferNumeric(d *dataset.Dataset, opts core.Options) (*core.Result, 
 	iter, converged := core.Iterate(opts, func(int) bool {
 		pool.ForSlot(d.NumTasks, truthStep)
 		pool.ForSlot(d.NumWorkers, lossStep)
-		maxLoss := lossEpsilon
-		for _, loss := range losses {
-			if loss > maxLoss {
-				maxLoss = loss
-			}
-		}
-		for w := range q {
-			if c.WorkerDegree(w) == 0 {
-				continue
-			}
-			qw := -math.Log((losses[w] + lossEpsilon) / (maxLoss + lossEpsilon))
-			if qw <= 0 {
-				qw = lossEpsilon // keep strictly positive weights
-			}
-			q[w] = qw
-		}
+		weigh(losses)
 		return false
 	}, truth)
-	return &core.Result{
-		Truth:         truth,
-		WorkerQuality: q,
-		Iterations:    iter,
-		Converged:     converged,
-	}, nil
+	return truth, iter, converged
 }
 
 // warmQuality resumes the previous epoch's -log-scale weights for every
@@ -375,10 +383,11 @@ func initialQuality(d *dataset.Dataset, opts core.Options, seed func(acc float64
 	return q
 }
 
-// taskScales returns a per-task normalizer: the standard deviation of the
-// task's answers, floored at a small fraction of the dataset-wide spread
-// so that unanimous tasks do not produce infinite losses.
-func taskScales(d *dataset.Dataset) []float64 {
+// TaskScales returns the per-task normalizer of the numeric loss (the
+// standard CRH normalization): the standard deviation of the task's
+// answers, floored at a small fraction of the dataset-wide spread so that
+// unanimous tasks do not produce infinite losses.
+func TaskScales(d *dataset.Dataset) []float64 {
 	global := 0.0
 	{
 		vals := make([]float64, 0, len(d.Answers))
