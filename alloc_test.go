@@ -38,8 +38,10 @@ func allocGateCrowd() *dataset.Dataset {
 	})
 }
 
-// allocGateDecisionCrowd feeds Multi, which runs on decision tasks only;
-// its gradient ascent keeps moving the task embeddings past the caps.
+// allocGateDecisionCrowd feeds Multi, VI-BP and VI-MF, which run on
+// decision tasks only; Multi's gradient ascent keeps moving the task
+// embeddings, and the VI loops their edge messages and Beta posteriors,
+// past the caps.
 func allocGateDecisionCrowd() *dataset.Dataset {
 	return testutil.Categorical(testutil.CrowdSpec{
 		NumTasks: 80, NumWorkers: 15, NumChoices: 2, Redundancy: 5, Seed: 11,
@@ -77,6 +79,8 @@ func TestSweepAllocationRegression(t *testing.T) {
 		{"ZC", "ZC", categorical, false},
 		{"LFC", "LFC", categorical, false},
 		{"Multi", "Multi", decision, false},
+		{"VI-BP", "VI-BP", decision, false},
+		{"VI-MF", "VI-MF", decision, false},
 		{"LFC_N", "LFC_N", numeric, false},
 		{"CATD", "CATD numeric", numeric, false},
 		{"PM", "PM numeric", numeric, false},

@@ -129,46 +129,49 @@ func (m *VI) inferMF(d *dataset.Dataset, opts core.Options) (*core.Result, error
 	elnq := make([]float64, d.NumWorkers)
 	eln1q := make([]float64, d.NumWorkers)
 
+	// The sweeps are bound once, so an iteration allocates nothing.
+	expectations := func(_, wlo, whi int) {
+		for w := wlo; w < whi; w++ {
+			dab := mathx.Digamma(a[w] + b[w])
+			elnq[w] = mathx.Digamma(a[w]) - dab
+			eln1q[w] = mathx.Digamma(b[w]) - dab
+		}
+	}
+	// Task update: μ_i(z) ∝ exp Σ_w [1{v=z}E ln q + 1{v≠z}E ln(1-q)],
+	// fanned out over tasks.
+	taskUpdate := func(_, ilo, ihi int) {
+		var logw [2]float64
+		for i := ilo; i < ihi; i++ {
+			logw[0], logw[1] = 0, 0
+			for _, ai := range d.TaskAnswers(i) {
+				ans := d.Answers[ai]
+				l := ans.Label()
+				logw[l] += elnq[ans.Worker]
+				logw[1-l] += eln1q[ans.Worker]
+			}
+			mathx.NormalizeLog(logw[:])
+			post[i][0], post[i][1] = logw[0], logw[1]
+		}
+	}
+	// Worker update: Beta(a,b) with expected correct/incorrect counts,
+	// fanned out over workers.
+	workerUpdate := func(_, wlo, whi int) {
+		for w := wlo; w < whi; w++ {
+			aw, bw := PriorA, PriorB
+			for _, ai := range d.WorkerAnswers(w) {
+				ans := d.Answers[ai]
+				pCorrect := post[ans.Task][ans.Label()]
+				aw += pCorrect
+				bw += 1 - pCorrect
+			}
+			a[w], b[w] = aw, bw
+		}
+	}
 	iter, converged := core.Iterate(opts, func(int) bool {
-		pool.For(d.NumWorkers, func(wlo, whi int) {
-			for w := wlo; w < whi; w++ {
-				dab := mathx.Digamma(a[w] + b[w])
-				elnq[w] = mathx.Digamma(a[w]) - dab
-				eln1q[w] = mathx.Digamma(b[w]) - dab
-			}
-		})
-		// Task update: μ_i(z) ∝ exp Σ_w [1{v=z}E ln q + 1{v≠z}E ln(1-q)],
-		// fanned out over tasks.
-		pool.For(d.NumTasks, func(ilo, ihi int) {
-			var logw [2]float64
-			for i := ilo; i < ihi; i++ {
-				logw[0], logw[1] = 0, 0
-				for _, ai := range d.TaskAnswers(i) {
-					ans := d.Answers[ai]
-					l := ans.Label()
-					logw[l] += elnq[ans.Worker]
-					logw[1-l] += eln1q[ans.Worker]
-				}
-				mathx.NormalizeLog(logw[:])
-				post[i][0], post[i][1] = logw[0], logw[1]
-			}
-		})
+		pool.ForSlot(d.NumWorkers, expectations)
+		pool.ForSlot(d.NumTasks, taskUpdate)
 		core.PinGolden(post, opts.Golden)
-
-		// Worker update: Beta(a,b) with expected correct/incorrect
-		// counts, fanned out over workers.
-		pool.For(d.NumWorkers, func(wlo, whi int) {
-			for w := wlo; w < whi; w++ {
-				aw, bw := PriorA, PriorB
-				for _, ai := range d.WorkerAnswers(w) {
-					ans := d.Answers[ai]
-					pCorrect := post[ans.Task][ans.Label()]
-					aw += pCorrect
-					bw += 1 - pCorrect
-				}
-				a[w], b[w] = aw, bw
-			}
-		})
+		pool.ForSlot(d.NumWorkers, workerUpdate)
 		return false
 	}, a)
 
@@ -218,77 +221,82 @@ func (m *VI) inferBP(d *dataset.Dataset, opts core.Options) (*core.Result, error
 	edgeLog0 := make([]float64, nEdges)
 	edgeLog1 := make([]float64, nEdges)
 
+	// The sweeps are bound once, so an iteration allocates nothing.
+	// Worker totals, fanned out over workers (each sum spans only that
+	// worker's edges, in ascending edge order).
+	workerTotals := func(_, wlo, whi int) {
+		for w := wlo; w < whi; w++ {
+			idxs := d.WorkerAnswers(w)
+			var s float64
+			for _, e := range idxs {
+				s += mu[e]
+			}
+			wSum[w], wCount[w] = s, float64(len(idxs))
+		}
+	}
+	// Worker→task messages: digamma expectations of the cavity Beta
+	// posterior (excluding edge e itself), fanned out over edges.
+	workerMessages := func(_, elo, ehi int) {
+		for e := elo; e < ehi; e++ {
+			ans := d.Answers[e]
+			aCav := PriorA + wSum[ans.Worker] - mu[e]
+			bCav := PriorB + (wCount[ans.Worker] - 1) - (wSum[ans.Worker] - mu[e])
+			if bCav < 1e-6 {
+				bCav = 1e-6
+			}
+			elnq := mathx.Digamma(aCav) - mathx.Digamma(aCav+bCav)
+			eln1q := mathx.Digamma(bCav) - mathx.Digamma(aCav+bCav)
+			if ans.Label() == 1 {
+				edgeLog1[e], edgeLog0[e] = elnq, eln1q
+			} else {
+				edgeLog0[e], edgeLog1[e] = elnq, eln1q
+			}
+		}
+	}
+	// Per-task log-odds with all workers included, fanned out over tasks,
+	// so each edge's own contribution can be subtracted to form the
+	// cavity.
+	taskTotals := func(_, ilo, ihi int) {
+		for i := ilo; i < ihi; i++ {
+			var l0, l1 float64
+			for _, e := range d.TaskAnswers(i) {
+				l0 += edgeLog0[e]
+				l1 += edgeLog1[e]
+			}
+			taskLog0[i], taskLog1[i] = l0, l1
+		}
+	}
+	// Task→worker cavity messages, fanned out over edges.
+	taskMessages := func(_, elo, ehi int) {
+		for e := elo; e < ehi; e++ {
+			ans := d.Answers[e]
+			l0 := taskLog0[ans.Task] - edgeLog0[e]
+			l1 := taskLog1[ans.Task] - edgeLog1[e]
+			// Probability that the edge's answer equals the truth under
+			// the cavity belief.
+			p1 := mathx.Logistic(l1 - l0)
+			if ans.Label() == 1 {
+				mu[e] = mathx.Clamp(p1, 1e-6, 1-1e-6)
+			} else {
+				mu[e] = mathx.Clamp(1-p1, 1e-6, 1-1e-6)
+			}
+		}
+	}
+	// Beliefs, fanned out over tasks.
+	beliefs := func(_, ilo, ihi int) {
+		var logw [2]float64
+		for i := ilo; i < ihi; i++ {
+			logw[0], logw[1] = taskLog0[i], taskLog1[i]
+			mathx.NormalizeLog(logw[:])
+			post[i][0], post[i][1] = logw[0], logw[1]
+		}
+	}
 	iter, converged := core.Iterate(opts, func(int) bool {
-		// Accumulate worker totals once per round, fanned out over
-		// workers (each sum spans only that worker's edges, in ascending
-		// edge order).
-		pool.For(d.NumWorkers, func(wlo, whi int) {
-			for w := wlo; w < whi; w++ {
-				idxs := d.WorkerAnswers(w)
-				var s float64
-				for _, e := range idxs {
-					s += mu[e]
-				}
-				wSum[w], wCount[w] = s, float64(len(idxs))
-			}
-		})
-		// Worker→task messages: digamma expectations of the cavity Beta
-		// posterior (excluding edge e itself), fanned out over edges —
-		// then per-task log-odds with all workers included, fanned out
-		// over tasks, so each edge's own contribution can be subtracted
-		// to form the cavity.
-		pool.For(nEdges, func(elo, ehi int) {
-			for e := elo; e < ehi; e++ {
-				ans := d.Answers[e]
-				aCav := PriorA + wSum[ans.Worker] - mu[e]
-				bCav := PriorB + (wCount[ans.Worker] - 1) - (wSum[ans.Worker] - mu[e])
-				if bCav < 1e-6 {
-					bCav = 1e-6
-				}
-				elnq := mathx.Digamma(aCav) - mathx.Digamma(aCav+bCav)
-				eln1q := mathx.Digamma(bCav) - mathx.Digamma(aCav+bCav)
-				if ans.Label() == 1 {
-					edgeLog1[e], edgeLog0[e] = elnq, eln1q
-				} else {
-					edgeLog0[e], edgeLog1[e] = elnq, eln1q
-				}
-			}
-		})
-		pool.For(d.NumTasks, func(ilo, ihi int) {
-			for i := ilo; i < ihi; i++ {
-				var l0, l1 float64
-				for _, e := range d.TaskAnswers(i) {
-					l0 += edgeLog0[e]
-					l1 += edgeLog1[e]
-				}
-				taskLog0[i], taskLog1[i] = l0, l1
-			}
-		})
-		// Update task→worker cavity messages and beliefs, fanned out
-		// over edges and tasks respectively.
-		pool.For(nEdges, func(elo, ehi int) {
-			for e := elo; e < ehi; e++ {
-				ans := d.Answers[e]
-				l0 := taskLog0[ans.Task] - edgeLog0[e]
-				l1 := taskLog1[ans.Task] - edgeLog1[e]
-				// Probability that the edge's answer equals the truth
-				// under the cavity belief.
-				p1 := mathx.Logistic(l1 - l0)
-				if ans.Label() == 1 {
-					mu[e] = mathx.Clamp(p1, 1e-6, 1-1e-6)
-				} else {
-					mu[e] = mathx.Clamp(1-p1, 1e-6, 1-1e-6)
-				}
-			}
-		})
-		pool.For(d.NumTasks, func(ilo, ihi int) {
-			var logw [2]float64
-			for i := ilo; i < ihi; i++ {
-				logw[0], logw[1] = taskLog0[i], taskLog1[i]
-				mathx.NormalizeLog(logw[:])
-				post[i][0], post[i][1] = logw[0], logw[1]
-			}
-		})
+		pool.ForSlot(d.NumWorkers, workerTotals)
+		pool.ForSlot(nEdges, workerMessages)
+		pool.ForSlot(d.NumTasks, taskTotals)
+		pool.ForSlot(nEdges, taskMessages)
+		pool.ForSlot(d.NumTasks, beliefs)
 		return false
 	}, mu)
 
