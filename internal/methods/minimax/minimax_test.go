@@ -159,3 +159,29 @@ func TestMinimaxRejectsQualification(t *testing.T) {
 		t.Error("Minimax must reject qualification initialization")
 	}
 }
+
+// TestMinimaxStopsOnMuTolerance pins the μ tolerance stop, which the
+// label-churn rule pre-empts on most crowds. On this one, μ moves by less
+// than 0.5 in the first iteration while more labels than the churn rule
+// allows still flip, so Minimax stops after one iteration at tolerance
+// 0.5 and only after two, on the churn rule, at the default tolerance.
+func TestMinimaxStopsOnMuTolerance(t *testing.T) {
+	acc := make([]float64, 12)
+	for w := range acc {
+		acc[w] = 0.65
+	}
+	d := testutil.Categorical(testutil.CrowdSpec{NumTasks: 60, NumWorkers: 12, NumChoices: 3, Redundancy: 5, Accuracies: acc, Seed: 38})
+	for _, tc := range []struct {
+		tol  float64
+		want int
+	}{{0.5, 1}, {0, 2}} {
+		res, err := New().Infer(d, core.Options{Seed: 7, Tolerance: tc.tol})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Iterations != tc.want || !res.Converged {
+			t.Errorf("tolerance %v: %d iterations (converged %v), want %d, converged",
+				tc.tol, res.Iterations, res.Converged, tc.want)
+		}
+	}
+}
