@@ -12,11 +12,10 @@ import (
 // incremental maintains the exact core.Result of a direct-computation
 // method (MV, Mean or Median) under streaming appends, which the Service
 // publishes: each ingested answer updates per-task sufficient statistics
-// (vote counts, running sums, or nothing for Median, which re-reads the
-// touched task through the owning shard) and relabels only the touched
-// tasks — O(delta · redundancy) per batch, independent of the dataset's
-// size. After every batch, res is bit-identical to the method's Infer
-// over the store's snapshot:
+// (vote counts, running sums, or for Median the task's answer values)
+// and relabels only the touched tasks — O(delta · redundancy) per batch,
+// independent of the dataset's size. After every batch, res is
+// bit-identical to the method's Infer over the store's snapshot:
 //
 //   - MV's vote counts are small integers (exact in float64), its
 //     tie-break depends only on (seed, task), and each posterior row is
@@ -30,10 +29,11 @@ type incremental struct {
 	ell    int // choices (MV)
 
 	res    *core.Result
-	counts []float64 // MV: task-major tasks×ℓ vote counts
-	rowVer []uint64  // MV: the batch version each posterior row was last rewritten at
-	sums   []float64 // Mean: per-task running sums
-	ns     []int     // Mean: per-task answer counts
+	counts []float64   // MV: task-major tasks×ℓ vote counts
+	rowVer []uint64    // MV: the batch version each posterior row was last rewritten at
+	sums   []float64   // Mean: per-task running sums
+	ns     []int       // Mean: per-task answer counts
+	vals   [][]float64 // Median: per-task answer values in append order
 }
 
 // incrementalMethods lists the methods with an exact O(delta) streaming
@@ -74,18 +74,18 @@ func (inc *incremental) grow(version uint64, numTasks, numWorkers int) {
 	case "Mean":
 		inc.sums = append(inc.sums, make([]float64, numTasks-n)...)
 		inc.ns = append(inc.ns, make([]int, numTasks-n)...)
+	case "Median":
+		inc.vals = append(inc.vals, make([][]float64, numTasks-n)...)
 	}
 }
 
 // apply folds a delta of appended answers, committed at store version
 // version, into the state and relabels the touched tasks, stamping each
 // rewritten MV posterior row with version. numTasks and numWorkers are
-// the store's ranges after the delta; taskValues returns one task's full
-// answer multiset in append order (used only by Median, which has no
-// constant-size update). Batches must be applied in ingestion order; the
-// service serializes ingest, so the delta of each call is exactly the
-// batch it just committed.
-func (inc *incremental) apply(version uint64, answers []dataset.Answer, numTasks, numWorkers int, taskValues func(task int) []float64) {
+// the store's ranges after the delta. Batches must be applied in
+// ingestion order; the service serializes ingest, so the delta of each
+// call is exactly the batch it just committed.
+func (inc *incremental) apply(version uint64, answers []dataset.Answer, numTasks, numWorkers int) {
 	inc.grow(version, numTasks, numWorkers)
 	touched := map[int]bool{}
 	for _, a := range answers {
@@ -95,6 +95,8 @@ func (inc *incremental) apply(version uint64, answers []dataset.Answer, numTasks
 		case "Mean":
 			inc.sums[a.Task] += a.Value
 			inc.ns[a.Task]++
+		case "Median":
+			inc.vals[a.Task] = append(inc.vals[a.Task], a.Value)
 		}
 		touched[a.Task] = true
 	}
@@ -105,7 +107,7 @@ func (inc *incremental) apply(version uint64, answers []dataset.Answer, numTasks
 		case "Mean":
 			inc.res.Truth[i] = inc.sums[i] / float64(inc.ns[i])
 		case "Median":
-			inc.relabelMedian(i, taskValues(i))
+			inc.relabelMedian(i)
 		}
 	}
 }
@@ -114,14 +116,7 @@ func (inc *incremental) apply(version uint64, answers []dataset.Answer, numTasks
 // or a recovered snapshot) taken at store version version into freshly
 // initialized state.
 func (inc *incremental) applyDataset(version uint64, d *dataset.Dataset) {
-	inc.apply(version, d.Answers, d.NumTasks, d.NumWorkers, func(task int) []float64 {
-		idxs := d.TaskAnswers(task)
-		vals := make([]float64, len(idxs))
-		for k, ai := range idxs {
-			vals[k] = d.Answers[ai].Value
-		}
-		return vals
-	})
+	inc.apply(version, d.Answers, d.NumTasks, d.NumWorkers)
 }
 
 // relabelMV recomputes task i's plurality label, with the same
@@ -141,10 +136,9 @@ func (inc *incremental) relabelMV(version uint64, i int) {
 
 // relabelMedian recomputes task i's median from its full answer
 // multiset — the one statistic without a constant-size update, still
-// O(redundancy) per touched task. vals is a caller-provided copy, so
-// sorting it in place is safe.
-func (inc *incremental) relabelMedian(i int, vals []float64) {
-	med := mathx.Median(vals)
+// O(redundancy) per touched task.
+func (inc *incremental) relabelMedian(i int) {
+	med := mathx.Median(inc.vals[i])
 	if math.IsNaN(med) {
 		med = 0
 	}

@@ -202,11 +202,10 @@ func (s *Service) Ingest(b Batch) (uint64, error) {
 		// observe counts and labels from different points in the stream;
 		// resVersion advances in the same critical section, so a served
 		// version always has its delta folded in. The delta is exactly
-		// this batch's answers (ingestMu serializes service writes), and
-		// Median re-reads touched tasks through the owning shard only.
+		// this batch's answers (ingestMu serializes service writes).
 		tasks, workers, _ := s.store.Dims()
 		s.mu.Lock()
-		s.inc.apply(version, b.Answers, tasks, workers, s.store.TaskValues)
+		s.inc.apply(version, b.Answers, tasks, workers)
 		s.resVersion = version
 		s.mu.Unlock()
 		s.cfg.Metrics.observeFolded(len(b.Answers))

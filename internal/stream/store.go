@@ -124,7 +124,6 @@ type entry struct {
 type shard struct {
 	mu    sync.RWMutex
 	log   []entry
-	vals  map[int][]float64 // task → answer values in append order (O(redundancy) reads)
 	truth map[int]float64
 }
 
@@ -135,10 +134,11 @@ type shard struct {
 // indices — so concurrent ingests of disjoint task ranges scale across
 // cores. Readers take consistent snapshots under all shard read locks
 // (a full copy reassembled in parallel, or an earlier snapshot extended
-// by the answers since) or run short per-task reads. Every successful
-// ingest bumps a monotonic version, which the serving and durability
-// layers use to report how fresh a published result is and which WAL
-// records a recovery must still replay.
+// by the answers since) or walk the logs one shard lock at a time
+// (AnswersSince, ScanShard). Every successful ingest bumps a monotonic
+// version, which the serving and durability layers use to report how
+// fresh a published result is and which WAL records a recovery must
+// still replay.
 type Store struct {
 	name       string
 	typ        dataset.TaskType
@@ -189,7 +189,6 @@ func newStore(name string, typ dataset.TaskType, numChoices, shards int) *Store 
 	}
 	s := &Store{name: name, typ: typ, numChoices: numChoices, shards: make([]shard, shards)}
 	for i := range s.shards {
-		s.shards[i].vals = map[int][]float64{}
 		s.shards[i].truth = map[int]float64{}
 	}
 	return s
@@ -207,7 +206,6 @@ func NewStoreAt(d *dataset.Dataset, version uint64, shards int) *Store {
 	for i, a := range d.Answers {
 		sh := &s.shards[s.shardOf(a.Task)]
 		sh.log = append(sh.log, entry{idx: i, ans: a})
-		sh.vals[a.Task] = append(sh.vals[a.Task], a.Value)
 	}
 	for t, v := range d.Truth {
 		s.shards[s.shardOf(t)].truth[t] = v
@@ -286,7 +284,6 @@ func (s *Store) Ingest(b Batch) (version uint64, firstNew int, err error) {
 	for i, a := range b.Answers {
 		sh := &s.shards[s.shardOf(a.Task)]
 		sh.log = append(sh.log, entry{idx: firstNew + i, ans: a})
-		sh.vals[a.Task] = append(sh.vals[a.Task], a.Value)
 	}
 	for t, v := range b.Truth {
 		s.shards[s.shardOf(t)].truth[t] = v
@@ -460,20 +457,6 @@ func (s *Store) snapshotSince(prev *dataset.Dataset) (*dataset.Dataset, uint64) 
 		panic("stream: snapshot of consistent store failed: " + err.Error())
 	}
 	return d, version
-}
-
-// TaskValues returns a copy of one task's answer values in global append
-// order, read-locking only the owning shard — the O(redundancy) path the
-// incremental Median uses. It returns nil for tasks outside the current
-// range.
-func (s *Store) TaskValues(task int) []float64 {
-	if task < 0 || task >= int(s.numTasks.Load()) {
-		return nil
-	}
-	sh := &s.shards[s.shardOf(task)]
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	return append([]float64(nil), sh.vals[task]...)
 }
 
 // AnswersSince calls f for every answer at global index from or later

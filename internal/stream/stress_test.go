@@ -10,7 +10,7 @@ import (
 )
 
 // TestShardedStoreConcurrentStress hammers one sharded store with
-// concurrent Ingest / Snapshot / Version / TaskValues traffic for
+// concurrent Ingest / Snapshot / AnswersSince / Version / Pin traffic for
 // about a second (shorter under -short) and asserts the consistency
 // contract the serving layer depends on:
 //
@@ -109,7 +109,7 @@ func TestShardedStoreConcurrentStress(t *testing.T) {
 		}()
 	}
 
-	// A snapshot-then-point-read reader and a lock-free metadata reader.
+	// A snapshot-then-delta reader and a metadata reader.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -119,8 +119,10 @@ func TestShardedStoreConcurrentStress(t *testing.T) {
 				return
 			default:
 			}
-			if d, _ := store.Snapshot(); d.NumTasks > 0 {
-				_ = store.TaskValues(d.NumTasks - 1)
+			d, _ := store.Snapshot()
+			if next := store.AnswersSince(len(d.Answers), func(int, int, float64) {}); next < len(d.Answers) {
+				t.Errorf("AnswersSince stopped at %d, before the snapshot's %d answers", next, len(d.Answers))
+				return
 			}
 		}
 	}()
@@ -141,7 +143,7 @@ func TestShardedStoreConcurrentStress(t *testing.T) {
 				lastVersion = v
 			}
 			store.Dims()
-			_ = store.TaskValues(0)
+			store.Pin()
 		}
 	}()
 
