@@ -35,7 +35,8 @@ type Source interface {
 	// Entropies returns per-task posterior entropies (nats).
 	Entropies() ([]float64, uint64, error)
 	// WorkerQualities returns current and previous-epoch worker-quality
-	// vectors plus the result version they reflect.
+	// vectors plus the result version they reflect. The catalog only
+	// reads them; prev may be cur itself.
 	WorkerQualities() (cur, prev []float64, version uint64, err error)
 }
 
@@ -211,7 +212,7 @@ func (c *Catalog) answers() Relation {
 	var (
 		next  = c.chunks()
 		chunk []dataset.Answer
-		rows  = slab{width: 3}
+		row   = make(Row, 3)
 	)
 	return Relation{Cols: []string{"task", "worker", "value"}, Next: func() (Row, bool) {
 		if len(chunk) == 0 {
@@ -221,13 +222,15 @@ func (c *Catalog) answers() Relation {
 		}
 		a := chunk[0]
 		chunk = chunk[1:]
-		return rows.of(float64(a.Task), float64(a.Worker), a.Value), true
+		row[0], row[1], row[2] = float64(a.Task), float64(a.Worker), a.Value
+		return row, true
 	}}
 }
 
 // mv derives the majority vote per task from the pinned answer scan:
-// (task, mv_label, mv_share). It counts the scan's chunks into one flat
-// tasks×ℓ array — never a copy of the answers. Ties break to the lowest
+// (task, mv_label, mv_share). It counts the scan's chunks into ℓ counts
+// per task, held in blocks allocated as the scan reaches their tasks and
+// never regrown — never a copy of the answers. Ties break to the lowest
 // label (deterministic, and independent of the serving method's hashed
 // tie-break — callers comparing against a served MV should avoid tied
 // datasets). Requires a categorical store.
@@ -237,10 +240,11 @@ func (c *Catalog) mv() (Relation, error) {
 		return Relation{}, fmt.Errorf("query: relation \"mv\" requires a categorical store")
 	}
 	var (
-		counts []float64 // ℓ votes per task, task-major
+		counts = rowBlocks{width: ell} // ℓ votes per task
+		tasks  int                     // 1 + the largest task counted
 		built  bool
 		t      int
-		rows   = slab{width: 3}
+		row    = make(Row, 3)
 	)
 	return Relation{Cols: []string{"task", "mv_label", "mv_share"}, Next: func() (Row, bool) {
 		if !built {
@@ -248,17 +252,18 @@ func (c *Catalog) mv() (Relation, error) {
 			next := c.chunks()
 			for chunk := next(); chunk != nil; chunk = next() {
 				for _, a := range chunk {
-					if n := (a.Task + 1) * ell; n > len(counts) {
-						counts = append(counts, make([]float64, n-len(counts))...)
+					if a.Task >= tasks {
+						tasks = a.Task + 1
+						counts.grow(tasks)
 					}
 					if label := int(a.Value); label >= 0 && label < ell {
-						counts[a.Task*ell+label]++
+						counts.at(a.Task)[label]++
 					}
 				}
 			}
 		}
-		for t*ell < len(counts) {
-			task, votes := t, counts[t*ell:(t+1)*ell]
+		for t < tasks {
+			task, votes := t, counts.at(t)
 			t++
 			best, total := 0, 0.0
 			for k, v := range votes {
@@ -270,7 +275,8 @@ func (c *Catalog) mv() (Relation, error) {
 			if total == 0 {
 				continue // a task with no pinned answers has no vote
 			}
-			return rows.of(float64(task), float64(best), votes[best]/total), true
+			row[0], row[1], row[2] = float64(task), float64(best), votes[best]/total
+			return row, true
 		}
 		return nil, false
 	}}, nil
@@ -285,13 +291,13 @@ func (c *Catalog) posterior() (Relation, error) {
 	}
 	c.ResultVersion = v
 	t, k := 0, 0
-	rows := slab{width: 3}
+	row := make(Row, 3)
 	return Relation{Cols: []string{"task", "label", "p"}, Next: func() (Row, bool) {
 		for t < len(post) {
 			if k < len(post[t]) {
-				r := rows.of(float64(t), float64(k), post[t][k])
+				row[0], row[1], row[2] = float64(t), float64(k), post[t][k]
 				k++
-				return r, true
+				return row, true
 			}
 			t++
 			k = 0
@@ -309,7 +315,7 @@ func (c *Catalog) posteriorTop() (Relation, error) {
 	}
 	c.ResultVersion = v
 	t := 0
-	rows := slab{width: 3}
+	out := make(Row, 3)
 	return Relation{Cols: []string{"task", "top_label", "top_p"}, Next: func() (Row, bool) {
 		for t < len(post) {
 			row := post[t]
@@ -324,7 +330,8 @@ func (c *Catalog) posteriorTop() (Relation, error) {
 					best = k
 				}
 			}
-			return rows.of(float64(i), float64(best), row[best]), true
+			out[0], out[1], out[2] = float64(i), float64(best), row[best]
+			return out, true
 		}
 		return nil, false
 	}}, nil
@@ -339,14 +346,14 @@ func (c *Catalog) entropy() (Relation, error) {
 	}
 	c.ResultVersion = v
 	t := 0
-	rows := slab{width: 2}
+	row := make(Row, 2)
 	return Relation{Cols: []string{"task", "entropy"}, Next: func() (Row, bool) {
 		if t >= len(ent) {
 			return nil, false
 		}
-		r := rows.of(float64(t), ent[t])
+		row[0], row[1] = float64(t), ent[t]
 		t++
-		return r, true
+		return row, true
 	}}, nil
 }
 
@@ -360,7 +367,7 @@ func (c *Catalog) workers() (Relation, error) {
 	}
 	c.ResultVersion = v
 	w := 0
-	rows := slab{width: 4}
+	row := make(Row, 4)
 	return Relation{Cols: []string{"worker", "quality", "prev_quality", "drop"}, Next: func() (Row, bool) {
 		if w >= len(cur) {
 			return nil, false
@@ -372,9 +379,9 @@ func (c *Catalog) workers() (Relation, error) {
 		if math.IsNaN(pq) {
 			pq = -1
 		}
-		r := rows.of(float64(w), q, pq, pq-q)
+		row[0], row[1], row[2], row[3] = float64(w), q, pq, pq-q
 		w++
-		return r, true
+		return row, true
 	}}, nil
 }
 

@@ -7,8 +7,13 @@
 // at a time under short shard read-locks, and every answer-sourced
 // relation in one query is pinned to a single store version (see
 // Catalog), so results are consistent even under concurrent ingest.
-// A hash join buffers its build side in one flat slice, and the rows all
-// hash joins of one query store are bounded by MaxJoinRows.
+// Each operator writes its rows into one row buffer of its own, so a row
+// is valid only until the next pull from the relation that returned it;
+// the operators that keep rows (a hash join's build side, the
+// group-aggregate and Collect) copy them (see Relation). A hash join
+// stores its build rows in fixed-size blocks indexed by one flat
+// open-addressing table sized once from the build count, and the rows
+// all hash joins of one query store and emit are bounded by MaxJoinRows.
 //
 // Plans arrive as a JSON AST over POST /v1/query (see Node and Handler)
 // or as one of the canned operator views (see Views): method
@@ -29,6 +34,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
+	"math/rand/v2"
 	"sort"
 )
 
@@ -39,6 +46,12 @@ type Row []float64
 // Next returns the next row and true, or nil and false once drained.
 // Iterators are single-use: a Relation is consumed by exactly one
 // downstream operator (or the result encoder) and never rewound.
+//
+// A row is valid only until the next call of Next on the relation that
+// returned it: each operator writes its rows into one buffer of its own,
+// and no operator writes into a row it did not make. A consumer that
+// keeps rows copies them; the join's build side, GroupAggregate and
+// Collect do.
 type Relation struct {
 	Cols []string
 	Next func() (Row, bool)
@@ -54,33 +67,27 @@ func colIndex(cols []string, name string) int {
 	return -1
 }
 
-// slabRows is how many rows one slab allocation holds.
-const slabRows = 256
+// blockRows is how many rows one block of a rowBlocks holds.
+const blockRows = 256
 
-// slab carves fixed-width rows out of shared backing arrays, so an
-// operator makes one allocation per slabRows rows instead of one per
-// row. Each row's capacity is capped at its width, so appending to a
-// row copies it rather than writing into its neighbour, and no operator
-// mutates a row it did not make, so rows that share an array stay
-// independent.
-type slab struct {
-	width int
-	buf   []float64
+// rowBlocks keeps fixed-width rows, addressed by index, in blocks of
+// blockRows rows, so growing it never copies the rows already kept.
+type rowBlocks struct {
+	width  int
+	blocks [][]float64
 }
 
-// of returns a new row of the slab's width that starts with vals (at
-// most width of them) and is zero after them.
-func (s *slab) of(vals ...float64) Row {
-	if s.width == 0 {
-		return Row{}
+// grow makes rows [0, n) addressable; rows it adds are zero.
+func (s *rowBlocks) grow(n int) {
+	for len(s.blocks)*blockRows < n {
+		s.blocks = append(s.blocks, make([]float64, blockRows*s.width))
 	}
-	if len(s.buf) < s.width {
-		s.buf = make([]float64, s.width*slabRows)
-	}
-	r := s.buf[:s.width:s.width]
-	s.buf = s.buf[s.width:]
-	copy(r, vals)
-	return r
+}
+
+// at returns row i, which grow has made addressable.
+func (s *rowBlocks) at(i int) []float64 {
+	j := uint(i) % blockRows * uint(s.width)
+	return s.blocks[uint(i)/blockRows][j : j+uint(s.width)]
 }
 
 // fromRows wraps an already-built row slice as a Relation (used for the
@@ -123,13 +130,12 @@ func Project(in Relation, cols []string) (Relation, error) {
 		idx[i] = j
 	}
 	out := append([]string(nil), cols...)
-	rows := slab{width: len(idx)}
+	p := make(Row, len(idx))
 	return Relation{Cols: out, Next: func() (Row, bool) {
 		r, ok := in.Next()
 		if !ok {
 			return nil, false
 		}
-		p := rows.of()
 		for i, j := range idx {
 			p[i] = r[j]
 		}
@@ -166,14 +172,20 @@ func keyBits(v float64) uint64 {
 	return math.Float64bits(v)
 }
 
-// keyHash hashes the key columns idx of r. Equal keys hash equal, and a
-// one-column key hashes without collisions.
-func keyHash(r []float64, idx []int) uint64 {
-	var h uint64
+// keyHash hashes the key columns idx of r under seed. Equal keys hash
+// equal. The closing mix spreads every key bit into the low bits a
+// joinTable indexes by: the bits of small integral floats differ only in
+// their high bits.
+func keyHash(r []float64, idx []int, seed uint64) uint64 {
+	h := seed
 	for _, j := range idx {
 		h = (h ^ keyBits(r[j])) * 0x100000001b3
 	}
-	return h
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	h *= 0xc4ceb9fe1a85ec53
+	return h ^ h>>33
 }
 
 // sameKey reports whether the key columns ai of a equal the key columns
@@ -187,8 +199,50 @@ func sameKey(a []float64, ai []int, b []float64, bi []int) bool {
 	return true
 }
 
-// HashJoin is ⋈ on the named key columns: it drains build into one
-// slice and a table keyed by the join columns (see keyBits), then
+// joinTable indexes a join's stored build rows by their key columns. It
+// is one open-addressing table with linear probing, sized once to a
+// power of two at least 1.5 times the build count, so it never grows and
+// every probe ends at an empty slot. A slot holds 1 + the first build
+// row of one distinct key (0 marks it empty), and next links each build
+// row to the following one with the same key, so a key's rows read in
+// build order. Each table hashes under a random seed, so a client who
+// picks the answer values a join keys on cannot pile its keys into one
+// run of slots.
+type joinTable struct {
+	rows  *rowBlocks
+	idx   []int // the key columns of a build row
+	seed  uint64
+	slots []int32
+	next  []int32
+}
+
+// newJoinTable indexes the first n rows of rows by the key columns idx.
+func newJoinTable(rows *rowBlocks, n int, idx []int) joinTable {
+	size := 1 << bits.Len(uint(n+n/2))
+	t := joinTable{rows: rows, idx: idx, seed: rand.Uint64(), slots: make([]int32, size), next: make([]int32, n)}
+	// Insert back to front, each row ahead of the rows already chained
+	// under its key.
+	for i := n - 1; i >= 0; i-- {
+		s := t.slot(rows.at(i), idx)
+		t.next[i] = t.slots[s]
+		t.slots[s] = int32(i + 1)
+	}
+	return t
+}
+
+// slot returns the slot of the key columns idx of r: the one holding
+// that key, or the empty one where it would go.
+func (t *joinTable) slot(r []float64, idx []int) uint64 {
+	mask := uint64(len(t.slots) - 1)
+	s := keyHash(r, idx, t.seed) & mask
+	for t.slots[s] != 0 && !sameKey(t.rows.at(int(t.slots[s]-1)), t.idx, r, idx) {
+		s = (s + 1) & mask
+	}
+	return s
+}
+
+// HashJoin is ⋈ on the named key columns: it drains build into stored
+// rows indexed by a joinTable on the join columns (see keyBits), then
 // streams probe, emitting one output row per match, a probe row's
 // matches in build order. The output schema is build's columns followed
 // by probe's non-key columns; a non-key column name shared by both
@@ -227,15 +281,15 @@ func (c *Catalog) HashJoin(build, probe Relation, on []string) (Relation, error)
 
 	var (
 		bw       = len(build.Cols)
-		vals     []float64        // the build rows, bw values each
-		head     map[uint64]int32 // key hash → 1 + its first build row
-		next     []int32          // 1 + the next build row with the same hash; 0 ends
-		cur      int32            // 1 + the next build row to try on probeRow
+		stored   = rowBlocks{width: bw}
+		table    joinTable
+		cur      int32 // 1 + the next build row matching probeRow; 0 ends
 		probeRow Row
-		rows     = slab{width: len(cols)}
+		out      = make(Row, len(cols))
 	)
 	return Relation{Cols: cols, Next: func() (Row, bool) {
-		if head == nil {
+		if table.slots == nil {
+			n := 0
 			for {
 				r, ok := build.Next()
 				if !ok {
@@ -244,36 +298,25 @@ func (c *Catalog) HashJoin(build, probe Relation, on []string) (Relation, error)
 				if !c.spendJoinRow() {
 					break
 				}
-				vals = append(vals, r...)
+				stored.grow(n + 1)
+				copy(stored.at(n), r)
+				n++
 			}
 			if c.err != nil {
 				return nil, false
 			}
-			// Chain each hash's rows back to front, so the chains read in
-			// build order.
-			n := len(vals) / bw
-			head = make(map[uint64]int32, n)
-			next = make([]int32, n)
-			for i := n - 1; i >= 0; i-- {
-				h := keyHash(vals[i*bw:], bIdx)
-				next[i] = head[h]
-				head[h] = int32(i + 1)
-			}
+			table = newJoinTable(&stored, n, bIdx)
 		}
 		for {
-			for cur != 0 {
-				b := vals[int(cur-1)*bw : int(cur)*bw]
-				cur = next[cur-1]
-				if !sameKey(b, bIdx, probeRow, pIdx) {
-					continue
-				}
+			if cur != 0 {
 				if !c.spendJoinRow() {
 					return nil, false
 				}
-				out := rows.of(b...)
+				copy(out, stored.at(int(cur-1)))
 				for k, j := range pKeep {
 					out[bw+k] = probeRow[j]
 				}
+				cur = table.next[cur-1]
 				return out, true
 			}
 			r, ok := probe.Next()
@@ -281,7 +324,7 @@ func (c *Catalog) HashJoin(build, probe Relation, on []string) (Relation, error)
 				return nil, false
 			}
 			probeRow = r
-			cur = head[keyHash(r, pIdx)]
+			cur = table.slots[table.slot(r, pIdx)]
 		}
 	}}, nil
 }
@@ -368,18 +411,22 @@ func GroupAggregate(in Relation, by []string, aggs []Agg) (Relation, error) {
 	pos := 0
 	drain := func() {
 		groups := map[string]*acc{}
-		var order []string
+		var (
+			order []string
+			k     []byte // the current row's group key, built in place
+		)
 		for {
 			r, ok := in.Next()
 			if !ok {
 				break
 			}
-			k := make([]byte, 0, 16*len(byIdx))
+			k = k[:0]
 			for _, j := range byIdx {
 				k = appendKey(k, r[j])
 			}
 			a := groups[string(k)]
 			if a == nil {
+				key := string(k)
 				g := make(Row, len(byIdx))
 				for i, j := range byIdx {
 					g[i] = r[j]
@@ -390,8 +437,8 @@ func GroupAggregate(in Relation, by []string, aggs []Agg) (Relation, error) {
 					min: make([]float64, len(aggs)), max: make([]float64, len(aggs)),
 					minMaxInit: make([]bool, len(aggs)),
 				}
-				groups[string(k)] = a
-				order = append(order, string(k))
+				groups[key] = a
+				order = append(order, key)
 			}
 			for i := range aggs {
 				a.count[i]++
@@ -420,7 +467,7 @@ func GroupAggregate(in Relation, by []string, aggs []Agg) (Relation, error) {
 		}
 		for _, k := range order {
 			a := groups[k]
-			row := append(Row{}, a.group...)
+			row := append(make(Row, 0, len(cols)), a.group...)
 			for i, spec := range aggs {
 				switch spec.Op {
 				case AggCount:
@@ -474,16 +521,27 @@ func GroupAggregate(in Relation, by []string, aggs []Agg) (Relation, error) {
 
 // Collect drains a relation into at most limit rows (limit < 0 means
 // unbounded), reporting whether the stream had more. It is the terminal
-// operator the HTTP handler encodes from.
+// operator the HTTP handler encodes from. It keeps the rows it reads, so
+// it copies them, all into one backing array of its own.
 func Collect(in Relation, limit int) (rows []Row, truncated bool) {
+	var flat []float64
 	for {
 		r, ok := in.Next()
 		if !ok {
-			return rows, false
+			break
 		}
 		if limit >= 0 && len(rows) >= limit {
-			return rows, true
+			truncated = true
+			break
 		}
-		rows = append(rows, r)
+		flat = append(flat, r...)
+		rows = append(rows, r) // for its length only: r is overwritten by the next Next
 	}
+	// Point each row at its copy in flat's final backing array.
+	off := 0
+	for i, r := range rows {
+		rows[i] = flat[off : off+len(r) : off+len(r)]
+		off += len(r)
+	}
+	return rows, truncated
 }

@@ -58,21 +58,62 @@ func runView(tb testing.TB, svc *stream.Service, led *assign.Ledger, view string
 }
 
 // TestDisagreementViewAllocations pins the cost of the query plane's
-// busiest view. Its join keys are key-column bits, its rows are carved
-// from shared slabs and its majority vote counts into one flat array, so
-// a query over the real MV service on D_Product makes a bounded number
-// of allocations instead of several per task and per answer. The race
-// runtime changes allocator behaviour, so the test skips under -race.
+// busiest view. Its operators each write their rows into one buffer of
+// their own, its join indexes the stored build rows in one flat table
+// sized once, and its majority vote counts into blocks that are never
+// regrown, so a query over the real MV service on D_Product makes a
+// bounded number of allocations instead of several per task and per
+// answer, and allocates under 1 MiB: the posterior copy, the vote
+// counts, the stored build rows and the table. The race runtime changes
+// allocator behaviour, so the test skips under -race.
 func TestDisagreementViewAllocations(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	const maxAllocs = 1000
+	const maxAllocs, maxBytes, runs = 1000, 1 << 20, 5
 	svc, led := dProductService(t)
-	allocs := testing.AllocsPerRun(5, func() { runView(t, svc, led, query.ViewDisagreement) })
-	t.Logf("%.0f allocations per disagreement query", allocs)
+	allocs := testing.AllocsPerRun(runs, func() { runView(t, svc, led, query.ViewDisagreement) })
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		runView(t, svc, led, query.ViewDisagreement)
+	}
+	runtime.ReadMemStats(&after)
+	perQuery := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("%.0f allocations and %d bytes per disagreement query", allocs, perQuery)
 	if allocs >= maxAllocs {
 		t.Errorf("disagreement query made %.0f allocations, want fewer than %d", allocs, maxAllocs)
+	}
+	if perQuery >= maxBytes {
+		t.Errorf("disagreement query allocated %d bytes, want under %d", perQuery, maxBytes)
+	}
+}
+
+// TestGroupAggregateAllocationsFollowGroups pins what a count-by-worker
+// aggregate over the D_Product service allocates. Each input row's group
+// key is built in one reused buffer, so the aggregate allocates per
+// group (176 workers), not per answer (24,945). The race runtime changes
+// allocator behaviour, so the test skips under -race.
+func TestGroupAggregateAllocationsFollowGroups(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	const maxPerGroup = 16
+	svc, led := dProductService(t)
+	groups := 0
+	allocs := testing.AllocsPerRun(5, func() {
+		c := query.NewCatalog(svc, led)
+		rel := mustCompile(t, c, `{"op":"aggregate","by":["worker"],"aggs":[{"op":"count","as":"n"}],"input":{"op":"scan","relation":"answers"}}`)
+		rows, _ := query.Collect(rel, -1)
+		groups = len(rows)
+	})
+	if groups != dProductWorkers {
+		t.Fatalf("aggregate returned %d groups, want %d", groups, dProductWorkers)
+	}
+	t.Logf("%.0f allocations for %d groups", allocs, groups)
+	if allocs >= maxPerGroup*dProductWorkers {
+		t.Errorf("count-by-worker aggregate made %.0f allocations, want fewer than %d per group (%d)",
+			allocs, maxPerGroup, maxPerGroup*dProductWorkers)
 	}
 }
 

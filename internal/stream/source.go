@@ -2,8 +2,8 @@ package stream
 
 import (
 	"errors"
+	"slices"
 
-	"truthinference/internal/core"
 	"truthinference/internal/dataset"
 	"truthinference/internal/mathx"
 )
@@ -86,11 +86,12 @@ func (s *Service) ScanShard(si, pos, beforeIdx int, dst []dataset.Answer) (n, ne
 // WorkerQualities returns every worker's quality estimate from the last
 // published result alongside the previous published epoch's estimate
 // (equal to the current one before a second epoch exists, and for
-// workers that joined since), plus the store version the vector
-// reflects. The incremental methods model workers uniformly and report
+// workers that joined since), plus the result version the vectors
+// reflect. The incremental methods model workers uniformly and report
 // 1 for both. Iterative methods return ErrNotInferred before their
 // first epoch. The pair is what the query plane's worker-quality-drop
-// view differences across the epoch boundary.
+// view differences across the epoch boundary. Callers only read prev:
+// before a second epoch it is cur itself, not a second copy.
 func (s *Service) WorkerQualities() (cur, prev []float64, version uint64, err error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -98,16 +99,17 @@ func (s *Service) WorkerQualities() (cur, prev []float64, version uint64, err er
 		return nil, nil, 0, ErrNotInferred
 	}
 	cur = append([]float64(nil), s.res.WorkerQuality...)
-	prev = make([]float64, len(cur))
-	var n int
-	if h := len(s.qualityHist); h >= 2 {
-		// Every published epoch with workers appends to qualityHist, so
-		// its second-to-last row is the previous epoch's vector.
-		n = copy(prev, s.qualityHist[h-2])
+	h := len(s.qualityHist)
+	if h < 2 {
+		// No worker has history yet; its "previous" estimate is the
+		// current one, so its delta reads 0 rather than a phantom drop.
+		return cur, cur, s.resVersion, nil
 	}
-	// Workers first seen this epoch (and every worker before the second
-	// epoch) have no history; their "previous" estimate is the current
-	// one, so their delta reads 0 rather than a phantom drop.
+	// Every published epoch with workers appends to qualityHist, so its
+	// second-to-last row is the previous epoch's vector. Workers first
+	// seen this epoch have no history and keep their current estimate.
+	prev = make([]float64, len(cur))
+	n := copy(prev, s.qualityHist[h-2])
 	copy(prev[n:], cur[n:])
 	return cur, prev, s.resVersion, nil
 }
@@ -147,14 +149,20 @@ func (s *Service) Posteriors(dst [][]float64, since uint64, changed func(task in
 		return nil, 0, ErrNoPosterior
 	}
 	// Every row has the store's ℓ choices (core.Result's contract), so the
-	// rows a grown dst lacks take two allocations, not one per task.
+	// rows a grown dst lacks take two allocations, not one per task. They
+	// are all copied below, so nothing is written to them first.
 	n, ell := len(s.res.Posterior), s.store.NumChoices()
 	if len(dst) > 0 && len(dst[0]) != ell {
 		dst = nil
 	}
 	held := min(len(dst), n)
 	if len(dst) < n {
-		dst = append(dst, core.UniformPosterior(n-len(dst), ell)...)
+		flat := make([]float64, (n-len(dst))*ell)
+		dst = slices.Grow(dst, n-len(dst))
+		for len(dst) < n {
+			dst = append(dst, flat[:ell:ell])
+			flat = flat[ell:]
+		}
 	}
 	dst = dst[:n]
 	rows := s.res.Posterior
