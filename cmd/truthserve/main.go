@@ -1,6 +1,6 @@
 // Command truthserve is the online truth-inference daemon: a
 // multi-tenant registry of crowdsourcing projects, each with its own
-// mutable sharded answer store, its own method/seed/epoch configuration
+// append-only answer store, its own method/seed/epoch configuration
 // re-run warm-started as batches arrive, its own optional task-assignment
 // ledger, and — with -wal-dir set — its own write-ahead-log namespace,
 // recovered to a bit-identical store on the next start.
@@ -14,11 +14,12 @@
 // the -projects file (a JSON object mapping project id → config) or
 // created at runtime through the admin API, which accepts the same
 // shape. Each config carries method, task_type, choices, seed,
-// max_iter, parallelism, shards, no_auto_refresh, data, snapshot_every,
-// limits and an optional assign block (policy, redundancy, budget,
-// lease_ttl, defense). When durable, projects are
-// recorded in <wal-dir>/projects.json and recovered on the next boot;
-// a recovered project wins over a boot-file entry of the same id.
+// max_iter, parallelism, no_auto_refresh, data, snapshot_every, limits
+// and an optional assign block (policy, redundancy, budget, lease_ttl,
+// defense); any other field fails the boot as unknown. When durable,
+// projects are recorded in <wal-dir>/projects.json and recovered on the
+// next boot; a recovered project wins over a boot-file entry of the
+// same id.
 //
 // The API (see internal/stream, internal/assign and internal/tenant for
 // the wire formats):
@@ -107,8 +108,10 @@ func main() {
 // signal in production, test cancellation in the regression suite) or
 // the server fails. On cancellation it drains: HTTP shutdown, then every
 // project concurrently (in-flight epoch, WAL fsync + final snapshot) —
-// and returns nil.
+// and returns nil. ln is closed on every return, so a boot that fails
+// never leaves clients waiting on a listener nobody serves.
 func run(ctx context.Context, cfg config, ln net.Listener, logger *slog.Logger) error {
+	defer ln.Close()
 	if logger == nil {
 		logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}

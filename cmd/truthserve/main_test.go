@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -48,10 +49,21 @@ func TestUnknownMethodErrorListsRegistry(t *testing.T) {
 	}
 }
 
-// startDaemon runs the daemon on an ephemeral port and returns its base
-// URL, the cancel that plays the role of SIGTERM, and the channel run's
-// result arrives on.
+// startDaemon runs the daemon on an ephemeral port, waits until it is
+// healthy, and returns its base URL, the cancel that plays the role of
+// SIGTERM, and the channel run's result arrives on.
 func startDaemon(t *testing.T, cfg config) (baseURL string, sigterm context.CancelFunc, done chan error) {
+	t.Helper()
+	baseURL, sigterm, done = bootDaemon(t, cfg)
+	if err := waitHealthy(baseURL, done); err != nil {
+		sigterm()
+		t.Fatal(err)
+	}
+	return baseURL, sigterm, done
+}
+
+// bootDaemon starts run on an ephemeral port without waiting for it.
+func bootDaemon(t *testing.T, cfg config) (baseURL string, sigterm context.CancelFunc, done chan error) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -60,9 +72,7 @@ func startDaemon(t *testing.T, cfg config) (baseURL string, sigterm context.Canc
 	ctx, cancel := context.WithCancel(context.Background())
 	done = make(chan error, 1)
 	go func() { done <- run(ctx, cfg, ln, testutil.Logger(t)) }()
-	baseURL = "http://" + ln.Addr().String()
-	waitHealthy(t, baseURL)
-	return baseURL, cancel, done
+	return "http://" + ln.Addr().String(), cancel, done
 }
 
 // writeProjects writes a -projects file and returns its path.
@@ -79,20 +89,28 @@ func writeProjects(t *testing.T, body string) string {
 // "default".
 const defaultURL = "/v1/projects/default"
 
-func waitHealthy(t *testing.T, baseURL string) {
-	t.Helper()
+// waitHealthy polls /v1/healthz until the daemon answers 200. It
+// returns run's error as soon as done delivers it, and gives up after
+// 10 s; each poll times out after a second.
+func waitHealthy(baseURL string, done <-chan error) error {
+	client := &http.Client{Timeout: time.Second}
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
-		resp, err := http.Get(baseURL + "/v1/healthz")
+		select {
+		case err := <-done:
+			return fmt.Errorf("daemon exited before it became healthy: %w", err)
+		default:
+		}
+		resp, err := client.Get(baseURL + "/v1/healthz")
 		if err == nil {
 			resp.Body.Close()
 			if resp.StatusCode == http.StatusOK {
-				return
+				return nil
 			}
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	t.Fatal("daemon never became healthy")
+	return errors.New("daemon never became healthy")
 }
 
 func postIngest(t *testing.T, baseURL, body string) {
@@ -129,7 +147,7 @@ func getStats(t *testing.T, baseURL string) map[string]any {
 // kill the process mid-epoch.
 func TestGracefulShutdown(t *testing.T) {
 	baseURL, sigterm, done := startDaemon(t, config{
-		projectsFile: writeProjects(t, `{"default": {"method": "MV", "seed": 1, "shards": 4}}`),
+		projectsFile: writeProjects(t, `{"default": {"method": "MV", "seed": 1}}`),
 	})
 	postIngest(t, baseURL, `{"answers":[{"task":0,"worker":0,"value":1},{"task":0,"worker":1,"value":1},{"task":1,"worker":0,"value":0}]}`)
 
@@ -156,7 +174,7 @@ func TestShutdownPersistsAndRecovers(t *testing.T) {
 	walDir := t.TempDir()
 	cfg := config{
 		walDir:       walDir,
-		projectsFile: writeProjects(t, `{"default": {"method": "MV", "seed": 1, "shards": 4, "snapshot_every": 2}}`),
+		projectsFile: writeProjects(t, `{"default": {"method": "MV", "seed": 1, "snapshot_every": 2}}`),
 	}
 
 	baseURL, sigterm, done := startDaemon(t, cfg)
@@ -207,7 +225,7 @@ func TestShutdownPersistsAndRecovers(t *testing.T) {
 // self-exclusion rails enforced by the daemon.
 func TestAssignmentEndpoints(t *testing.T) {
 	baseURL, sigterm, done := startDaemon(t, config{
-		projectsFile: writeProjects(t, `{"default": {"method": "MV", "seed": 1, "shards": 4,
+		projectsFile: writeProjects(t, `{"default": {"method": "MV", "seed": 1,
 			"assign": {"policy": "uncertainty", "budget": 4, "redundancy": 2, "lease_ttl": "1m"}}}`),
 	})
 	defer func() {
@@ -312,12 +330,12 @@ func TestAssignmentEndpoints(t *testing.T) {
 	}
 }
 
-// TestStatsReportsShardsAndWALOverHTTP pins the operator-facing /v1/stats
-// additions end to end: shard count always, WAL status when durable.
-func TestStatsReportsShardsAndWALOverHTTP(t *testing.T) {
+// TestStatsReportsWALOverHTTP pins the operator-facing /v1/stats
+// additions end to end: WAL status when durable.
+func TestStatsReportsWALOverHTTP(t *testing.T) {
 	baseURL, sigterm, done := startDaemon(t, config{
 		walDir:       t.TempDir(),
-		projectsFile: writeProjects(t, `{"default": {"method": "MV", "seed": 1, "shards": 4, "snapshot_every": 100}}`),
+		projectsFile: writeProjects(t, `{"default": {"method": "MV", "seed": 1, "snapshot_every": 100}}`),
 	})
 	defer func() {
 		sigterm()
@@ -327,9 +345,6 @@ func TestStatsReportsShardsAndWALOverHTTP(t *testing.T) {
 	}()
 	postIngest(t, baseURL, `{"answers":[{"task":0,"worker":0,"value":1}]}`)
 	st := getStats(t, baseURL)
-	if st["shards"].(float64) != 4 {
-		t.Errorf("stats shards = %v, want 4", st["shards"])
-	}
 	if st["durable"] != true {
 		t.Errorf("stats durable = %v, want true", st["durable"])
 	}
@@ -339,6 +354,30 @@ func TestStatsReportsShardsAndWALOverHTTP(t *testing.T) {
 	}
 	if wal["records_since_snapshot"].(float64) != 1 {
 		t.Errorf("records_since_snapshot = %v, want 1", wal["records_since_snapshot"])
+	}
+}
+
+// TestBootFileWithShardsFails pins that "shards", a retired knob, is an
+// unknown field: a boot file that still sets it stops the daemon at boot
+// with the decoder's error, and the harness reports that error within
+// seconds instead of waiting on a listener nobody serves.
+func TestBootFileWithShardsFails(t *testing.T) {
+	baseURL, sigterm, done := bootDaemon(t, config{
+		projectsFile: writeProjects(t, `{"default": {"method": "MV", "seed": 1, "shards": 4}}`),
+	})
+	defer sigterm()
+	start := time.Now()
+	err := waitHealthy(baseURL, done)
+	if err == nil {
+		sigterm()
+		<-done
+		t.Fatal(`the daemon booted from a boot file that sets "shards"`)
+	}
+	if !strings.Contains(err.Error(), `unknown field "shards"`) {
+		t.Fatalf("boot error %q does not name the unknown field", err)
+	}
+	if took := time.Since(start); took > 5*time.Second {
+		t.Fatalf("the boot error took %v to surface", took)
 	}
 }
 
@@ -530,7 +569,9 @@ func TestServeErrorIsReturned(t *testing.T) {
 	go func() {
 		done <- run(ctx, config{}, ln, nil)
 	}()
-	waitHealthy(t, "http://"+ln.Addr().String())
+	if err := waitHealthy("http://"+ln.Addr().String(), done); err != nil {
+		t.Fatal(err)
+	}
 	ln.Close()
 	select {
 	case err := <-done:

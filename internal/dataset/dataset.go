@@ -12,7 +12,6 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"sync/atomic"
 )
 
 // TaskType enumerates the three task families studied in the paper.
@@ -74,11 +73,6 @@ type Dataset struct {
 	Truth map[int]float64
 
 	csr *CSR // the answer index, built by Build or Extend
-
-	// tail is Answers with the spare capacity an Extend may append into
-	// in place; extended is set by the first Extend, which claims it.
-	tail     []Answer
-	extended atomic.Bool
 }
 
 // New constructs a dataset and builds its answer index. It validates that
@@ -135,28 +129,31 @@ func (d *Dataset) Build() error {
 		return err
 	}
 	d.csr = c
-	d.tail = d.Answers[:len(d.Answers):len(d.Answers)] // the caller owns any spare capacity
 	return nil
 }
 
-// Extend returns the dataset New would build over d's answers followed by
-// delta, with numTasks × numWorkers ranges and truth as its ground truth:
-// the same Answers, Truth, ranges and CSR, bit for bit. The ranges may
-// only grow, so d's answers stay valid and only delta and truth are
-// validated; an invalid answer's error names its global index. d is left
-// unchanged, on error too.
+// Extend returns the dataset New would build over answers, with
+// numTasks × numWorkers ranges and truth as its ground truth: the same
+// Answers, Truth, ranges and CSR, bit for bit. answers is the full new
+// answer column, and its first len(d.Answers) entries must be d's own
+// answers (an append-only log passes a longer prefix of itself), so only
+// the entries past them are validated and indexed; an invalid answer's
+// error names its index. The ranges may only grow, so d's answers stay
+// valid. d is left unchanged, on error too.
 //
-// The cost is one copy of d's index plus O(ranges + len(delta)) work:
+// The cost is one copy of d's index plus O(ranges + new answers) work:
 // every CSR row keeps its old entries and gains its new answers at its
-// end (see extendCSR). The first Extend of d appends delta to d's answer
-// column in place when it has spare capacity; that is past every length
-// any dataset exposes, and every exposed Answers is capacity-clipped, so
-// no slice a dataset hands out is ever written. The result then shares
-// d's answers, read-only like the CSR. A second Extend of d copies them.
-func (d *Dataset) Extend(delta []Answer, numTasks, numWorkers int, truth map[int]float64) (*Dataset, error) {
+// end (see extendCSR). No answer is copied: the result's Answers is
+// answers itself, capacity-clipped, so appending to it never writes into
+// the caller's array, and it is read-only like the CSR.
+func (d *Dataset) Extend(answers []Answer, numTasks, numWorkers int, truth map[int]float64) (*Dataset, error) {
 	if numTasks < d.NumTasks || numWorkers < d.NumWorkers {
 		return nil, fmt.Errorf("dataset %q: cannot extend %d tasks and %d workers to %d and %d: ranges only grow",
 			d.Name, d.NumTasks, d.NumWorkers, numTasks, numWorkers)
+	}
+	if len(answers) < len(d.Answers) {
+		return nil, fmt.Errorf("dataset %q: cannot extend %d answers to %d: answers only grow",
+			d.Name, len(d.Answers), len(answers))
 	}
 	out := &Dataset{
 		Name:       d.Name,
@@ -164,21 +161,16 @@ func (d *Dataset) Extend(delta []Answer, numTasks, numWorkers int, truth map[int
 		NumChoices: d.NumChoices,
 		NumTasks:   numTasks,
 		NumWorkers: numWorkers,
+		Answers:    answers[:len(answers):len(answers)],
 		Truth:      truth,
 	}
-	c, err := extendCSR(out, d.csr, delta)
+	c, err := extendCSR(out, d.csr, answers[len(d.Answers):])
 	if err != nil {
 		return nil, err
 	}
 	if err := out.checkTruths(); err != nil {
 		return nil, err
 	}
-	tail := d.tail
-	if d.extended.Swap(true) {
-		tail = tail[:len(tail):len(tail)] // the first Extend owns the spare capacity
-	}
-	out.tail = append(tail, delta...)
-	out.Answers = out.tail[:len(out.tail):len(out.tail)]
 	out.csr = c
 	return out, nil
 }

@@ -14,16 +14,11 @@ import (
 // imports internal/stream, mirroring how internal/assign consumes the
 // same service.
 type Source interface {
-	// Pin returns a consistent (store version, answer count) pair; every
-	// answer-sourced relation in one query excludes answers at or beyond
-	// the pinned count, so concurrent ingest cannot skew a result.
-	Pin() (version uint64, answers int)
-	// Shards returns the store's shard count (the ScanShard index space).
-	Shards() int
-	// ScanShard copies up to len(dst) answers of shard si starting at log
-	// position pos, excluding global indices >= beforeIdx; it returns the
-	// copied count, the next position, and whether the shard is drained.
-	ScanShard(si, pos, beforeIdx int, dst []dataset.Answer) (n, next int, done bool)
+	// Pin returns the store version and the answer log at that version,
+	// in ingestion order: a prefix no later ingest writes to. Every
+	// answer-sourced relation in one query reads this one prefix, so
+	// concurrent ingest cannot skew a result.
+	Pin() (version uint64, answers []dataset.Answer)
 	// NumChoices returns ℓ for categorical stores, 0 for numeric.
 	NumChoices() int
 	// Posteriors copies per-task posterior rows into dst and returns them
@@ -64,11 +59,6 @@ type ErrUnavailable struct{ Err error }
 
 func (e ErrUnavailable) Error() string { return fmt.Sprintf("query: relation unavailable: %v", e.Err) }
 func (e ErrUnavailable) Unwrap() error { return e.Err }
-
-// scanChunk is the per-pull copy size of the answer scan: small enough
-// that shard read-locks are held only briefly, large enough to amortize
-// the lock acquisition across many rows.
-const scanChunk = 512
 
 // Cardinality ranks of the base relations, smallest first. The greedy
 // join orderer and the build-side choice in HashJoin need only this
@@ -128,11 +118,13 @@ type Catalog struct {
 	// ResultVersion is the inference epoch backing any model-derived
 	// relation the query touched (0 until one is touched or none exists).
 	ResultVersion uint64
-	// Scanned counts answers copied out of the store by this catalog's
+	// Scanned counts answers read out of the pinned log by this catalog's
 	// scans — the query's real read cost, as opposed to the rows it
 	// returned. Read it after the query has been collected; catalogs are
 	// per-query and single-goroutine, so plain int is fine.
 	Scanned int
+
+	log []dataset.Answer // the pinned answer log
 
 	joinRows int   // rows stored or emitted so far by this query's hash joins
 	err      error // sticky: the first error a stream recorded (see Err)
@@ -145,8 +137,8 @@ func (c *Catalog) Err() error { return c.err }
 
 // NewCatalog pins the store and returns a catalog for one query.
 func NewCatalog(src Source, ledger Ledger) *Catalog {
-	v, n := src.Pin()
-	return &Catalog{src: src, ledger: ledger, StoreVersion: v, PinAnswers: n}
+	v, log := src.Pin()
+	return &Catalog{src: src, ledger: ledger, StoreVersion: v, PinAnswers: len(log), log: log}
 }
 
 // Relation resolves a base relation by name. Unknown names are an
@@ -177,61 +169,27 @@ func (c *Catalog) Relation(name string) (Relation, error) {
 	}
 }
 
-// chunks returns a pull over the pinned answer log: each call copies
-// the next chunk of at most scanChunk answers under a short shard
-// read-lock into one reused buffer and returns it, shards in order, or
-// nil once all are drained. A chunk is valid until the next call, and
-// no lock is held between calls.
-func (c *Catalog) chunks() func() []dataset.Answer {
-	var (
-		buf     = make([]dataset.Answer, scanChunk)
-		si, pos int
-	)
-	return func() []dataset.Answer {
-		for c.PinAnswers > 0 && si < c.src.Shards() {
-			n, next, done := c.src.ScanShard(si, pos, c.PinAnswers, buf)
-			c.Scanned += n
-			pos = next
-			if done || n == 0 {
-				// A shard that makes no progress yet claims more data
-				// would loop forever; treat it as drained.
-				si, pos = si+1, 0
-			}
-			if n > 0 {
-				return buf[:n]
-			}
-		}
-		return nil
-	}
-}
-
-// answers streams (task, worker, value) straight off the sharded store,
-// one chunk at a time (see chunks), everything at global index >= the
-// pin excluded.
+// answers streams (task, worker, value) straight off the pinned answer
+// log, in ingestion order.
 func (c *Catalog) answers() Relation {
-	var (
-		next  = c.chunks()
-		chunk []dataset.Answer
-		row   = make(Row, 3)
-	)
+	log, row := c.log, make(Row, 3)
 	return Relation{Cols: []string{"task", "worker", "value"}, Next: func() (Row, bool) {
-		if len(chunk) == 0 {
-			if chunk = next(); chunk == nil {
-				return nil, false
-			}
+		if len(log) == 0 {
+			return nil, false
 		}
-		a := chunk[0]
-		chunk = chunk[1:]
+		a := log[0]
+		log = log[1:]
+		c.Scanned++
 		row[0], row[1], row[2] = float64(a.Task), float64(a.Worker), a.Value
 		return row, true
 	}}
 }
 
-// mv derives the majority vote per task from the pinned answer scan:
-// (task, mv_label, mv_share). It counts the scan's chunks into ℓ counts
-// per task, held in blocks allocated as the scan reaches their tasks and
-// never regrown — never a copy of the answers. Ties break to the lowest
-// label (deterministic, and independent of the serving method's hashed
+// mv derives the majority vote per task from the pinned answer log:
+// (task, mv_label, mv_share). It counts the log into ℓ counts per task,
+// held in blocks allocated as the count reaches their tasks and never
+// regrown — never a copy of the answers. Ties break to the lowest label
+// (deterministic, and independent of the serving method's hashed
 // tie-break — callers comparing against a served MV should avoid tied
 // datasets). Requires a categorical store.
 func (c *Catalog) mv() (Relation, error) {
@@ -249,18 +207,16 @@ func (c *Catalog) mv() (Relation, error) {
 	return Relation{Cols: []string{"task", "mv_label", "mv_share"}, Next: func() (Row, bool) {
 		if !built {
 			built = true
-			next := c.chunks()
-			for chunk := next(); chunk != nil; chunk = next() {
-				for _, a := range chunk {
-					if a.Task >= tasks {
-						tasks = a.Task + 1
-						counts.grow(tasks)
-					}
-					if label := int(a.Value); label >= 0 && label < ell {
-						counts.at(a.Task)[label]++
-					}
+			for _, a := range c.log {
+				if a.Task >= tasks {
+					tasks = a.Task + 1
+					counts.grow(tasks)
+				}
+				if label := int(a.Value); label >= 0 && label < ell {
+					counts.at(a.Task)[label]++
 				}
 			}
+			c.Scanned += len(c.log)
 		}
 		for t < tasks {
 			task, votes := t, counts.at(t)

@@ -1,12 +1,11 @@
 // Package query is the relational read plane over the serving stack: a
 // small relational algebra — scan, select (σ), project (π), hash join
 // (⋈), group-aggregate, limit — whose operators are lazy pull-based
-// iterators streaming straight out of the sharded answer store, the
-// inference surfaces on the serving service, and the assignment ledger.
-// No scan materializes the store: the answer scan copies one small chunk
-// at a time under short shard read-locks, and every answer-sourced
-// relation in one query is pinned to a single store version (see
-// Catalog), so results are consistent even under concurrent ingest.
+// iterators streaming straight out of the answer store, the inference
+// surfaces on the serving service, and the assignment ledger. No scan
+// copies the store: every answer-sourced relation in one query reads the
+// same pinned prefix of the store's append-only log with no lock held
+// (see Catalog), so results are consistent even under concurrent ingest.
 // Each operator writes its rows into one row buffer of its own, so a row
 // is valid only until the next pull from the relation that returned it;
 // the operators that keep rows (a hash join's build side, the
@@ -16,14 +15,14 @@
 // all hash joins of one query store and emit are bounded by MaxJoinRows.
 //
 // Plans arrive as a JSON AST over POST /v1/query (see Node and Handler)
-// or as one of the canned operator views (see Views): method
-// disagreement, worker-quality drop, and spend-vs-budget. Join ordering
-// is greedy and statistics-free: every relation in the catalog has a
-// known cardinality class (a single budget row < outstanding leases <
-// workers < per-task rows < answers), so the planner just joins
-// smallest-first and always builds the hash table on the smaller side —
-// the janus-datalog observation that known-shape queries need no
-// optimizer.
+// or as one of the canned views, which are saved plans of the same AST
+// (see View): method disagreement, worker-quality drop, spend-vs-budget
+// and worker suspects. Join ordering is greedy and statistics-free:
+// every relation in the catalog has a known cardinality class (a single
+// budget row < outstanding leases < workers < per-task rows < answers),
+// so the planner just joins smallest-first and always builds the hash
+// table on the smaller side — the janus-datalog observation that
+// known-shape queries need no optimizer.
 //
 // Rows are flat []float64 and columns are named; values that do not
 // exist yet (no posterior before the first epoch, unlimited budget) are

@@ -33,9 +33,9 @@ func newMVService(t *testing.T, store *stream.Store) *stream.Service {
 	return svc
 }
 
-// fakeSource is a deterministic query.Source with a single-shard answer
-// log and hand-set model surfaces — the golden fixture the operator and
-// view tests assert exact rows against.
+// fakeSource is a deterministic query.Source with a fixed answer log and
+// hand-set model surfaces — the golden fixture the operator and view
+// tests assert exact rows against.
 type fakeSource struct {
 	answers   []dataset.Answer
 	pinAt     int // Pin reports this count (defaults to len(answers))
@@ -47,28 +47,12 @@ type fakeSource struct {
 	version   uint64
 }
 
-func (f *fakeSource) Pin() (uint64, int) {
+func (f *fakeSource) Pin() (uint64, []dataset.Answer) {
 	n := f.pinAt
 	if n == 0 {
 		n = len(f.answers)
 	}
-	return f.version, n
-}
-func (f *fakeSource) Shards() int { return 1 }
-func (f *fakeSource) ScanShard(si, pos, beforeIdx int, dst []dataset.Answer) (int, int, bool) {
-	if si != 0 {
-		return 0, pos, true
-	}
-	n := 0
-	for pos < len(f.answers) && n < len(dst) {
-		if pos >= beforeIdx { // global idx == log position in one shard
-			return n, pos, true
-		}
-		dst[n] = f.answers[pos]
-		n++
-		pos++
-	}
-	return n, pos, pos >= len(f.answers)
+	return f.version, f.answers[:n:n]
 }
 func (f *fakeSource) NumChoices() int { return f.choices }
 func (f *fakeSource) Posteriors([][]float64, uint64, func(int)) ([][]float64, uint64, error) {
@@ -577,7 +561,7 @@ func TestHostileAST(t *testing.T) {
 }
 
 // TestPinnedScanUnderConcurrentIngest proves the tentpole consistency
-// property on the real sharded store: a catalog pinned before a wave of
+// property on the real store: a catalog pinned before a wave of
 // concurrent ingests sees exactly the pinned answers — no more, no less
 // — even while the store grows under it, and a catalog pinned after
 // sees everything.
@@ -646,5 +630,36 @@ func TestPinnedScanUnderConcurrentIngest(t *testing.T) {
 	rows, _ := query.Collect(mustCompile(t, c2, `{"op":"scan","relation":"answers"}`), -1)
 	if want := initial + 4*5*20; len(rows) != want {
 		t.Fatalf("post-ingest scan returned %d rows, want %d", len(rows), want)
+	}
+}
+
+// TestAnswersRelationStreamsIngestionOrder pins that the answers
+// relation over a real store streams the log in ingestion order, with
+// tasks that span several 64-task chunks and arrive out of task order,
+// and that the catalog counts every answer it read.
+func TestAnswersRelationStreamsIngestionOrder(t *testing.T) {
+	store, err := stream.NewStore("query-order", dataset.Decision, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []query.Row
+	for b := 0; b < 4; b++ {
+		batch := make([]dataset.Answer, 50)
+		for i := range batch {
+			n := b*50 + i
+			batch[i] = dataset.Answer{Task: n * 97 % 500, Worker: n % 13, Value: float64(n % 2)}
+			want = append(want, query.Row{float64(batch[i].Task), float64(batch[i].Worker), batch[i].Value})
+		}
+		if _, _, err := store.Ingest(stream.Batch{Answers: batch}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c := query.NewCatalog(newMVService(t, store), nil)
+	rows := collectAll(t, mustCompile(t, c, `{"op":"scan","relation":"answers"}`))
+	if fmt.Sprint(rows) != fmt.Sprint(want) {
+		t.Fatalf("answers relation streamed %v..., want ingestion order %v...", rows[:min(len(rows), 4)], want[:4])
+	}
+	if c.Scanned != len(want) {
+		t.Fatalf("catalog scanned %d answers, want %d", c.Scanned, len(want))
 	}
 }

@@ -1,10 +1,16 @@
 package query
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+
+	"truthinference/internal/api"
+)
 
 // Canned view names (the "view" field of a query request). Each is a
-// pre-built operator plan over the same catalog the raw AST sees —
-// views have no private fast path, they are just saved queries.
+// saved plan (see ViewPlans), compiled by Compile exactly as a posted
+// plan is — views have no private fast path, they are just saved
+// queries.
 const (
 	// ViewDisagreement lists tasks where the serving method's posterior
 	// argmax disagrees with a majority vote recomputed over the pinned
@@ -32,6 +38,35 @@ const (
 // ViewNames lists the canned views.
 var ViewNames = []string{ViewDisagreement, ViewWorkerQualityDrop, ViewSpendVsBudget, ViewWorkerSuspect}
 
+// ViewPlans holds each canned view's saved plan, as the JSON a client
+// would post as "plan". The disagreement join lists mv first: mv and
+// posterior_top are the same size class, so Compile's tie rule builds
+// the hash table on mv (it only has rows for tasks with answers) and
+// probes posterior_top.
+var ViewPlans = map[string]string{
+	ViewDisagreement: `{"op":"select","where":{"op":"ne","col":"mv_label","col2":"top_label"},
+		"input":{"op":"join","inputs":[{"op":"scan","relation":"mv"},{"op":"scan","relation":"posterior_top"}]}}`,
+	ViewWorkerQualityDrop: `{"op":"select","where":{"op":"gt","col":"drop","value":0},
+		"input":{"op":"scan","relation":"workers"}}`,
+	ViewSpendVsBudget: `{"op":"scan","relation":"budget"}`,
+	ViewWorkerSuspect: `{"op":"select","where":{"op":"eq","col":"suspect","value":1},
+		"input":{"op":"scan","relation":"suspects"}}`,
+}
+
+// viewNodes is ViewPlans decoded once; Compile only reads a plan, so
+// every query shares these.
+var viewNodes = func() map[string]*Node {
+	nodes := make(map[string]*Node, len(ViewPlans))
+	for name, plan := range ViewPlans {
+		n := new(Node)
+		if err := api.DecodeStrict(strings.NewReader(plan), n); err != nil {
+			panic(fmt.Sprintf("query: saved plan of view %q: %v", name, err))
+		}
+		nodes[name] = n
+	}
+	return nodes
+}()
+
 // ErrUnknownView distinguishes "no such view" (HTTP 404) from
 // structural plan errors (422).
 type ErrUnknownView struct{ Name string }
@@ -40,56 +75,11 @@ func (e ErrUnknownView) Error() string {
 	return fmt.Sprintf("query: unknown view %q (have %v)", e.Name, ViewNames)
 }
 
-// View compiles a canned view against the catalog.
+// View compiles a canned view's saved plan against the catalog.
 func View(c *Catalog, name string) (Relation, error) {
-	switch name {
-	case ViewDisagreement:
-		mv, err := c.Relation("mv")
-		if err != nil {
-			return Relation{}, err
-		}
-		top, err := c.Relation("posterior_top")
-		if err != nil {
-			return Relation{}, err
-		}
-		// mv and posterior_top are the same size class; build on the mv
-		// side (it only has rows for tasks with answers).
-		joined, err := c.HashJoin(mv, top, []string{"task"})
-		if err != nil {
-			return Relation{}, err
-		}
-		ml, tl := colIndexMust(joined.Cols, "mv_label"), colIndexMust(joined.Cols, "top_label")
-		return Select(joined, func(r Row) bool { return r[ml] != r[tl] }), nil
-
-	case ViewWorkerQualityDrop:
-		workers, err := c.Relation("workers")
-		if err != nil {
-			return Relation{}, err
-		}
-		drop := colIndexMust(workers.Cols, "drop")
-		return Select(workers, func(r Row) bool { return r[drop] > 0 }), nil
-
-	case ViewSpendVsBudget:
-		return c.Relation("budget")
-
-	case ViewWorkerSuspect:
-		sus, err := c.Relation("suspects")
-		if err != nil {
-			return Relation{}, err
-		}
-		flag := colIndexMust(sus.Cols, "suspect")
-		return Select(sus, func(r Row) bool { return r[flag] == 1 }), nil
-
-	default:
+	n, ok := viewNodes[name]
+	if !ok {
 		return Relation{}, ErrUnknownView{name}
 	}
-}
-
-// colIndexMust is colIndex for columns this package itself emitted.
-func colIndexMust(cols []string, name string) int {
-	i := colIndex(cols, name)
-	if i < 0 {
-		panic(fmt.Sprintf("query: internal: column %q missing from %v", name, cols))
-	}
-	return i
+	return Compile(c, n)
 }

@@ -1,9 +1,14 @@
 package query_test
 
 import (
+	"encoding/json"
+	"fmt"
+	"net/http"
+	"reflect"
 	"runtime"
 	"testing"
 
+	"truthinference/internal/api"
 	"truthinference/internal/assign"
 	"truthinference/internal/core"
 	"truthinference/internal/dataset"
@@ -27,7 +32,7 @@ func dProductService(tb testing.TB) (*stream.Service, *assign.Ledger) {
 func dProductServiceOf(tb testing.TB, method core.Method) (*stream.Service, *assign.Ledger) {
 	tb.Helper()
 	d := simulate.Generate(simulate.DProduct, 1)
-	svc, err := stream.NewService(stream.NewStoreAt(d, 1, stream.DefaultShards), stream.Config{Method: method})
+	svc, err := stream.NewService(stream.NewStoreAt(d, 1), stream.Config{Method: method})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -55,6 +60,47 @@ func runView(tb testing.TB, svc *stream.Service, led *assign.Ledger, view string
 		tb.Fatal(err)
 	}
 	return rows
+}
+
+// TestViewsAreSavedPlans posts each canned view's saved plan as a raw
+// plan and requires the view's own response: the same columns and the
+// same rows in the same order. It runs over the golden fixture, where
+// every view has a row, and over D&S on D_Product, where the
+// disagreement view has hundreds.
+func TestViewsAreSavedPlans(t *testing.T) {
+	led := &fakeLedger{
+		stats:    assign.Stats{Budget: 100, BudgetRemaining: 40, Outstanding: 10, Completed: 50},
+		suspects: []assign.Suspect{{Worker: 0, Qualified: true}, {Worker: 1, Banned: true, BanReason: "golden", GoldenFailed: 2}},
+	}
+	dsSvc, dsLed := dProductServiceOf(t, ds.New())
+	for _, tc := range []struct {
+		name string
+		src  query.Source
+		led  query.Ledger
+	}{{"golden", golden(), led}, {"D&S on D_Product", dsSvc, dsLed}} {
+		srv := queryServer(t, tc.src, tc.led)
+		for _, view := range query.ViewNames {
+			get := func(body string) api.QueryResponse {
+				t.Helper()
+				resp, data := postQuery(t, srv, body)
+				var out api.QueryResponse
+				if err := json.Unmarshal(data, &out); err != nil || resp.StatusCode != http.StatusOK {
+					t.Fatalf("%s, %s: HTTP %d, %v: %s", tc.name, body, resp.StatusCode, err, data)
+				}
+				return out
+			}
+			want := get(fmt.Sprintf(`{"view":%q,"limit":%d}`, view, query.MaxLimit))
+			got := get(fmt.Sprintf(`{"plan":%s,"limit":%d}`, query.ViewPlans[view], query.MaxLimit))
+			if !reflect.DeepEqual(got.Cols, want.Cols) || !reflect.DeepEqual(got.Rows, want.Rows) {
+				t.Errorf("%s: the saved plan of %s returned %v with %d rows, the view %v with %d",
+					tc.name, view, got.Cols, len(got.Rows), want.Cols, len(want.Rows))
+			}
+			if len(want.Rows) == 0 && tc.name == "golden" {
+				t.Errorf("%s: the view %s returned no rows to compare", tc.name, view)
+			}
+			t.Logf("%s: %s: %d rows", tc.name, view, len(want.Rows))
+		}
+	}
 }
 
 // TestDisagreementViewAllocations pins the cost of the query plane's

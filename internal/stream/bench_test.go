@@ -2,7 +2,6 @@ package stream
 
 import (
 	"bytes"
-	"fmt"
 	"io"
 	"log/slog"
 	"math/rand"
@@ -66,7 +65,7 @@ func BenchmarkStreamEpochZC(b *testing.B) { benchEpoch(b, zc.New()) }
 // BenchmarkSnapshot measures Store.Snapshot, the full copy and index
 // that WAL compaction takes, on S_Rel at scale 1.0 (98,453 answers).
 func BenchmarkSnapshot(b *testing.B) {
-	store := NewStoreAt(simulate.Generate(simulate.SRel, 1), 1, DefaultShards)
+	store := NewStoreAt(simulate.Generate(simulate.SRel, 1), 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -79,7 +78,7 @@ func BenchmarkSnapshot(b *testing.B) {
 // refresh workload's delta. Ingest is outside the timer.
 func BenchmarkSnapshotSince(b *testing.B) {
 	d := simulate.Generate(simulate.SRel, 1)
-	store := NewStoreAt(d, 1, DefaultShards)
+	store := NewStoreAt(d, 1)
 	prev, _ := store.Snapshot()
 	rng := rand.New(rand.NewSource(1))
 	b.ReportAllocs()
@@ -126,69 +125,6 @@ func BenchmarkIncrementalIngest(b *testing.B) {
 		if _, err := svc.Ingest(Batch{Answers: full.Answers[lo : lo+batch]}); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkShardedIngest measures concurrent ingest throughput at
-// increasing shard counts — shards=1 is the single-lock baseline the
-// pre-sharding store was equivalent to. Four writers each own a
-// disjoint chunk-aligned task range (disjoint shard sets at ≥4 shards),
-// and one op is the four of them pushing a fixed batch schedule into a
-// fresh store, so the number reads as wall-clock per fixed workload:
-// lower at higher shard counts = the per-shard locking is paying off.
-func BenchmarkShardedIngest(b *testing.B) {
-	const (
-		writers         = 4
-		batchesPerWrite = 32
-		perBatch        = 64
-		numWorkers      = 64
-	)
-	// Pre-build every writer's batch schedule once: writer w answers
-	// tasks [w*ShardChunk, (w+1)*ShardChunk).
-	schedules := make([][]Batch, writers)
-	for w := range schedules {
-		base := w * ShardChunk
-		for n := 0; n < batchesPerWrite; n++ {
-			batch := Batch{Answers: make([]dataset.Answer, perBatch)}
-			for i := range batch.Answers {
-				batch.Answers[i] = dataset.Answer{
-					Task:   base + (n*perBatch+i)%ShardChunk,
-					Worker: (w*13 + n + i) % numWorkers,
-					Value:  float64((n + i) % 4),
-				}
-			}
-			schedules[w] = append(schedules[w], batch)
-		}
-	}
-	for _, shards := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				store, err := NewStoreN("bench", dataset.SingleChoice, 4, shards)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, _, err := store.Ingest(Batch{NumTasks: writers * ShardChunk, NumWorkers: numWorkers}); err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-
-				var wg sync.WaitGroup
-				for w := 0; w < writers; w++ {
-					wg.Add(1)
-					go func(w int) {
-						defer wg.Done()
-						for _, batch := range schedules[w] {
-							if _, _, err := store.Ingest(batch); err != nil {
-								b.Error(err)
-								return
-							}
-						}
-					}(w)
-				}
-				wg.Wait()
-			}
-		})
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 	"truthinference/internal/dataset"
 )
 
-// FuzzStoreIngest feeds the sharded store batches derived from arbitrary
+// FuzzStoreIngest feeds the store batches derived from arbitrary
 // bytes — valid ones, out-of-range ids, fractional and non-finite
 // values, negative dims — and asserts the ingest invariants the serving
 // and durability layers build on:
@@ -29,7 +29,7 @@ import (
 //     the epoch path's extend.
 //
 // The byte→batch mapping is generative (every input produces a batch),
-// so the fuzzer explores the validator and the shard commit path rather
+// so the fuzzer explores the validator and the commit path rather
 // than a decoder's error returns.
 func FuzzStoreIngest(f *testing.F) {
 	f.Add([]byte{})

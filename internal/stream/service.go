@@ -464,14 +464,11 @@ type Stats struct {
 	// Name identifies the store being served — the project id in a
 	// multi-tenant daemon — so aggregated per-tenant stats are
 	// self-describing.
-	Name    string `json:"name"`
-	Method  string `json:"method"`
-	Tasks   int    `json:"tasks"`
-	Workers int    `json:"workers"`
-	Answers int    `json:"answers"`
-	// Shards is the store's partition count (contention tuning only;
-	// state is shard-count independent).
-	Shards       int    `json:"shards"`
+	Name         string `json:"name"`
+	Method       string `json:"method"`
+	Tasks        int    `json:"tasks"`
+	Workers      int    `json:"workers"`
+	Answers      int    `json:"answers"`
 	StoreVersion uint64 `json:"store_version"`
 	// ResultVersion is the store version the served truths reflect;
 	// equal to StoreVersion when fresh.
@@ -504,7 +501,6 @@ func (s *Service) Stats() Stats {
 		Tasks:        tasks,
 		Workers:      workers,
 		Answers:      answers,
-		Shards:       s.store.Shards(),
 		StoreVersion: storeVersion,
 		Incremental:  s.inc != nil,
 		Durable:      s.cfg.Persist != nil,

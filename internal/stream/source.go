@@ -14,8 +14,8 @@ import (
 // they are. The Service satisfies assign.Source structurally — neither
 // package imports the other. The same is true of the relational query
 // plane: the Service satisfies query.Source (internal/query) through
-// the pinned-scan forwarders, Entropies and WorkerQualities below, again
-// with no import in either direction.
+// Pin, Entropies and WorkerQualities below, again with no import in
+// either direction.
 
 // ErrNoPosterior is returned by Posteriors and Entropies when the serving
 // method publishes no per-task posterior (the numeric methods Mean and
@@ -33,10 +33,10 @@ func (s *Service) Dims() (tasks, workers, answers int) { return s.store.Dims() }
 // categorical stores, 0 for numeric).
 func (s *Service) NumChoices() int { return s.store.NumChoices() }
 
-// AnswersSince calls f for every answer of the underlying store at
-// global index from or later and returns the count to pass next time;
-// see Store.AnswersSince for the locking contract. The assignment ledger
-// follows the store by this delta.
+// AnswersSince calls f for every answer of the underlying store at log
+// index from or later, in ingestion order, and returns the count to pass
+// next time; see Store.AnswersSince. The assignment ledger follows the
+// store by this delta.
 func (s *Service) AnswersSince(from int, f func(task, worker int, value float64)) (next int) {
 	return s.store.AnswersSince(from, f)
 }
@@ -69,19 +69,9 @@ func (s *Service) QualityHistory() (hist [][]float64, version uint64) {
 	return hist, s.resVersion
 }
 
-// Pin returns a consistent (version, answer count) pair for a
-// non-materializing pinned read of the underlying store; see Store.Pin.
-func (s *Service) Pin() (version uint64, answers int) { return s.store.Pin() }
-
-// Shards returns the underlying store's shard count (the ScanShard
-// index space).
-func (s *Service) Shards() int { return s.store.Shards() }
-
-// ScanShard streams one shard of the underlying store's pinned answer
-// log; see Store.ScanShard for the chunking and locking contract.
-func (s *Service) ScanShard(si, pos, beforeIdx int, dst []dataset.Answer) (n, next int, done bool) {
-	return s.store.ScanShard(si, pos, beforeIdx, dst)
-}
+// Pin returns the underlying store's version and its answer log at that
+// version, a prefix no later ingest writes to; see Store.Pin.
+func (s *Service) Pin() (version uint64, answers []dataset.Answer) { return s.store.Pin() }
 
 // WorkerQualities returns every worker's quality estimate from the last
 // published result alongside the previous published epoch's estimate

@@ -363,14 +363,14 @@ func TestPosteriorsDeltaReadBesideIngest(t *testing.T) {
 }
 
 // TestAnswersSince pins the store's delta walk: AnswersSince(k) visits
-// exactly the answers at global index k or later, shard by shard in log
-// order, and returns the answer count; counts built from its visits
-// equal a snapshot's task degrees; and a follower that keeps calling it
-// with the count it got back visits every answer exactly once while
-// other goroutines ingest (run it under -race).
+// exactly the answers at log index k or later, in ingestion order, and
+// returns the answer count; counts built from its visits equal a
+// snapshot's task degrees; and a follower that keeps calling it with the
+// count it got back visits every answer exactly once while other
+// goroutines ingest (run it under -race).
 func TestAnswersSince(t *testing.T) {
-	// A numeric store lets each answer's value be its global index.
-	store, err := NewStoreN("since", dataset.Numeric, 0, 3)
+	// A numeric store lets each answer's value be its log index.
+	store, err := NewStore("since", dataset.Numeric, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,15 +398,11 @@ func TestAnswersSince(t *testing.T) {
 			t.Fatalf("AnswersSince(%d) returned %d, want %d", from, next, total)
 		}
 		var want []int
-		for shard := 0; shard < store.Shards(); shard++ {
-			for idx := from; idx < total; idx++ {
-				if store.shardOf(snap.Answers[idx].Task) == shard {
-					want = append(want, idx)
-				}
-			}
+		for idx := from; idx < total; idx++ {
+			want = append(want, idx)
 		}
 		if !slices.Equal(visited, want) {
-			t.Fatalf("AnswersSince(%d) visited %d answers %v..., want %d in shard-major log order",
+			t.Fatalf("AnswersSince(%d) visited %d answers %v..., want %d in log order",
 				from, len(visited), visited[:min(len(visited), 5)], len(want))
 		}
 	}
@@ -470,23 +466,15 @@ func TestAnswersSince(t *testing.T) {
 	}
 }
 
-// TestStatsReportsShardsAndDurability pins the operator-facing stats
-// additions: shard count always, WAL status when a stats-capable
-// persister is attached.
-func TestStatsReportsShardsAndDurability(t *testing.T) {
-	store, err := NewStoreN("st", dataset.Decision, 2, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	svc, err := NewService(store, Config{Method: direct.NewMV(), Options: optsSeq(1)})
+// TestStatsReportsDurability pins the operator-facing stats additions:
+// WAL status when a stats-capable persister is attached.
+func TestStatsReportsDurability(t *testing.T) {
+	svc, err := NewService(mustNewStore(t), Config{Method: direct.NewMV(), Options: optsSeq(1)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer svc.Close()
 	st := svc.Stats()
-	if st.Shards != 5 {
-		t.Errorf("Stats.Shards = %d, want 5", st.Shards)
-	}
 	if st.Durable || st.WAL != nil {
 		t.Errorf("non-durable service reports durability: %+v", st)
 	}

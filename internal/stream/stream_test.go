@@ -140,7 +140,7 @@ func TestIncrementalExactEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			svc, err := NewService(NewStoreAt(pre, 3, DefaultShards), Config{Method: tc.method, Options: opts})
+			svc, err := NewService(NewStoreAt(pre, 3), Config{Method: tc.method, Options: opts})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -445,11 +445,10 @@ func TestStoreRejectsOversizedBatch(t *testing.T) {
 }
 
 // TestSnapshotAllocationsConstant pins that Store.Snapshot allocates a
-// fixed number of objects whatever the store's size: the answer copy,
-// one truth map and the CSR's columns, with no per-task or per-worker
-// index rows. Two task counts with the same truths stay under one bound;
-// the larger one takes the parallel copy path. The race runtime changes
-// allocator behaviour, so the test skips under -race.
+// fixed number of objects whatever the store's size: one truth map and
+// the CSR's columns, with no per-task or per-worker index rows. Two task
+// counts with the same truths stay under one bound. The race runtime
+// changes allocator behaviour, so the test skips under -race.
 func TestSnapshotAllocationsConstant(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -458,7 +457,7 @@ func TestSnapshotAllocationsConstant(t *testing.T) {
 	for _, tasks := range []int{2000, 20000} {
 		d := testutil.Categorical(testutil.CrowdSpec{NumTasks: tasks, NumWorkers: 100, NumChoices: 4, Redundancy: 5, Seed: 3})
 		d.Truth = map[int]float64{0: 1, 7: 2, 1999: 0}
-		store := NewStoreAt(d, 1, DefaultShards)
+		store := NewStoreAt(d, 1)
 		allocs := testing.AllocsPerRun(5, func() { store.Snapshot() })
 		t.Logf("%d tasks: %.0f allocations per Snapshot", tasks, allocs)
 		if allocs > maxAllocs {
@@ -469,9 +468,8 @@ func TestSnapshotAllocationsConstant(t *testing.T) {
 
 // TestSnapshotSinceAllocationsConstant pins that an epoch's snapshot —
 // the previous one extended by a 50-answer batch — allocates a fixed
-// number of objects whatever the store's size: the new answers, one truth
-// map, the CSR's columns and, when the answer column is full, a larger
-// one. Each measured extend is the real epoch path, taken on the last
+// number of objects whatever the store's size: one truth map and the
+// CSR's columns. Each measured extend is the real epoch path, taken on the last
 // one's result. Two task counts stay under one bound. The race runtime
 // changes allocator behaviour, so the test skips under -race.
 func TestSnapshotSinceAllocationsConstant(t *testing.T) {
@@ -482,7 +480,7 @@ func TestSnapshotSinceAllocationsConstant(t *testing.T) {
 	for _, tasks := range []int{2000, 20000} {
 		d := testutil.Categorical(testutil.CrowdSpec{NumTasks: tasks, NumWorkers: 100, NumChoices: 4, Redundancy: 5, Seed: 3})
 		d.Truth = map[int]float64{0: 1, 7: 2, 1999: 0}
-		store := NewStoreAt(d, 1, DefaultShards)
+		store := NewStoreAt(d, 1)
 		snap, _ := store.Snapshot()
 		rng := rand.New(rand.NewSource(3))
 		var most uint64
@@ -503,6 +501,38 @@ func TestSnapshotSinceAllocationsConstant(t *testing.T) {
 		}
 		if want, _ := store.Snapshot(); !reflect.DeepEqual(snap, want) {
 			t.Errorf("%d tasks: the extended snapshot differs from a full one", tasks)
+		}
+	}
+}
+
+// TestSnapshotSharesTheLog pins that snapshots hold no copy of the
+// answers: a full snapshot's and each epoch snapshot's Answers are the
+// store's log prefix itself, with the same first element, and their
+// capacity equals their length, so appending to a snapshot's answers can
+// never write into the log.
+func TestSnapshotSharesTheLog(t *testing.T) {
+	store, err := NewStore("share", dataset.SingleChoice, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	if _, _, err := store.Ingest(Batch{Answers: randomAnswers(rng, 100, 40, 9, 3)}); err != nil {
+		t.Fatal(err)
+	}
+	snap, _ := store.Snapshot()
+	for epoch := 0; epoch <= 10; epoch++ {
+		if epoch > 0 {
+			if _, _, err := store.Ingest(Batch{Answers: randomAnswers(rng, 50, 40, 9, 3)}); err != nil {
+				t.Fatal(err)
+			}
+			snap, _ = store.snapshotSince(snap)
+		}
+		_, log := store.Pin()
+		if len(snap.Answers) != len(log) || &snap.Answers[0] != &log[0] {
+			t.Fatalf("epoch %d: the snapshot's %d answers are not the log prefix of %d", epoch, len(snap.Answers), len(log))
+		}
+		if cap(snap.Answers) != len(snap.Answers) {
+			t.Fatalf("epoch %d: the snapshot's answers have capacity %d past their length %d", epoch, cap(snap.Answers), len(snap.Answers))
 		}
 	}
 }

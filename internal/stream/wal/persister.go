@@ -21,9 +21,11 @@ type Options struct {
 	// O(answers) snapshot never stalls the ingest path, which only pays
 	// for the O(1) log append.
 	SnapshotEvery int
-	// Shards is the shard count for stores rebuilt from a snapshot
-	// (0 = stream.DefaultShards). Shard count never affects recovered
-	// state, only contention.
+	// Shards is ignored.
+	//
+	// Deprecated: the store has one answer log. The field stays only
+	// until the benchmark's hand-built tenant stops setting it (ROADMAP
+	// item 1).
 	Shards int
 	// Metrics, when non-nil, receives append/fsync observations (see
 	// NewMetrics). Nil disables instrumentation.
@@ -118,7 +120,7 @@ func Open(base string, fresh func() (*stream.Store, error), opts Options) (*Pers
 	d, snapVersion, err := ReadSnapshot(snapPath)
 	switch {
 	case err == nil:
-		rec.Store = stream.NewStoreAt(d, snapVersion, opts.Shards)
+		rec.Store = stream.NewStoreAt(d, snapVersion)
 		rec.SnapshotVersion = snapVersion
 	case os.IsNotExist(err):
 		store, ferr := fresh()

@@ -33,9 +33,13 @@ type Config struct {
 	// Parallelism is the per-epoch worker goroutine count (0 = all CPUs,
 	// 1 = sequential).
 	Parallelism int `json:"parallelism,omitempty"`
-	// Shards is the project store's shard count (0 = stream default).
-	// Contention tuning only; state is shard-count independent.
-	Shards int `json:"shards,omitempty"`
+	// Shards is ignored and never decoded: a config that sets "shards"
+	// fails as an unknown field.
+	//
+	// Deprecated: the store has one answer log. The field stays only
+	// until the benchmark's hand-built tenant stops reading it (ROADMAP
+	// item 1).
+	Shards int `json:"-"`
 	// NoAutoRefresh disables background re-inference after each batch
 	// (by default it is on).
 	NoAutoRefresh bool `json:"no_auto_refresh,omitempty"`
@@ -81,9 +85,6 @@ func (c Config) Validate() error {
 	}
 	if c.Choices < 0 {
 		return fmt.Errorf("tenant: negative choices %d", c.Choices)
-	}
-	if c.Shards < 0 {
-		return fmt.Errorf("tenant: negative shards %d", c.Shards)
 	}
 	// core.Options reads a non-positive iteration cap as the default and
 	// a negative parallelism as all CPUs, so a negative value here would

@@ -24,13 +24,13 @@ func TestTwoProjectsConcurrentIsolationAndRecovery(t *testing.T) {
 	// alpha: categorical MV behind the uncertainty router; small
 	// snapshot cadence so compaction runs mid-test.
 	alphaCfg := Config{
-		Method: "MV", TaskType: "decision", Seed: 11, Shards: 4, SnapshotEvery: 3,
+		Method: "MV", TaskType: "decision", Seed: 11, SnapshotEvery: 3,
 		Assign: &assign.Spec{Policy: "uncertainty", Redundancy: 3, LeaseTTL: assign.Duration(6e10)},
 	}
-	// beta: numeric Mean behind least-answered balancing, different
-	// shard count, compaction only on shutdown.
+	// beta: numeric Mean behind least-answered balancing, compaction
+	// only on shutdown.
 	betaCfg := Config{
-		Method: "Mean", TaskType: "numeric", Seed: 22, Shards: 2, SnapshotEvery: -1,
+		Method: "Mean", TaskType: "numeric", Seed: 22, SnapshotEvery: -1,
 		Assign: &assign.Spec{Policy: "least-answered", Redundancy: 2, LeaseTTL: assign.Duration(6e10)},
 	}
 	if _, err := reg.Create("alpha", alphaCfg); err != nil {

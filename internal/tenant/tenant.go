@@ -1,8 +1,8 @@
 // Package tenant is the multi-tenant layer of the serving stack: a
 // Registry owns N independent crowdsourcing projects, each with its own
-// answer store (own shard count), inference service (own method, seed
-// and epoch configuration), optional assignment ledger (own policy and
-// budget) and — when the registry is durable — its own write-ahead log
+// answer store, inference service (own method, seed and epoch
+// configuration), optional assignment ledger (own policy and budget)
+// and — when the registry is durable — its own write-ahead log
 // namespace. A project is configured only by its Config: declared in
 // the daemon's boot file, or created, listed and deleted at runtime
 // through the admin API (http.go), and addressed as
@@ -11,9 +11,9 @@
 // # Lock discipline
 //
 // The registry's RWMutex guards only the id → *Project map (plus the
-// pending-id reservation set); every per-project structure (store
-// shards, service epochs, ledger leases) keeps its own locks, and the
-// slow halves of admin operations — WAL recovery and dataset preload on
+// pending-id reservation set); every per-project structure (store log,
+// service epochs, ledger leases) keeps its own locks, and the slow
+// halves of admin operations — WAL recovery and dataset preload on
 // create, the epoch drain and namespace removal on delete — run outside
 // the lock behind an id reservation, with manifest writes serialized by
 // their own mutex. Request routing therefore costs one short RLock of
@@ -174,13 +174,13 @@ func openProject(id string, cfg Config, base string, logger *slog.Logger, tel *t
 			d.Name = id // stores are named by project so stats self-describe
 			logger.Info("preloaded dataset", "path", cfg.Data,
 				"tasks", d.NumTasks, "workers", d.NumWorkers, "answers", len(d.Answers))
-			return stream.NewStoreAt(d, 1, cfg.Shards), nil
+			return stream.NewStoreAt(d, 1), nil
 		}
 		typ, err := ParseTaskType(cfg.taskTypeOrDefault())
 		if err != nil {
 			return nil, err
 		}
-		return stream.NewStoreN(id, typ, cfg.choicesOrDefault(), cfg.Shards)
+		return stream.NewStore(id, typ, cfg.choicesOrDefault())
 	}
 
 	var store *stream.Store
@@ -188,7 +188,6 @@ func openProject(id string, cfg Config, base string, logger *slog.Logger, tel *t
 	if base != "" {
 		p, rec, err := wal.Open(base, fresh, wal.Options{
 			SnapshotEvery: cfg.snapshotEvery(),
-			Shards:        cfg.Shards,
 			Metrics:       wal.NewMetrics(tel, id),
 		})
 		if err != nil {
@@ -291,7 +290,7 @@ func openProject(id string, cfg Config, base string, logger *slog.Logger, tel *t
 	mux.Handle("POST /v1/query", query.NewHandler(svc, ql, query.NewMetrics(tel, id)))
 	p.handler = mux
 	logger.Info("serving", "method", m.Name(), "auto_refresh", !cfg.NoAutoRefresh,
-		"shards", store.Shards(), "durable", persist != nil)
+		"durable", persist != nil)
 	return p, nil
 }
 

@@ -72,7 +72,6 @@ func TestRegistryRejectsBadCreates(t *testing.T) {
 		{"ok-id", Config{Method: "Mean"}},                       // Mean cannot serve decision
 		{"ok-id", Config{Method: "MV", TaskType: "tabular"}},    // unknown type
 		{"ok-id", Config{Method: "MV", Choices: -1}},            // negative choices
-		{"ok-id", Config{Method: "MV", Shards: -1}},             // negative shards
 		{"neg-iter", Config{Method: "D&S", MaxIter: -5}},        // negative max_iter
 		{"neg-par", Config{Method: "D&S", Parallelism: -9}},     // negative parallelism
 		{"../up", Config{Method: "MV"}},                         // traversal id
