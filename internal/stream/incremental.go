@@ -82,9 +82,9 @@ func (inc *incremental) grow(version uint64, numTasks, numWorkers int) {
 // apply folds a delta of appended answers, committed at store version
 // version, into the state and relabels the touched tasks, stamping each
 // rewritten MV posterior row with version. numTasks and numWorkers are
-// the store's ranges after the delta. Batches must be applied in
-// ingestion order; the service serializes ingest, so the delta of each
-// call is exactly the batch it just committed.
+// the store's ranges after the delta. Deltas must be applied in
+// ingestion order: NewService folds the pinned log once, then the
+// service, which serializes ingest, folds each batch it commits.
 func (inc *incremental) apply(version uint64, answers []dataset.Answer, numTasks, numWorkers int) {
 	inc.grow(version, numTasks, numWorkers)
 	touched := map[int]bool{}
@@ -110,13 +110,6 @@ func (inc *incremental) apply(version uint64, answers []dataset.Answer, numTasks
 			inc.relabelMedian(i)
 		}
 	}
-}
-
-// applyDataset folds a whole existing dataset (e.g. a preloaded store
-// or a recovered snapshot) taken at store version version into freshly
-// initialized state.
-func (inc *incremental) applyDataset(version uint64, d *dataset.Dataset) {
-	inc.apply(version, d.Answers, d.NumTasks, d.NumWorkers)
 }
 
 // relabelMV recomputes task i's plurality label, with the same

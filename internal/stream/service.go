@@ -163,12 +163,13 @@ func NewService(store *Store, cfg Config) (*Service, error) {
 	if incrementalMethods[cfg.Method.Name()] {
 		// Fold whatever the store already holds (a preloaded benchmark
 		// file, or a recovered snapshot+WAL replay) into the incremental
-		// result and publish it, so it always reflects answers
-		// [0, len(d.Answers)). One snapshot at construction, O(delta)
-		// forever after.
-		snap, version := store.Snapshot()
-		s.inc = newIncremental(cfg.Method.Name(), cfg.Options.Seed, snap.NumChoices)
-		s.inc.applyDataset(version, snap)
+		// result and publish it: one pass over the pinned log at
+		// construction, O(delta) forever after. Dims read after the pin
+		// cover every answer in it.
+		version, answers := store.Pin()
+		tasks, workers, _ := store.Dims()
+		s.inc = newIncremental(cfg.Method.Name(), cfg.Options.Seed, store.NumChoices())
+		s.inc.apply(version, answers, tasks, workers)
 		s.res, s.resVersion = s.inc.res, version
 	}
 	return s, nil

@@ -210,10 +210,22 @@ func (s *Store) Pin() (version uint64, answers []dataset.Answer) {
 	return s.version, s.log[:len(s.log):len(s.log)]
 }
 
+// Contents returns the store at one version as a dataset with no answer
+// index, together with that version: the pinned log prefix (see Pin),
+// the dims and a copy of the truths, all read under one read lock. WAL
+// compaction encodes it as it is (Dataset.MarshalBinary reads no index);
+// inference needs Snapshot.
+func (s *Store) Contents() (*dataset.Dataset, uint64) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return &dataset.Dataset{Name: s.name, Type: s.typ, NumChoices: s.numChoices,
+		NumTasks: s.tasks, NumWorkers: s.workers,
+		Answers: s.log[:len(s.log):len(s.log)], Truth: maps.Clone(s.truth)}, s.version
+}
+
 // Snapshot returns a consistent snapshot of the store as a dataset,
-// together with the store version it reflects: the log prefix, indexed
-// once by dataset.New. WAL compaction and the incremental methods' first
-// fold take it; the epoch path extends its previous snapshot instead
+// together with the store version it reflects: Contents, indexed once by
+// Build. The epoch path extends its previous snapshot instead
 // (snapshotSince).
 func (s *Store) Snapshot() (*dataset.Dataset, uint64) {
 	return s.snapshotSince(nil)
@@ -226,18 +238,12 @@ func (s *Store) Snapshot() (*dataset.Dataset, uint64) {
 // only the truths are copied under the read lock. Re-inference runs on
 // snapshots, so ingestion never blocks behind a long EM run.
 func (s *Store) snapshotSince(prev *dataset.Dataset) (*dataset.Dataset, uint64) {
-	s.mu.RLock()
-	version, tasks, workers := s.version, s.tasks, s.workers
-	answers := s.log[:len(s.log):len(s.log)]
-	truth := maps.Clone(s.truth)
-	s.mu.RUnlock()
-
-	var d *dataset.Dataset
+	d, version := s.Contents()
 	var err error
 	if prev == nil {
-		d, err = dataset.New(s.name, s.typ, s.numChoices, tasks, workers, answers, truth)
+		err = d.Build()
 	} else {
-		d, err = prev.Extend(answers, tasks, workers, truth)
+		d, err = prev.Extend(d.Answers, d.NumTasks, d.NumWorkers, d.Truth)
 	}
 	if err != nil {
 		// Every committed batch was validated against its target dims, so

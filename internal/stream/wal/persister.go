@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -343,8 +342,7 @@ func (p *Persister) Snapshot() error {
 	if p.closed {
 		return errors.New("wal: persister is closed")
 	}
-	d, version := p.store.Snapshot()
-	err := WriteSnapshot(p.base+".snap", d, version)
+	version, err := p.writeSnapshot()
 	if err == nil {
 		err = p.swapLogLocked(version)
 	}
@@ -352,13 +350,20 @@ func (p *Persister) Snapshot() error {
 	return err
 }
 
+// writeSnapshot writes <base>.snap from the store's pinned log prefix
+// and a copy of its truths (Store.Contents), encoded with no index, and
+// returns the store version it covers.
+func (p *Persister) writeSnapshot() (uint64, error) {
+	d, version := p.store.Contents()
+	return version, WriteSnapshot(p.base+".snap", d, version)
+}
+
 // compactAsync is the background half of Record's compaction kick: the
-// O(answers) store snapshot and the snapshot file write run without the
-// lock, so the ingest path never stalls behind them; only the final log
-// swap briefly takes it.
+// O(answers) snapshot encode and file write run without the lock, so
+// the ingest path never stalls behind them; only the final log swap
+// briefly takes it.
 func (p *Persister) compactAsync() {
-	d, version := p.store.Snapshot()
-	err := WriteSnapshot(p.base+".snap", d, version)
+	version, err := p.writeSnapshot()
 
 	p.mu.Lock()
 	if err == nil {
@@ -393,47 +398,30 @@ func (p *Persister) waitIdle() {
 // pending records the just-written snapshot (at snapVersion) does not
 // cover. The caller holds p.mu and has durably renamed the snapshot
 // into place, which is the crash-safety argument: the fresh log is
-// built at a temp path, fsynced, and renamed over the old log, so a
-// crash at any point leaves either the old log (fully intact, its
-// covered records skipped on replay) or the new one (holding exactly
-// the uncovered records) — acknowledged data is never lost. Failure
-// never wedges the persister: on any error the current log stays open
-// and untouched, and the next Record retries the whole compaction.
+// written through createAtomic, so a crash at any point leaves either
+// the old log (fully intact, its covered records skipped on replay) or
+// the new one (holding exactly the uncovered records) — acknowledged
+// data is never lost. Failure never wedges the persister: on any error
+// the current log stays open and untouched, and the next Record retries
+// the whole compaction.
 func (p *Persister) swapLogLocked(snapVersion uint64) error {
-	walPath := p.base + ".wal"
-	tmp := walPath + ".tmp"
-	fresh, err := Create(tmp)
-	if err != nil {
-		return err
-	}
+	buf := []byte(logMagic)
 	carried := 0
 	for _, r := range p.pending {
 		if r.version > snapVersion {
-			if err := fresh.Append(r.version, r.b); err != nil {
-				fresh.Close()
-				os.Remove(tmp)
+			var err error
+			if buf, err = appendRecord(buf, r.version, r.b); err != nil {
 				return err
 			}
 			carried++
 		}
 	}
-	if err := fresh.Sync(); err != nil {
-		fresh.Close()
-		os.Remove(tmp)
+	f, err := createAtomic(p.base+".wal", buf)
+	if err != nil {
 		return err
-	}
-	if err := os.Rename(tmp, walPath); err != nil {
-		fresh.Close()
-		os.Remove(tmp)
-		return err
-	}
-	fresh.path = walPath
-	if dir, derr := os.Open(filepath.Dir(walPath)); derr == nil {
-		_ = dir.Sync()
-		dir.Close()
 	}
 	old := p.log
-	p.log = fresh
+	p.log = &Log{f: f}
 	_ = old.Close()
 	p.since = carried
 	// The swap is a durability point: the snapshot rename and the fresh

@@ -60,13 +60,6 @@ import (
 const (
 	logMagic  = "TIWAL\x01\r\n"
 	snapMagic = "TISNP\x01\r\n"
-
-	// maxRecordLen bounds one record's payload (64 MiB ≈ 2.7M answers);
-	// a larger declared length is treated as corruption, so a damaged
-	// length field cannot drive a huge allocation.
-	maxRecordLen = 1 << 26
-
-	frameLen = 8 // uint32 length + uint32 crc
 )
 
 // CorruptError reports damaged log or snapshot bytes: where the damage
@@ -87,25 +80,17 @@ func (e *CorruptError) Error() string {
 // nothing already Appended); Sync makes the log durable against machine
 // crashes too.
 type Log struct {
-	f    *os.File
-	path string
+	f *os.File
 }
 
-// Create truncates (or creates) the log at path and writes the magic.
+// Create replaces (or creates) the log at path with an empty one holding
+// only the magic, through the same atomic create as WriteFileAtomic.
 func Create(path string) (*Log, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	f, err := createAtomic(path, []byte(logMagic))
 	if err != nil {
 		return nil, err
 	}
-	if _, err := f.Write([]byte(logMagic)); err != nil {
-		f.Close()
-		return nil, err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return &Log{f: f, path: path}, nil
+	return &Log{f: f}, nil
 }
 
 // openAppend opens an existing log for appending at offset off (the end
@@ -123,28 +108,31 @@ func openAppend(path string, off int64) (*Log, error) {
 		f.Close()
 		return nil, err
 	}
-	return &Log{f: f, path: path}, nil
+	return &Log{f: f}, nil
 }
 
 // Append writes one framed record: the batch plus the store version it
 // produced. The frame and payload go out in a single write, so a crash
 // mid-append leaves at most one torn record at the tail — exactly what
-// replay tolerates.
+// replay tolerates. A record past stream.MaxFramePayload is refused up
+// front (replay would read it as damage); Store.Ingest's MaxBatch cap
+// keeps every admissible batch well under it.
 func (l *Log) Append(version uint64, b stream.Batch) error {
-	payload := appendBatch(make([]byte, 0, 16+len(b.Answers)*12+len(b.Truth)*10), version, b)
-	if len(payload) > maxRecordLen {
-		// Replay would reject the record as corrupt, silently destroying
-		// it and everything after — refuse up front instead. Unreachable
-		// through Store.Ingest, whose MaxBatch cap keeps every admissible
-		// batch well under this limit.
-		return fmt.Errorf("wal: record payload %d bytes exceeds the %d cap", len(payload), maxRecordLen)
+	rec, err := appendRecord(make([]byte, 0, 24+len(b.Answers)*12+len(b.Truth)*10), version, b)
+	if err != nil {
+		return err
 	}
-	rec := make([]byte, frameLen, frameLen+len(payload))
-	binary.LittleEndian.PutUint32(rec[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(rec[4:8], crc32.ChecksumIEEE(payload))
-	rec = append(rec, payload...)
-	_, err := l.f.Write(rec)
+	_, err = l.f.Write(rec)
 	return err
+}
+
+// appendRecord appends one record frame to buf: the version, then the
+// shared batch-payload encoding (the one the batched HTTP ingest
+// endpoint frames on the wire).
+func appendRecord(buf []byte, version uint64, b stream.Batch) ([]byte, error) {
+	return stream.AppendFrame(buf, func(buf []byte) []byte {
+		return stream.AppendBatchPayload(binary.LittleEndian.AppendUint64(buf, version), b)
+	})
 }
 
 // Sync flushes the log to stable storage.
@@ -159,85 +147,59 @@ func (l *Log) Close() error {
 	return l.f.Close()
 }
 
-// Path returns the log's file path.
-func (l *Log) Path() string { return l.path }
-
-// appendBatch encodes one record payload: the version prefix plus the
-// shared batch-payload encoding from the stream package (the same
-// encoding the batched HTTP ingest endpoint frames on the wire).
-func appendBatch(buf []byte, version uint64, b stream.Batch) []byte {
-	buf = binary.LittleEndian.AppendUint64(buf, version)
-	return stream.AppendBatchPayload(buf, b)
-}
-
-// decodeBatch decodes one record payload. It enforces wire shape only;
-// semantic validation (label ranges, finite numerics) happens in
-// Store.Ingest during replay.
-func decodeBatch(payload []byte) (version uint64, b stream.Batch, err error) {
-	if len(payload) < 8 {
-		return 0, stream.Batch{}, errors.New("payload shorter than version field")
-	}
-	version = binary.LittleEndian.Uint64(payload[:8])
-	b, err = stream.DecodeBatchPayload(payload[8:])
-	if err != nil {
-		return 0, stream.Batch{}, err
-	}
-	return version, b, nil
-}
-
 // Replay streams the log at path and calls fn for every intact record
-// in order, holding O(maxRecordLen) memory regardless of log size (a
-// crashed daemon running without automatic compaction can leave an
-// arbitrarily long log behind). It returns the byte offset of the end
+// in order, holding O(stream.MaxFramePayload) memory regardless of log
+// size (a crashed daemon running without automatic compaction can leave
+// an arbitrarily long log behind). It returns the byte offset of the end
 // of the intact prefix and the number of records delivered. A truncated
 // or corrupted tail stops the scan and is reported as a *CorruptError;
-// an error returned by fn stops the scan and is returned as-is (with
-// the offset still pointing before the record that fn rejected).
+// an error reading the file, or one returned by fn, stops the scan and
+// is returned as-is (with the offset still pointing before the record
+// that failed).
 func Replay(path string, fn func(version uint64, b stream.Batch) error) (goodOffset int64, records int, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return 0, 0, err
 	}
 	defer f.Close()
-	r := bufio.NewReaderSize(f, 1<<16)
+	return replay(bufio.NewReaderSize(f, 1<<16), path, fn)
+}
 
+// replay is Replay over a reader; path names the log in a *CorruptError.
+func replay(r io.Reader, path string, fn func(version uint64, b stream.Batch) error) (off int64, records int, err error) {
 	magic := make([]byte, len(logMagic))
-	if _, err := io.ReadFull(r, magic); err != nil || string(magic) != logMagic {
+	if _, err := io.ReadFull(r, magic); err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
+		return 0, 0, err
+	}
+	if string(magic) != logMagic {
 		return 0, 0, &CorruptError{Path: path, Offset: 0, Reason: "bad log magic"}
 	}
-	off := int64(len(logMagic))
-	hdr := make([]byte, frameLen)
+	off = int64(len(logMagic))
 	var payload []byte
 	for {
-		if _, err := io.ReadFull(r, hdr); err != nil {
-			if err == io.EOF {
-				return off, records, nil
-			}
-			return off, records, &CorruptError{Path: path, Offset: off, Reason: "torn frame header"}
+		payload, err = stream.ReadFrame(r, payload)
+		var fe *stream.FrameError
+		switch {
+		case err == io.EOF:
+			return off, records, nil
+		case errors.As(err, &fe):
+			return off, records, &CorruptError{Path: path, Offset: off, Reason: fe.Reason}
+		case err != nil:
+			return off, records, err
 		}
-		plen := binary.LittleEndian.Uint32(hdr[0:4])
-		crc := binary.LittleEndian.Uint32(hdr[4:8])
-		if plen > maxRecordLen {
-			return off, records, &CorruptError{Path: path, Offset: off, Reason: fmt.Sprintf("record length %d exceeds cap", plen)}
+		if len(payload) < 8 {
+			return off, records, &CorruptError{Path: path, Offset: off, Reason: "payload shorter than version field"}
 		}
-		if cap(payload) < int(plen) {
-			payload = make([]byte, plen)
-		}
-		payload = payload[:plen]
-		if _, err := io.ReadFull(r, payload); err != nil {
-			return off, records, &CorruptError{Path: path, Offset: off, Reason: "torn record payload"}
-		}
-		if crc32.ChecksumIEEE(payload) != crc {
-			return off, records, &CorruptError{Path: path, Offset: off, Reason: "payload CRC mismatch"}
-		}
-		version, b, derr := decodeBatch(payload)
+		// Semantic validation (label ranges, finite numerics) happens in
+		// Store.Ingest during replay.
+		b, derr := stream.DecodeBatchPayload(payload[8:])
 		if derr != nil {
 			return off, records, &CorruptError{Path: path, Offset: off, Reason: derr.Error()}
 		}
-		if err := fn(version, b); err != nil {
+		if err := fn(binary.LittleEndian.Uint64(payload), b); err != nil {
 			return off, records, err
 		}
-		off += frameLen + int64(plen)
+		off += int64(8 + len(payload)) // the frame header and payload
 		records++
 	}
 }
@@ -258,40 +220,45 @@ func WriteSnapshot(path string, d *dataset.Dataset, version uint64) error {
 	return WriteFileAtomic(path, buf)
 }
 
-// WriteFileAtomic replaces path with data: the bytes go to path+".tmp",
-// are fsynced, and replace path in one rename, followed by a
-// best-effort sync of the directory so the rename itself is durable. A
-// crash leaves either the old file or the new one, never a torn one; on
-// any error the temp file is removed and path is untouched.
+// WriteFileAtomic replaces path with data through createAtomic, so a
+// crash leaves either the old file or the new one, never a torn one,
+// and closes the new file.
 func WriteFileAtomic(path string, data []byte) error {
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	f, err := createAtomic(path, data)
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(data); err != nil {
+	return f.Close()
+}
+
+// createAtomic replaces path with a file holding data and returns it
+// open for appending: the bytes go to path+".tmp", are fsynced, and
+// replace path in one rename, followed by a best-effort sync of the
+// directory so the rename itself is durable. A crash leaves either the
+// old file or the new one, never a torn one. The rename is the last step
+// that can fail; on any error the temp file is removed and path is
+// untouched.
+func createAtomic(path string, data []byte) (*os.File, error) {
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	if _, err = f.Write(data); err == nil {
+		if err = f.Sync(); err == nil {
+			err = os.Rename(tmp, path)
+		}
+	}
+	if err != nil {
 		f.Close()
 		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
+		return nil, err
 	}
 	if dir, err := os.Open(filepath.Dir(path)); err == nil {
 		_ = dir.Sync()
 		dir.Close()
 	}
-	return nil
+	return f, nil
 }
 
 // ReadSnapshot loads a snapshot written by WriteSnapshot, verifying the

@@ -2,10 +2,13 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -130,9 +133,9 @@ func TestReplayStopsAtCorruptTail(t *testing.T) {
 	}{
 		"truncated mid-payload":  {clean[:bounds[2]+5], 2},
 		"truncated mid-header":   {clean[:bounds[1]+3], 1},
-		"flipped payload byte":   {flip(clean, int(bounds[2])+frameLen+2), 2},
+		"flipped payload byte":   {flip(clean, int(bounds[2])+8+2), 2},
 		"flipped crc byte":       {flip(clean, int(bounds[2])+4), 2},
-		"oversize length header": {overwriteLen(clean, int(bounds[2]), maxRecordLen+1), 2},
+		"oversize length header": {overwriteLen(clean, int(bounds[2]), stream.MaxFramePayload+1), 2},
 	}
 	for name, tc := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -164,6 +167,75 @@ func TestReplayStopsAtCorruptTail(t *testing.T) {
 				t.Fatalf("good offset %d, want %d", goodOff, bounds[tc.prefix])
 			}
 		})
+	}
+}
+
+// TestReplayReturnsReadErrors pins that a failed read is not a torn
+// tail: when the reader fails in the magic, at a record boundary or
+// inside a record, replay returns that error as it is, not a
+// *CorruptError, so Open refuses to boot instead of cutting away the
+// records after it (or rewriting the whole log).
+func TestReplayReturnsReadErrors(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "t.wal")
+	l, err := Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ingestAll(t, l, testBatches())
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := len(logMagic) + len(splitRecords(t, data)[0])
+	eio := errors.New("input/output error")
+	for name, tc := range map[string]struct{ n, records int }{
+		"in the magic":     {3, 0},
+		"after one record": {first, 1},
+		"inside a record":  {first + 11, 1},
+	} {
+		t.Run(name, func(t *testing.T) {
+			r := io.MultiReader(bytes.NewReader(data[:tc.n]), failingReader{eio})
+			_, records, err := replay(r, path, func(uint64, stream.Batch) error { return nil })
+			if err != eio {
+				t.Fatalf("replay error %T (%v), want the read error as it is", err, err)
+			}
+			if records != tc.records {
+				t.Fatalf("replay delivered %d records before the failed read, want %d", records, tc.records)
+			}
+		})
+	}
+}
+
+// failingReader fails every read with err.
+type failingReader struct{ err error }
+
+func (r failingReader) Read([]byte) (int, error) { return 0, r.err }
+
+// TestReplayDeclaredLengthAllocatesAsBytesArrive is the WAL twin of the
+// batch stream's: a 24-byte log (the magic, a frame header declaring a
+// stream.MaxFramePayload payload, and 8 payload bytes) must replay as a
+// torn tail without allocating the declared length.
+func TestReplayDeclaredLengthAllocatesAsBytesArrive(t *testing.T) {
+	data := binary.LittleEndian.AppendUint32([]byte(logMagic), stream.MaxFramePayload)
+	data = binary.LittleEndian.AppendUint32(data, 0)
+	data = append(data, make([]byte, 8)...)
+	path := filepath.Join(t.TempDir(), "t.wal")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := Replay(path, func(uint64, stream.Batch) error { return nil })
+	runtime.ReadMemStats(&after)
+	var ce *CorruptError
+	if !errors.As(err, &ce) {
+		t.Fatalf("err = %v, want a *CorruptError for the torn payload", err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Fatalf("replaying a 24-byte log allocated %d bytes, want under 1 MiB", alloc)
 	}
 }
 
@@ -555,8 +627,8 @@ func splitRecords(t *testing.T, data []byte) [][]byte {
 	off := len(logMagic)
 	for off < len(data) {
 		plen := int(uint32(data[off]) | uint32(data[off+1])<<8 | uint32(data[off+2])<<16 | uint32(data[off+3])<<24)
-		recs = append(recs, data[off:off+frameLen+plen])
-		off += frameLen + plen
+		recs = append(recs, data[off:off+8+plen])
+		off += 8 + plen
 	}
 	return recs
 }
