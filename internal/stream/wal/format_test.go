@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"os"
 	"path/filepath"
@@ -92,5 +93,73 @@ func TestFileFormatsPinned(t *testing.T) {
 				t.Fatalf("wrote\n%x\nwant\n%x", got, want)
 			}
 		})
+	}
+}
+
+// TestSnapshotVersionUnderCRC flips each of the 64 bits of a snapshot's
+// version field. The CRC covers the version, so every flip must read
+// as a *CorruptError: a version read wrong makes Open skip records it
+// should replay and number the next ingest past the truth.
+func TestSnapshotVersionUnderCRC(t *testing.T) {
+	d, version := formatStore(t, nil).Snapshot()
+	path := filepath.Join(t.TempDir(), "store.snap")
+	if err := WriteSnapshot(path, d, version); err != nil {
+		t.Fatal(err)
+	}
+	clean, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for bit := 0; bit < 64; bit++ {
+		bad := append([]byte(nil), clean...)
+		bad[len(snapMagic)+bit/8] ^= 1 << (bit % 8)
+		if err := os.WriteFile(path, bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var ce *CorruptError
+		if _, got, err := ReadSnapshot(path); !errors.As(err, &ce) {
+			t.Fatalf("bit %d flipped: read version %d, err %v; want a *CorruptError", bit, got, err)
+		}
+	}
+}
+
+// TestSnapshotV1StillRecovers opens a durable root whose snapshot is the
+// v1 file pinned under testdata/format (CRC over the dataset bytes
+// alone): it must recover to a store identical to the one that wrote
+// it, and the next snapshot is written as v2.
+func TestSnapshotV1StillRecovers(t *testing.T) {
+	v1, err := os.ReadFile(filepath.Join("testdata", "format", "store-v1.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(v1[:len(snapMagicV1)]) != snapMagicV1 {
+		t.Fatalf("pinned v1 snapshot opens with %q", v1[:len(snapMagicV1)])
+	}
+	base := filepath.Join(t.TempDir(), "store")
+	if err := os.WriteFile(base+".snap", v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fresh := func() (*stream.Store, error) { return stream.NewStore("format", dataset.Numeric, 0) }
+	p, rec, err := Open(base, fresh, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := formatStore(t, nil)
+	if rec.SnapshotVersion != want.Version() {
+		t.Fatalf("recovered snapshot version %d, want %d", rec.SnapshotVersion, want.Version())
+	}
+	requireIdentical(t, rec.Store, want)
+	if err := p.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	v2, err := os.ReadFile(base + ".snap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pinned, err := os.ReadFile(filepath.Join("testdata", "format", "store.snap")); err != nil || !bytes.Equal(v2, pinned) {
+		t.Fatalf("the snapshot after a v1 recovery is not the pinned v2 bytes (%v)", err)
 	}
 }

@@ -11,23 +11,23 @@
 // <base>.wal — the log:
 //
 //	8-byte magic "TIWAL\x01\r\n"
-//	records, each: uint32 LE payload length
-//	               uint32 LE CRC-32 (IEEE) of the payload
-//	               payload
-//	payload:       uint64 LE store version after applying this batch
-//	               uvarint batch NumTasks, uvarint batch NumWorkers
-//	               uvarint answer count, per answer:
-//	                 uvarint task, uvarint worker, 8-byte LE value bits
-//	               uvarint truth count, per truth (ascending task id):
-//	                 uvarint task, 8-byte LE value bits
+//	records, each one frame (stream.AppendFrame):
+//	  uint32 LE payload length
+//	  uint32 LE CRC-32 (IEEE) of the payload
+//	  payload: uint64 LE store version after applying this batch,
+//	           then the batch payload (stream.AppendBatchPayload)
 //
 // <base>.snap — the compacted snapshot, written atomically
-// (tmp + rename):
+// (tmp + fsync + rename + directory sync):
 //
-//	8-byte magic "TISNP\x01\r\n"
+//	8-byte magic "TISNP\x02\r\n"
 //	uint64 LE store version
-//	uint32 LE CRC-32 (IEEE) of the dataset encoding
+//	uint32 LE CRC-32 (IEEE) of the version field and the dataset bytes
 //	dataset.MarshalBinary bytes
+//
+// A v1 snapshot (magic "TISNP\x01\r\n") has the same layout with a CRC
+// over the dataset bytes alone. ReadSnapshot still reads it; the next
+// snapshot replaces it with a v2 one.
 //
 // # Recovery contract
 //
@@ -40,7 +40,9 @@
 // last intact record — recovery returns the consistent prefix plus a
 // *CorruptError describing the damage, never a torn store. Open
 // truncates the damaged tail before appending so the log stays readable
-// (or rewrites the log wholesale when the magic itself is damaged).
+// (or rewrites the log wholesale when the magic itself is damaged). A
+// failed read is not damage: Replay returns it as it is, and Open
+// refuses to boot, as it does for a version gap.
 package wal
 
 import (
@@ -58,8 +60,9 @@ import (
 )
 
 const (
-	logMagic  = "TIWAL\x01\r\n"
-	snapMagic = "TISNP\x01\r\n"
+	logMagic    = "TIWAL\x01\r\n"
+	snapMagic   = "TISNP\x02\r\n"
+	snapMagicV1 = "TISNP\x01\r\n"
 )
 
 // CorruptError reports damaged log or snapshot bytes: where the damage
@@ -206,18 +209,21 @@ func replay(r io.Reader, path string, fn func(version uint64, b stream.Batch) er
 
 // WriteSnapshot atomically writes a compacted snapshot of d at the given
 // store version through WriteFileAtomic, so a crash mid-write never
-// damages an existing snapshot.
+// damages an existing snapshot. d needs no answer index.
 func WriteSnapshot(path string, d *dataset.Dataset, version uint64) error {
 	enc, err := d.MarshalBinary()
 	if err != nil {
 		return err
 	}
-	buf := make([]byte, 0, len(snapMagic)+12+len(enc))
-	buf = append(buf, snapMagic...)
-	buf = binary.LittleEndian.AppendUint64(buf, version)
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(enc))
-	buf = append(buf, enc...)
-	return WriteFileAtomic(path, buf)
+	buf := binary.LittleEndian.AppendUint64([]byte(snapMagic), version)
+	buf = binary.LittleEndian.AppendUint32(buf, snapshotCRC(buf[len(snapMagic):], enc))
+	return WriteFileAtomic(path, append(buf, enc...))
+}
+
+// snapshotCRC is a v2 snapshot's checksum: the CRC-32 (IEEE) of its
+// version field followed by its dataset bytes.
+func snapshotCRC(version, enc []byte) uint32 {
+	return crc32.Update(crc32.ChecksumIEEE(version), crc32.IEEETable, enc)
 }
 
 // WriteFileAtomic replaces path with data through createAtomic, so a
@@ -261,26 +267,33 @@ func createAtomic(path string, data []byte) (*os.File, error) {
 	return f, nil
 }
 
-// ReadSnapshot loads a snapshot written by WriteSnapshot, verifying the
-// magic and the dataset CRC before decoding.
+// ReadSnapshot loads a snapshot written by WriteSnapshot, or a v1
+// snapshot, verifying the magic and the CRC before decoding.
 func ReadSnapshot(path string) (*dataset.Dataset, uint64, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, 0, err
 	}
-	hdr := len(snapMagic) + 12
-	if len(data) < hdr || string(data[:len(snapMagic)]) != snapMagic {
+	const hdr = len(snapMagic) + 12
+	if len(data) < hdr {
 		return nil, 0, &CorruptError{Path: path, Offset: 0, Reason: "bad snapshot magic"}
 	}
-	version := binary.LittleEndian.Uint64(data[len(snapMagic):])
-	crc := binary.LittleEndian.Uint32(data[len(snapMagic)+8:])
-	enc := data[hdr:]
-	if crc32.ChecksumIEEE(enc) != crc {
-		return nil, 0, &CorruptError{Path: path, Offset: int64(hdr), Reason: "dataset CRC mismatch"}
+	version, enc := data[len(snapMagic):len(snapMagic)+8], data[hdr:]
+	var crc uint32
+	switch string(data[:len(snapMagic)]) {
+	case snapMagic:
+		crc = snapshotCRC(version, enc)
+	case snapMagicV1:
+		crc = crc32.ChecksumIEEE(enc)
+	default:
+		return nil, 0, &CorruptError{Path: path, Offset: 0, Reason: "bad snapshot magic"}
+	}
+	if binary.LittleEndian.Uint32(data[len(snapMagic)+8:]) != crc {
+		return nil, 0, &CorruptError{Path: path, Offset: int64(len(snapMagic)), Reason: "snapshot CRC mismatch"}
 	}
 	d, err := dataset.UnmarshalDataset(enc)
 	if err != nil {
 		return nil, 0, &CorruptError{Path: path, Offset: int64(hdr), Reason: err.Error()}
 	}
-	return d, version, nil
+	return d, binary.LittleEndian.Uint64(version), nil
 }
