@@ -38,10 +38,13 @@ const (
 	maxBinaryDim = 1 << 26
 )
 
-// MarshalBinary serializes the dataset in the stable binary format. It
-// reads no answer index, so it encodes a dataset that was never built.
-func (d *Dataset) MarshalBinary() ([]byte, error) {
-	buf := make([]byte, 0, len(binaryMagic)+len(d.Name)+16+len(d.Answers)*12+len(d.Truth)*10)
+// MarshalBinary serializes the dataset in the stable binary format.
+func (d *Dataset) MarshalBinary() ([]byte, error) { return d.AppendBinary(nil) }
+
+// AppendBinary appends the stable binary encoding of d to buf. It reads
+// no answer index, so it encodes a dataset that was never built.
+func (d *Dataset) AppendBinary(buf []byte) ([]byte, error) {
+	buf = slices.Grow(buf, len(binaryMagic)+len(d.Name)+16+len(d.Answers)*12+len(d.Truth)*10)
 	buf = append(buf, binaryMagic...)
 	buf = binary.AppendUvarint(buf, uint64(len(d.Name)))
 	buf = append(buf, d.Name...)

@@ -62,8 +62,9 @@ func benchEpoch(b *testing.B, m core.Method) {
 func BenchmarkStreamEpochDS(b *testing.B) { benchEpoch(b, ds.New()) }
 func BenchmarkStreamEpochZC(b *testing.B) { benchEpoch(b, zc.New()) }
 
-// BenchmarkSnapshot measures Store.Snapshot, the full copy and index
-// that WAL compaction takes, on S_Rel at scale 1.0 (98,453 answers).
+// BenchmarkSnapshot measures Store.Snapshot, the log prefix indexed
+// once by Build, on S_Rel at scale 1.0 (98,453 answers). WAL compaction
+// builds no index (the wal package's BenchmarkCompactionEncode).
 func BenchmarkSnapshot(b *testing.B) {
 	store := NewStoreAt(simulate.Generate(simulate.SRel, 1), 1)
 	b.ReportAllocs()

@@ -211,19 +211,30 @@ func replay(r io.Reader, path string, fn func(version uint64, b stream.Batch) er
 // store version through WriteFileAtomic, so a crash mid-write never
 // damages an existing snapshot. d needs no answer index.
 func WriteSnapshot(path string, d *dataset.Dataset, version uint64) error {
-	enc, err := d.MarshalBinary()
+	buf, err := encodeSnapshot(d, version)
 	if err != nil {
 		return err
 	}
-	buf := binary.LittleEndian.AppendUint64([]byte(snapMagic), version)
-	buf = binary.LittleEndian.AppendUint32(buf, snapshotCRC(buf[len(snapMagic):], enc))
-	return WriteFileAtomic(path, append(buf, enc...))
+	return WriteFileAtomic(path, buf)
 }
 
-// snapshotCRC is a v2 snapshot's checksum: the CRC-32 (IEEE) of its
-// version field followed by its dataset bytes.
-func snapshotCRC(version, enc []byte) uint32 {
-	return crc32.Update(crc32.ChecksumIEEE(version), crc32.IEEETable, enc)
+// encodeSnapshot returns the snapshot file's bytes for d at version:
+// the magic in bytes [0, 8), the version in [8, 16), the CRC in [16, 20)
+// and the dataset encoding from byte 20 on.
+func encodeSnapshot(d *dataset.Dataset, version uint64) ([]byte, error) {
+	buf := binary.LittleEndian.AppendUint64([]byte(snapMagic), version)
+	buf, err := d.AppendBinary(append(buf, 0, 0, 0, 0)) // CRC placeholder
+	if err != nil {
+		return nil, err
+	}
+	binary.LittleEndian.PutUint32(buf[16:], snapshotCRC(buf))
+	return buf, nil
+}
+
+// snapshotCRC is the checksum a v2 snapshot file carries: the CRC-32
+// (IEEE) of its version field followed by its dataset bytes.
+func snapshotCRC(file []byte) uint32 {
+	return crc32.Update(crc32.ChecksumIEEE(file[8:16]), crc32.IEEETable, file[20:])
 }
 
 // WriteFileAtomic replaces path with data through createAtomic, so a
@@ -267,33 +278,32 @@ func createAtomic(path string, data []byte) (*os.File, error) {
 	return f, nil
 }
 
-// ReadSnapshot loads a snapshot written by WriteSnapshot, or a v1
-// snapshot, verifying the magic and the CRC before decoding.
+// ReadSnapshot loads a snapshot written by WriteSnapshot (layout at
+// encodeSnapshot), or a v1 snapshot, verifying the magic and the CRC
+// before decoding.
 func ReadSnapshot(path string) (*dataset.Dataset, uint64, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, 0, err
 	}
-	const hdr = len(snapMagic) + 12
-	if len(data) < hdr {
+	if len(data) < 20 {
 		return nil, 0, &CorruptError{Path: path, Offset: 0, Reason: "bad snapshot magic"}
 	}
-	version, enc := data[len(snapMagic):len(snapMagic)+8], data[hdr:]
 	var crc uint32
-	switch string(data[:len(snapMagic)]) {
+	switch string(data[:8]) {
 	case snapMagic:
-		crc = snapshotCRC(version, enc)
+		crc = snapshotCRC(data)
 	case snapMagicV1:
-		crc = crc32.ChecksumIEEE(enc)
+		crc = crc32.ChecksumIEEE(data[20:])
 	default:
 		return nil, 0, &CorruptError{Path: path, Offset: 0, Reason: "bad snapshot magic"}
 	}
-	if binary.LittleEndian.Uint32(data[len(snapMagic)+8:]) != crc {
-		return nil, 0, &CorruptError{Path: path, Offset: int64(len(snapMagic)), Reason: "snapshot CRC mismatch"}
+	if binary.LittleEndian.Uint32(data[16:20]) != crc {
+		return nil, 0, &CorruptError{Path: path, Offset: 8, Reason: "snapshot CRC mismatch"}
 	}
-	d, err := dataset.UnmarshalDataset(enc)
+	d, err := dataset.UnmarshalDataset(data[20:])
 	if err != nil {
-		return nil, 0, &CorruptError{Path: path, Offset: int64(hdr), Reason: err.Error()}
+		return nil, 0, &CorruptError{Path: path, Offset: 20, Reason: err.Error()}
 	}
-	return d, binary.LittleEndian.Uint64(version), nil
+	return d, binary.LittleEndian.Uint64(data[8:16]), nil
 }
