@@ -407,9 +407,9 @@ func (p *Persister) waitIdle() {
 func (p *Persister) swapLogLocked(snapVersion uint64) error {
 	buf := []byte(logMagic)
 	carried := 0
+	var err error
 	for _, r := range p.pending {
 		if r.version > snapVersion {
-			var err error
 			if buf, err = appendRecord(buf, r.version, r.b); err != nil {
 				return err
 			}

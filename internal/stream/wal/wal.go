@@ -239,7 +239,8 @@ func snapshotCRC(file []byte) uint32 {
 
 // WriteFileAtomic replaces path with data through createAtomic, so a
 // crash leaves either the old file or the new one, never a torn one,
-// and closes the new file.
+// then closes the new file; an error from that close comes after the
+// replacement.
 func WriteFileAtomic(path string, data []byte) error {
 	f, err := createAtomic(path, data)
 	if err != nil {
