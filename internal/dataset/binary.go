@@ -2,7 +2,6 @@ package dataset
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -111,7 +110,7 @@ func DecodeSection(data []byte, maxDim uint64) (numTasks, numWorkers int, answer
 		}
 	}
 	if c.err {
-		return 0, 0, nil, nil, errors.New("truncated encoding")
+		return 0, 0, nil, nil, fmt.Errorf("truncated encoding")
 	}
 	if c.remaining() != 0 {
 		return 0, 0, nil, nil, fmt.Errorf("%d trailing bytes", c.remaining())
@@ -124,7 +123,7 @@ func DecodeSection(data []byte, maxDim uint64) (numTasks, numWorkers int, answer
 func UnmarshalDataset(data []byte) (*Dataset, error) {
 	c := cursor{data: data}
 	if string(c.take(len(binaryMagic))) != binaryMagic {
-		return nil, errors.New("dataset: bad binary magic")
+		return nil, fmt.Errorf("dataset: bad binary magic")
 	}
 	nameLen := c.uvarint()
 	if nameLen > uint64(c.remaining()) {

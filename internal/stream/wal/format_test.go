@@ -2,7 +2,6 @@ package wal
 
 import (
 	"bytes"
-	"errors"
 	"math"
 	"os"
 	"path/filepath"
@@ -93,33 +92,6 @@ func TestFileFormatsPinned(t *testing.T) {
 				t.Fatalf("wrote\n%x\nwant\n%x", got, want)
 			}
 		})
-	}
-}
-
-// TestSnapshotVersionUnderCRC flips each of the 64 bits of a snapshot's
-// version field. The CRC covers the version, so every flip must read
-// as a *CorruptError: a version read wrong makes Open skip records it
-// should replay and number the next ingest past the truth.
-func TestSnapshotVersionUnderCRC(t *testing.T) {
-	d, version := formatStore(t, nil).Snapshot()
-	path := filepath.Join(t.TempDir(), "store.snap")
-	if err := WriteSnapshot(path, d, version); err != nil {
-		t.Fatal(err)
-	}
-	clean, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for bit := 0; bit < 64; bit++ {
-		bad := append([]byte(nil), clean...)
-		bad[len(snapMagic)+bit/8] ^= 1 << (bit % 8)
-		if err := os.WriteFile(path, bad, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		var ce *CorruptError
-		if _, got, err := ReadSnapshot(path); !errors.As(err, &ce) {
-			t.Fatalf("bit %d flipped: read version %d, err %v; want a *CorruptError", bit, got, err)
-		}
 	}
 }
 

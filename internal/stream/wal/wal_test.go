@@ -257,14 +257,24 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Fatal("snapshot round-trip altered the dataset")
 	}
 
-	// Corruption in the dataset bytes must be caught by the CRC.
+	// Corruption in the dataset bytes, or any flipped bit of the version
+	// field, must be caught by the CRC: a version read wrong makes Open
+	// skip records it should replay.
 	raw, _ := os.ReadFile(path)
-	bad := flip(raw, len(raw)-1)
-	if err := os.WriteFile(path, bad, 0o644); err != nil {
-		t.Fatal(err)
+	bad := [][]byte{flip(raw, len(raw)-1)}
+	for bit := 0; bit < 64; bit++ {
+		b := append([]byte(nil), raw...)
+		b[len(snapMagic)+bit/8] ^= 1 << (bit % 8)
+		bad = append(bad, b)
 	}
-	if _, _, err := ReadSnapshot(path); err == nil {
-		t.Fatal("corrupted snapshot accepted")
+	for i, b := range bad {
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var ce *CorruptError
+		if _, v, err := ReadSnapshot(path); !errors.As(err, &ce) {
+			t.Fatalf("corruption %d: read version %d, err %v; want a *CorruptError", i, v, err)
+		}
 	}
 }
 
