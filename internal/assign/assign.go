@@ -28,14 +28,14 @@
 //
 // The ledger reads the serving state through the Source interface, which
 // *stream.Service satisfies structurally. It follows the store by its
-// answer delta (Source.AnswersSince): each sync visits only the answers
-// that arrived since the last one, counting them toward their tasks'
-// redundancy and adding them to their workers' exclusion lists. It
-// follows the posterior the same way: when a new result publishes (the
-// epoch boundary; on an incremental method, every ingest), a delta read
-// (Source.Posteriors) copies only the rows that changed into the buffer
-// the ledger keeps, and only those rows' entropies are recomputed.
-// Worker qualities are read per request.
+// answer delta: each sync pins the answer log (Source.Pin) and visits
+// only the answers past the ones it has seen, counting them toward their
+// tasks' redundancy and adding them to their workers' exclusion lists.
+// It follows the posterior the same way: when a new result publishes
+// (the epoch boundary; on an incremental method, every ingest), a delta
+// read (Source.Posteriors) copies only the rows that changed into the
+// flat tasks × ℓ buffer the ledger keeps, and only those rows' entropies
+// are recomputed. Worker qualities are read per request.
 //
 // Under a Cacheable policy (uncertainty, least-answered) the ledger keeps
 // each task's score across requests and scores a task again only when
@@ -58,6 +58,7 @@ import (
 	"sync"
 	"time"
 
+	"truthinference/internal/dataset"
 	"truthinference/internal/mathx"
 )
 
@@ -66,27 +67,26 @@ import (
 type Source interface {
 	// Dims returns the store's current task/worker/answer counts.
 	Dims() (tasks, workers, answers int)
-	// StoreVersion bumps on every ingested batch; the golden pool is
-	// re-read when it moves.
-	StoreVersion() uint64
 	// ResultVersion bumps when a new inference result publishes; the
 	// ledger brings its posterior up to it by a delta read when it moves.
 	ResultVersion() uint64
-	// AnswersSince calls f for every stored answer at global index from
-	// or later and returns the index to pass next time. NewLedger walks
-	// the store from 0 and each sync walks only what arrived since, so
-	// answer counts and self-exclusion cover every answer in the store:
-	// preloaded, recovered after a restart, ingested directly or routed.
-	AnswersSince(from int, f func(task, worker int, value float64)) (next int)
-	// Posteriors brings dst, the rows an earlier call returned at result
-	// version since (or nil), up to the per-task posterior rows and
-	// returns them with the result version they reflect; an error means
-	// no posterior is available (yet). It copies the rows of tasks dst
-	// lacks and those that changed after since, and calls changed with
-	// the task of each row it copied. Listing a row that did not change
-	// only costs the ledger a score; leaving out one that did serves a
-	// stale score.
-	Posteriors(dst [][]float64, since uint64, changed func(task int)) ([][]float64, uint64, error)
+	// Pin returns the store version, which bumps on every ingested batch
+	// (the golden pool is re-read when it moves), and the answer log at
+	// that version, in ingestion order: a prefix no later ingest writes
+	// to. NewLedger walks the whole log and each sync walks only the
+	// answers past the last one it saw, so answer counts and
+	// self-exclusion cover every answer in the store: preloaded,
+	// recovered after a restart, ingested directly or routed.
+	Pin() (version uint64, answers []dataset.Answer)
+	// Posteriors brings dst, the flat copy an earlier call returned at
+	// result version since (or nil), up to the per-task posterior and
+	// returns it with the result version it reflects: task t's row over
+	// the ℓ labels is dst[t·ℓ : (t+1)·ℓ]. An error means no posterior is
+	// available (yet). It copies the rows of tasks dst lacks and those
+	// that changed after since, and calls changed with the task of each
+	// row it copied. Listing a row that did not change only costs the
+	// ledger a score; leaving out one that did serves a stale score.
+	Posteriors(dst []float64, since uint64, changed func(task int)) ([]float64, uint64, error)
 	// WorkerQuality returns the method's quality estimate for one worker.
 	// Methods that model workers uniformly (MV/Mean/Median) report 1 for
 	// every worker; routing then reduces to pure posterior uncertainty,
@@ -174,6 +174,8 @@ type Ledger struct {
 	src Source
 	now func() time.Time
 
+	ell int // ℓ, at least 1: the width of a posterior row in post
+
 	mu sync.Mutex
 	// Per-task state, grown together to the store's task range. load[t]
 	// is task t's answers in the store, up to answer index next, plus its
@@ -191,10 +193,11 @@ type Ledger struct {
 
 	// Cached posterior: when the result version moves (the epoch
 	// boundary; on an incremental method, every ingest), a delta read
-	// brings post up to it, copying only the rows that changed and
-	// listing them in changed. ent[t] is row t's entropy, recomputed for
-	// each listed row, and Stats sums it into meanEnt once per post.
-	post      [][]float64
+	// brings post, task t's row at post[t·ℓ : (t+1)·ℓ], up to it, copying
+	// only the rows that changed and listing them in changed. ent[t] is
+	// row t's entropy, recomputed for each listed row, and Stats sums it
+	// into meanEnt once per post.
+	post      []float64
 	changed   []int
 	ent       []float64
 	postVer   uint64
@@ -277,6 +280,7 @@ func NewLedger(src Source, cfg Config) (*Ledger, error) {
 		cfg:      cfg,
 		src:      src,
 		now:      now,
+		ell:      max(ell, 1),
 		seen:     map[int][]int{},
 		cacheGen: 1,
 		leases:   map[uint64]Lease{},
@@ -287,6 +291,8 @@ func NewLedger(src Source, cfg Config) (*Ledger, error) {
 			l.uniform[i] = 1 / float64(ell)
 		}
 	}
+	tasks, _, _ := src.Dims()
+	version, log := src.Pin()
 	if cfg.Defense.Enabled() {
 		def, err := newDefense(*cfg.Defense, ell)
 		if err != nil {
@@ -295,7 +301,7 @@ func NewLedger(src Source, cfg Config) (*Ledger, error) {
 		l.def = def
 		// The golden pool comes from recorded truth, before the answers
 		// below are graded against it.
-		l.refreshGoldenLocked()
+		l.refreshGoldenLocked(version)
 	}
 	// One pass over whatever the store already holds (a preloaded
 	// dataset, or a recovered snapshot+WAL after a restart) counts the
@@ -303,12 +309,12 @@ func NewLedger(src Source, cfg Config) (*Ledger, error) {
 	// pass/fail tallies and collusion record, so a worker qualified (or
 	// banned) before a restart stays so after. Later syncs follow the
 	// answers that arrive after this pass.
-	tasks, _, _ := src.Dims()
 	l.growLocked(tasks)
-	l.next = src.AnswersSince(0, func(task, worker int, value float64) {
-		l.followLocked(task, worker, value)
-		l.recordLocked(task, worker, value)
-	})
+	for _, a := range log {
+		l.followLocked(a)
+		l.recordLocked(a.Task, a.Worker, a.Value)
+	}
+	l.next = len(log)
 	return l, nil
 }
 
@@ -494,16 +500,18 @@ func (l *Ledger) publishGaugesLocked() {
 }
 
 // syncLocked refreshes the cached serving state: it follows the answers
-// that arrived since the last sync, grows the per-task slices to the
-// store's task range, and brings the posterior up to the result version
-// when it moved (the epoch boundary; on an incremental method, every
-// ingest), recomputing the entropy and dropping the cached score of each
-// row the delta read lists.
+// the pinned log holds past the last sync, grows the per-task slices to
+// the store's task range, and brings the posterior up to the result
+// version when it moved (the epoch boundary; on an incremental method,
+// every ingest), recomputing the entropy and dropping the cached score of
+// each row the delta read lists.
 func (l *Ledger) syncLocked() {
-	tasks, _, answers := l.src.Dims()
-	if answers != l.next {
-		l.next = l.src.AnswersSince(l.next, l.followLocked)
+	tasks, _, _ := l.src.Dims()
+	version, log := l.src.Pin()
+	for _, a := range log[l.next:] {
+		l.followLocked(a)
 	}
+	l.next = len(log)
 	l.growLocked(tasks)
 	if rv := l.src.ResultVersion(); !l.postOK || rv != l.postVer {
 		l.changed = l.changed[:0]
@@ -516,11 +524,11 @@ func (l *Ledger) syncLocked() {
 			// or from their own row to the uniform one; none is listed.
 			l.cacheGen++
 		}
-		if len(l.ent) < len(post) {
-			l.ent = append(l.ent, make([]float64, len(post)-len(l.ent))...)
+		if n := len(post) / l.ell; len(l.ent) < n {
+			l.ent = append(l.ent, make([]float64, n-len(l.ent))...)
 		}
 		for _, t := range l.changed {
-			l.ent[t] = mathx.Entropy(post[t])
+			l.ent[t] = mathx.Entropy(post[t*l.ell : (t+1)*l.ell])
 			if t < len(l.cache) {
 				l.cache[t].gen = 0
 			}
@@ -528,7 +536,7 @@ func (l *Ledger) syncLocked() {
 		l.post, l.postVer = post, v
 		l.postOK, l.meanEntOK = true, false
 	}
-	l.refreshGoldenLocked()
+	l.refreshGoldenLocked(version)
 	l.defenseSweepLocked()
 }
 
@@ -537,10 +545,10 @@ func (l *Ledger) rowChangedLocked(task int) { l.changed = append(l.changed, task
 
 // followLocked takes one stored answer into the ledger: it counts toward
 // its task's redundancy and excludes its worker from the task.
-func (l *Ledger) followLocked(task, worker int, _ float64) {
-	l.growLocked(task + 1)
-	l.addLoadLocked(task, 1)
-	l.seen[worker] = append(l.seen[worker], task)
+func (l *Ledger) followLocked(a dataset.Answer) {
+	l.growLocked(a.Task + 1)
+	l.addLoadLocked(a.Task, 1)
+	l.seen[a.Worker] = append(l.seen[a.Worker], a.Task)
 }
 
 // addLoadLocked moves task's load by delta and drops its cached score.
@@ -677,11 +685,12 @@ func (l *Ledger) Stats() Stats {
 	}
 	if !l.meanEntOK {
 		var sum float64
-		for _, e := range l.ent[:len(l.post)] {
+		n := len(l.post) / l.ell
+		for _, e := range l.ent[:n] {
 			sum += e
 		}
-		if len(l.post) > 0 {
-			sum /= float64(len(l.post))
+		if n > 0 {
+			sum /= float64(n)
 		}
 		l.meanEnt, l.meanEntOK = sum, true
 	}

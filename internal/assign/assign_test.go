@@ -9,16 +9,13 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"truthinference/internal/dataset"
 )
 
-// fakeAnswer is one answer in the fake source's log.
-type fakeAnswer struct {
-	task, worker int
-	value        float64
-}
-
 // fakeSource is an in-memory Source with settable serving state. Its
-// answers live in one log, in ingest order, which AnswersSince walks.
+// answers live in one log, in ingest order, which Pin hands out. post
+// holds one row per task; Posteriors flattens it.
 type fakeSource struct {
 	mu        sync.Mutex
 	tasks     int
@@ -26,7 +23,7 @@ type fakeSource struct {
 	ell       int
 	storeVer  uint64
 	resultVer uint64
-	log       []fakeAnswer
+	log       []dataset.Answer
 	post      [][]float64
 	postErr   error
 	quality   map[int]float64
@@ -45,25 +42,21 @@ func (f *fakeSource) Dims() (int, int, int) {
 	defer f.mu.Unlock()
 	return f.tasks, f.workers, len(f.log)
 }
-func (f *fakeSource) StoreVersion() uint64 { f.mu.Lock(); defer f.mu.Unlock(); return f.storeVer }
 func (f *fakeSource) ResultVersion() uint64 {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.resultVer
 }
-func (f *fakeSource) AnswersSince(from int, fn func(task, worker int, value float64)) int {
+func (f *fakeSource) Pin() (uint64, []dataset.Answer) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	for _, a := range f.log[from:] {
-		fn(a.task, a.worker, a.value)
-	}
-	return len(f.log)
+	return f.storeVer, f.log[:len(f.log):len(f.log)]
 }
 
-// Posteriors copies every row and lists each as changed, which the
-// ledger must accept from any source: a row listed but unchanged only
-// costs it a score.
-func (f *fakeSource) Posteriors(dst [][]float64, _ uint64, changed func(int)) ([][]float64, uint64, error) {
+// Posteriors copies every row into one flat slice and lists each as
+// changed, which the ledger must accept from any source: a row listed
+// but unchanged only costs it a score.
+func (f *fakeSource) Posteriors(dst []float64, _ uint64, changed func(int)) ([]float64, uint64, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.postErr != nil {
@@ -71,7 +64,7 @@ func (f *fakeSource) Posteriors(dst [][]float64, _ uint64, changed func(int)) ([
 	}
 	dst = dst[:0]
 	for t, row := range f.post {
-		dst = append(dst, append([]float64(nil), row...))
+		dst = append(dst, row...)
 		if changed != nil {
 			changed(t)
 		}
@@ -93,7 +86,7 @@ func (f *fakeSource) NumChoices() int { return f.ell }
 func (f *fakeSource) addAnswer(task, worker int, value float64) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.log = append(f.log, fakeAnswer{task, worker, value})
+	f.log = append(f.log, dataset.Answer{Task: task, Worker: worker, Value: value})
 	f.storeVer++
 }
 
@@ -103,7 +96,7 @@ func (f *fakeSource) taskCounts() []int {
 	defer f.mu.Unlock()
 	counts := make([]int, f.tasks)
 	for _, a := range f.log {
-		counts[a.task]++
+		counts[a.Task]++
 	}
 	return counts
 }

@@ -268,18 +268,16 @@ func TestScoreCacheFollowsPosteriorAvailability(t *testing.T) {
 	}
 }
 
-// checkRowsEqual fails unless got and want hold the same rows bit for
-// bit.
-func checkRowsEqual(tb testing.TB, at string, got, want [][]float64) {
+// checkRowsEqual fails unless got and want, two flat posterior copies,
+// hold the same rows bit for bit.
+func checkRowsEqual(tb testing.TB, at string, got, want []float64) {
 	tb.Helper()
 	if len(got) != len(want) {
-		tb.Fatalf("%s: %d rows, a full copy has %d", at, len(got), len(want))
+		tb.Fatalf("%s: %d posterior values, a full copy has %d", at, len(got), len(want))
 	}
-	for t := range want {
-		for k := range want[t] {
-			if math.Float64bits(got[t][k]) != math.Float64bits(want[t][k]) {
-				tb.Fatalf("%s: row %d is %v, a full copy has %v", at, t, got[t], want[t])
-			}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			tb.Fatalf("%s: posterior value %d is %v, a full copy has %v", at, i, got[i], want[i])
 		}
 	}
 }

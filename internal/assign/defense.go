@@ -220,8 +220,9 @@ func (d *defense) state(worker int) *workerDefense {
 }
 
 // refreshGoldenLocked rebuilds the golden pool from the source when the
-// store version moved (golden truth can be posted at any time).
-func (l *Ledger) refreshGoldenLocked() {
+// store version, read from the source's Pin, moved (golden truth can be
+// posted at any time).
+func (l *Ledger) refreshGoldenLocked(version uint64) {
 	d := l.def
 	if d == nil || d.spec.GoldenPass == 0 {
 		return
@@ -230,10 +231,10 @@ func (l *Ledger) refreshGoldenLocked() {
 	if !ok {
 		return
 	}
-	if sv := l.src.StoreVersion(); d.golden != nil && sv == d.goldenVer {
+	if d.golden != nil && version == d.goldenVer {
 		return
 	}
-	d.goldenVer = l.src.StoreVersion()
+	d.goldenVer = version
 	d.golden = map[int]int{}
 	gs.ForEachGolden(func(task int, truth float64) {
 		d.golden[task] = int(truth)
@@ -411,16 +412,14 @@ func (l *Ledger) collusionSweepLocked() {
 	if d.spec.CollusionThreshold == 0 || len(d.byTask) == 0 || len(l.post) == 0 {
 		return
 	}
+	ell := l.ell
 	type pairStat struct{ overlap, agree, wrong int }
 	pairs := map[[2]int]*pairStat{}
 	for t, answers := range d.byTask {
-		if t < 0 || t >= len(l.post) || len(answers) < 2 {
+		if t < 0 || (t+1)*ell > len(l.post) || len(answers) < 2 {
 			continue
 		}
-		row := l.post[t]
-		if len(row) == 0 {
-			continue
-		}
+		row := l.post[t*ell : (t+1)*ell]
 		consensus := 0
 		for k, p := range row {
 			if p > row[consensus] {

@@ -24,7 +24,8 @@ func startAPI(t *testing.T, src *fakeSource, cfg Config) (*httptest.Server, *Led
 			return 0, errors.New("value rejected")
 		}
 		src.addAnswer(task, worker, value)
-		return src.StoreVersion(), nil
+		version, _ := src.Pin()
+		return version, nil
 	}))
 	t.Cleanup(srv.Close)
 	return srv, l

@@ -54,10 +54,10 @@ type Request struct {
 	Choices int
 	// Load[t] is task t's collected answers plus outstanding leases.
 	Load []int
-	// Posterior[t] is task t's posterior over the ℓ labels at the last
-	// epoch boundary; nil when the serving method publishes none (numeric
-	// methods, or an iterative method before its first epoch).
-	Posterior [][]float64
+	// Posterior[t·ℓ : (t+1)·ℓ] is task t's posterior over the ℓ labels at
+	// the last epoch boundary; nil when the serving method publishes none
+	// (numeric methods, or an iterative method before its first epoch).
+	Posterior []float64
 
 	// uniform is the 1/ℓ row served for tasks beyond the last epoch's
 	// posterior range; the ledger builds it once per request.
@@ -74,8 +74,8 @@ func (c *Request) posteriorRow(task int) []float64 {
 	if c.Posterior == nil {
 		return nil
 	}
-	if task < len(c.Posterior) {
-		return c.Posterior[task]
+	if hi := (task + 1) * c.Choices; hi <= len(c.Posterior) {
+		return c.Posterior[hi-c.Choices : hi : hi]
 	}
 	return c.uniform
 }

@@ -122,10 +122,11 @@ func TestMeanEntropyBitIdentical(t *testing.T) {
 					continue
 				}
 				var want float64
-				for _, row := range post {
-					want += mathx.Entropy(row)
+				ell := svc.NumChoices()
+				for lo := 0; lo < len(post); lo += ell {
+					want += mathx.Entropy(post[lo : lo+ell])
 				}
-				want /= float64(len(post))
+				want /= float64(len(post) / ell)
 				if math.Float64bits(got) != math.Float64bits(want) {
 					t.Fatalf("round %d: MeanEntropy %v (%#x), want %v (%#x)",
 						round, got, math.Float64bits(got), want, math.Float64bits(want))

@@ -6,6 +6,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"truthinference/internal/dataset"
 )
 
 // TestLeaseExpiryReclaimRace is the -race stress test for the ledger's
@@ -113,10 +115,10 @@ func TestLeaseExpiryReclaimRace(t *testing.T) {
 	// Self-exclusion held under the race: no worker answered a task twice.
 	src.mu.Lock()
 	defer src.mu.Unlock()
-	answered := map[fakeAnswer]bool{}
+	answered := map[dataset.Answer]bool{}
 	for _, a := range src.log {
 		if answered[a] {
-			t.Fatalf("worker %d answered task %d twice", a.worker, a.task)
+			t.Fatalf("worker %d answered task %d twice", a.Worker, a.Task)
 		}
 		answered[a] = true
 	}

@@ -7,6 +7,7 @@ import (
 
 	"truthinference/internal/assign"
 	"truthinference/internal/dataset"
+	"truthinference/internal/mathx"
 )
 
 // Source is the serving-state surface the catalog reads from.
@@ -21,14 +22,14 @@ type Source interface {
 	Pin() (version uint64, answers []dataset.Answer)
 	// NumChoices returns ℓ for categorical stores, 0 for numeric.
 	NumChoices() int
-	// Posteriors copies per-task posterior rows into dst and returns them
-	// plus the result version they reflect; errors mean no posterior
-	// exists (yet, or ever). It is a delta read for callers that keep
-	// dst (see internal/assign); the catalog passes (nil, 0, nil), so it
-	// gets every row, in rows of its own.
-	Posteriors(dst [][]float64, since uint64, changed func(task int)) ([][]float64, uint64, error)
-	// Entropies returns per-task posterior entropies (nats).
-	Entropies() ([]float64, uint64, error)
+	// Posteriors copies the per-task posterior into dst as one flat
+	// slice, task t's row at [t·ℓ, (t+1)·ℓ), and returns it plus the
+	// result version it reflects; errors mean no posterior exists (yet,
+	// or ever). It is a delta read for callers that keep dst (see
+	// internal/assign); the catalog passes (nil, 0, nil), so it gets
+	// every row in a copy of its own. The posterior, posterior_top and
+	// entropy relations all derive from it.
+	Posteriors(dst []float64, since uint64, changed func(task int)) ([]float64, uint64, error)
 	// WorkerQualities returns current and previous-epoch worker-quality
 	// vectors plus the result version they reflect. The catalog only
 	// reads them; prev may be cur itself.
@@ -238,78 +239,75 @@ func (c *Catalog) mv() (Relation, error) {
 	}}, nil
 }
 
+// posteriorRows takes a full copy of the serving method's published
+// posterior and returns it with ℓ, the width of each task's row.
+func (c *Catalog) posteriorRows() (post []float64, ell int, err error) {
+	post, v, err := c.src.Posteriors(nil, 0, nil)
+	if err != nil {
+		return nil, 0, ErrUnavailable{err}
+	}
+	c.ResultVersion = v
+	return post, c.src.NumChoices(), nil
+}
+
 // posterior streams (task, label, p): one row per task × choice from
 // the serving method's published posterior.
 func (c *Catalog) posterior() (Relation, error) {
-	post, v, err := c.src.Posteriors(nil, 0, nil)
+	post, ell, err := c.posteriorRows()
 	if err != nil {
-		return Relation{}, ErrUnavailable{err}
+		return Relation{}, err
 	}
-	c.ResultVersion = v
-	t, k := 0, 0
+	i := 0
 	row := make(Row, 3)
 	return Relation{Cols: []string{"task", "label", "p"}, Next: func() (Row, bool) {
-		for t < len(post) {
-			if k < len(post[t]) {
-				row[0], row[1], row[2] = float64(t), float64(k), post[t][k]
-				k++
-				return row, true
-			}
-			t++
-			k = 0
+		if i >= len(post) {
+			return nil, false
 		}
-		return nil, false
+		row[0], row[1], row[2] = float64(i/ell), float64(i%ell), post[i]
+		i++
+		return row, true
 	}}, nil
 }
 
 // posteriorTop reduces the posterior to its argmax per task:
 // (task, top_label, top_p). Ties break to the lowest label, matching mv.
 func (c *Catalog) posteriorTop() (Relation, error) {
-	post, v, err := c.src.Posteriors(nil, 0, nil)
-	if err != nil {
-		return Relation{}, ErrUnavailable{err}
-	}
-	c.ResultVersion = v
-	t := 0
-	out := make(Row, 3)
-	return Relation{Cols: []string{"task", "top_label", "top_p"}, Next: func() (Row, bool) {
-		for t < len(post) {
-			row := post[t]
-			i := t
-			t++
-			if len(row) == 0 {
-				continue
+	return c.perTask([]string{"task", "top_label", "top_p"}, func(row []float64, out Row) {
+		best := 0
+		for k, p := range row {
+			if p > row[best] {
+				best = k
 			}
-			best := 0
-			for k := 1; k < len(row); k++ {
-				if row[k] > row[best] {
-					best = k
-				}
-			}
-			out[0], out[1], out[2] = float64(i), float64(best), row[best]
-			return out, true
 		}
-		return nil, false
-	}}, nil
+		out[1], out[2] = float64(best), row[best]
+	})
 }
 
 // entropy streams (task, entropy): the per-task posterior Shannon
 // entropy in nats.
 func (c *Catalog) entropy() (Relation, error) {
-	ent, v, err := c.src.Entropies()
+	return c.perTask([]string{"task", "entropy"}, func(row []float64, out Row) {
+		out[1] = mathx.Entropy(row)
+	})
+}
+
+// perTask streams one row per task of the posterior copy: the task id,
+// then the columns fill derives from the task's posterior row.
+func (c *Catalog) perTask(cols []string, fill func(row []float64, out Row)) (Relation, error) {
+	post, ell, err := c.posteriorRows()
 	if err != nil {
-		return Relation{}, ErrUnavailable{err}
+		return Relation{}, err
 	}
-	c.ResultVersion = v
-	t := 0
-	row := make(Row, 2)
-	return Relation{Cols: []string{"task", "entropy"}, Next: func() (Row, bool) {
-		if t >= len(ent) {
+	t, tasks := 0, len(post)/ell
+	out := make(Row, len(cols))
+	return Relation{Cols: cols, Next: func() (Row, bool) {
+		if t >= tasks {
 			return nil, false
 		}
-		row[0], row[1] = float64(t), ent[t]
+		out[0] = float64(t)
+		fill(post[t*ell:(t+1)*ell], out)
 		t++
-		return row, true
+		return out, true
 	}}, nil
 }
 

@@ -191,7 +191,7 @@ func TestQueryEndpointOverRealService(t *testing.T) {
 	if len(out.Rows) != 5 {
 		t.Fatalf("answers⋈posterior_top rows = %d, want 5", len(out.Rows))
 	}
-	if out.StoreVersion != svc.StoreVersion() {
-		t.Fatalf("response pinned at %d, store at %d", out.StoreVersion, svc.StoreVersion())
+	if version, _ := svc.Pin(); out.StoreVersion != version {
+		t.Fatalf("response pinned at %d, store at %d", out.StoreVersion, version)
 	}
 }

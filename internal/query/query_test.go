@@ -55,25 +55,15 @@ func (f *fakeSource) Pin() (uint64, []dataset.Answer) {
 	return f.version, f.answers[:n:n]
 }
 func (f *fakeSource) NumChoices() int { return f.choices }
-func (f *fakeSource) Posteriors([][]float64, uint64, func(int)) ([][]float64, uint64, error) {
+func (f *fakeSource) Posteriors([]float64, uint64, func(int)) ([]float64, uint64, error) {
 	if f.postErr != nil {
 		return nil, 0, f.postErr
 	}
-	return f.post, f.version, nil
-}
-func (f *fakeSource) Entropies() ([]float64, uint64, error) {
-	if f.postErr != nil {
-		return nil, 0, f.postErr
+	var flat []float64
+	for _, row := range f.post {
+		flat = append(flat, row...)
 	}
-	ent := make([]float64, len(f.post))
-	for i, row := range f.post {
-		for _, p := range row {
-			if p > 0 {
-				ent[i] -= p * math.Log(p)
-			}
-		}
-	}
-	return ent, f.version, nil
+	return flat, f.version, nil
 }
 func (f *fakeSource) WorkerQualities() (cur, prev []float64, version uint64, err error) {
 	if f.wqErr != nil {
@@ -661,5 +651,60 @@ func TestAnswersRelationStreamsIngestionOrder(t *testing.T) {
 	}
 	if c.Scanned != len(want) {
 		t.Fatalf("catalog scanned %d answers, want %d", c.Scanned, len(want))
+	}
+}
+
+// TestEntropyRelationOverMVService pins the entropy relation over a real
+// MV service, which computes each task's entropy from the posterior copy
+// it takes: a 1–1 split reads ln 2, a tie-breaking vote lowers it at a
+// newer result version, and a numeric store, which publishes no
+// posterior, has no entropy relation.
+func TestEntropyRelationOverMVService(t *testing.T) {
+	store, err := stream.NewStore("query-entropy", dataset.Decision, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc := newMVService(t, store)
+	entropy := func() (float64, uint64) {
+		t.Helper()
+		c := query.NewCatalog(svc, nil)
+		rows := collectAll(t, mustCompile(t, c, `{"op":"scan","relation":"entropy"}`))
+		if len(rows) != 1 || rows[0][0] != 0 {
+			t.Fatalf("entropy rows = %v, want one row for task 0", rows)
+		}
+		return rows[0][1], c.ResultVersion
+	}
+	if _, err := svc.Ingest(stream.Batch{Answers: []dataset.Answer{
+		{Task: 0, Worker: 0, Value: 1}, {Task: 0, Worker: 1, Value: 0},
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	split, v1 := entropy()
+	if math.Abs(split-math.Log(2)) > 1e-12 {
+		t.Errorf("entropy of a 1-1 split = %v, want ln 2", split)
+	}
+	if _, err := svc.Ingest(stream.Batch{Answers: []dataset.Answer{{Task: 0, Worker: 2, Value: 1}}}); err != nil {
+		t.Fatal(err)
+	}
+	broken, v2 := entropy()
+	if v2 <= v1 {
+		t.Fatalf("entropy reported at result version %d after a vote, want past %d", v2, v1)
+	}
+	if broken >= split {
+		t.Errorf("entropy after a tie-breaking vote = %v, want < %v", broken, split)
+	}
+
+	numeric, err := stream.NewStore("query-entropy-numeric", dataset.Numeric, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mean, err := stream.NewService(numeric, stream.Config{Method: direct.NewMean()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mean.Close()
+	_, err = compileJSON(t, query.NewCatalog(mean, nil), `{"op":"scan","relation":"entropy"}`)
+	if !errors.Is(err, stream.ErrNoPosterior) {
+		t.Fatalf("entropy on a Mean service: err = %v, want ErrNoPosterior", err)
 	}
 }

@@ -114,12 +114,6 @@ type Service struct {
 	lastErr    error // most recent epoch failure; nil after a success
 	closed     bool
 
-	// entropies caches per-task posterior entropies for the result at
-	// entVersion; Entropies recomputes it lazily when a newer result
-	// publishes (the epoch-boundary invalidation — see source.go).
-	entropies  []float64
-	entVersion uint64
-
 	// qualityHist retains the worker-quality vector of each of the last
 	// QualityHistoryEpochs published epochs, oldest first (guarded by
 	// mu). The assignment ledger's change-detection defense reads it

@@ -98,14 +98,14 @@ func TestPosteriorsIncrementalMV(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if version != svc.StoreVersion() {
-		t.Errorf("posterior version %d, want fresh store version %d", version, svc.StoreVersion())
+	if storeVersion, _ := svc.Pin(); version != storeVersion {
+		t.Errorf("posterior version %d, want fresh store version %d", version, storeVersion)
 	}
 	want := [][]float64{{1. / 3, 2. / 3}, {1, 0}, {0.5, 0.5}}
 	for i, row := range want {
 		for k := range row {
-			if math.Abs(post[i][k]-row[k]) > 1e-12 {
-				t.Errorf("posterior[%d] = %v, want %v", i, post[i], row)
+			if math.Abs(post[2*i+k]-row[k]) > 1e-12 {
+				t.Errorf("posterior row %d = %v, want %v", i, post[2*i:2*i+2], row)
 			}
 		}
 	}
@@ -125,9 +125,6 @@ func TestPosteriorsUnavailable(t *testing.T) {
 	if _, _, err := svc.Posteriors(nil, 0, nil); !errors.Is(err, ErrNoPosterior) {
 		t.Fatalf("Posteriors on Mean = %v, want ErrNoPosterior", err)
 	}
-	if _, _, err := svc.Entropies(); !errors.Is(err, ErrNoPosterior) {
-		t.Fatalf("Entropies on Mean = %v, want ErrNoPosterior", err)
-	}
 
 	// Iterative method before its first epoch: not inferred yet.
 	store2, err := NewStore("d", dataset.Decision, 2)
@@ -144,47 +141,18 @@ func TestPosteriorsUnavailable(t *testing.T) {
 	}
 }
 
-// TestEntropiesCacheInvalidation checks the epoch-boundary contract: the
-// entropy vector is cached between epochs and recomputed when new data
-// publishes.
-func TestEntropiesCacheInvalidation(t *testing.T) {
-	svc := newMVService(t)
-	ingestT(t, svc, Batch{Answers: []dataset.Answer{
-		{Task: 0, Worker: 0, Value: 1}, {Task: 0, Worker: 1, Value: 0},
-	}})
-	ent, v1, err := svc.Entropies()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(ent[0]-math.Log(2)) > 1e-12 {
-		t.Errorf("entropy of a 1-1 split = %v, want ln 2", ent[0])
-	}
-	// Same version → served from cache (same values).
-	ent2, v2, _ := svc.Entropies()
-	if v2 != v1 || ent2[0] != ent[0] {
-		t.Errorf("cached entropies changed without an epoch: v%d→v%d", v1, v2)
-	}
-	// New answers break the tie → entropy must drop after the boundary.
-	ingestT(t, svc, Batch{Answers: []dataset.Answer{{Task: 0, Worker: 2, Value: 1}}})
-	ent3, v3, err := svc.Entropies()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v3 == v1 {
-		t.Fatal("entropy version did not advance past the epoch boundary")
-	}
-	if ent3[0] >= ent[0] {
-		t.Errorf("entropy after a tie-breaking vote = %v, want < %v", ent3[0], ent[0])
-	}
-}
-
-// deltaRead is a follower of Posteriors: it keeps the rows and the
-// result version of its last read and lists the rows each read copies.
+// deltaRead is a follower of Posteriors: it keeps the flat copy of ℓ
+// choices per row and the result version of its last read and lists the
+// rows each read copies.
 type deltaRead struct {
-	rows   [][]float64
+	ell    int
+	rows   []float64
 	since  uint64
 	listed []int
 }
+
+// tasks returns the number of rows the follower holds.
+func (d *deltaRead) tasks() int { return len(d.rows) / d.ell }
 
 // read brings the follower up to the published posterior.
 func (d *deltaRead) read(tb testing.TB, svc *Service) {
@@ -197,23 +165,24 @@ func (d *deltaRead) read(tb testing.TB, svc *Service) {
 	d.rows, d.since = rows, v
 }
 
-// sameRows fails unless got and want hold the same rows bit for bit.
-func sameRows(tb testing.TB, at string, got, want [][]float64) {
+// sameRows fails unless got and want, two flat copies of ℓ choices per
+// row, hold the same rows bit for bit.
+func sameRows(tb testing.TB, at string, ell int, got, want []float64) {
 	tb.Helper()
 	if len(got) != len(want) {
-		tb.Fatalf("%s: %d rows, a full copy has %d", at, len(got), len(want))
+		tb.Fatalf("%s: %d rows, a full copy has %d", at, len(got)/ell, len(want)/ell)
 	}
-	for task := range want {
-		for k := range want[task] {
-			if math.Float64bits(got[task][k]) != math.Float64bits(want[task][k]) {
-				tb.Fatalf("%s: row %d is %v, a full copy has %v", at, task, got[task], want[task])
-			}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			task := i / ell
+			tb.Fatalf("%s: row %d is %v, a full copy has %v", at, task,
+				got[task*ell:(task+1)*ell], want[task*ell:(task+1)*ell])
 		}
 	}
 }
 
 // fullCopy is Posteriors(nil, 0, nil), failing on error.
-func fullCopy(tb testing.TB, svc *Service) ([][]float64, uint64) {
+func fullCopy(tb testing.TB, svc *Service) ([]float64, uint64) {
 	tb.Helper()
 	rows, v, err := svc.Posteriors(nil, 0, nil)
 	if err != nil {
@@ -240,9 +209,9 @@ func TestPosteriorsDeltaRead(t *testing.T) {
 		defer svc.Close()
 		ingestT(t, svc, Batch{NumTasks: 30, NumWorkers: 5})
 		rng := rand.New(rand.NewSource(4))
-		var d deltaRead
+		d := deltaRead{ell: 3}
 		for round := 0; round < 300; round++ {
-			held := len(d.rows)
+			held := d.tasks()
 			touched := map[int]bool{}
 			for range rng.Intn(4) {
 				tasks, _, _ := svc.Dims()
@@ -260,7 +229,7 @@ func TestPosteriorsDeltaRead(t *testing.T) {
 			}
 			d.read(t, svc)
 			var want []int
-			for task := range d.rows {
+			for task := range d.tasks() {
 				if task >= held || touched[task] {
 					want = append(want, task)
 				}
@@ -272,7 +241,7 @@ func TestPosteriorsDeltaRead(t *testing.T) {
 			if d.since != v {
 				t.Fatalf("round %d: delta read at version %d, a full copy at %d", round, d.since, v)
 			}
-			sameRows(t, fmt.Sprintf("round %d", round), d.rows, full)
+			sameRows(t, fmt.Sprintf("round %d", round), d.ell, d.rows, full)
 			if d.read(t, svc); len(d.listed) != 0 {
 				t.Fatalf("round %d: a read at the current version copied rows %v", round, d.listed)
 			}
@@ -296,22 +265,22 @@ func TestPosteriorsDeltaRead(t *testing.T) {
 			}
 			return b
 		}
-		var d deltaRead
+		d := deltaRead{ell: 3}
 		for epoch := 0; epoch < 5; epoch++ {
 			ingestT(t, svc, batch())
 			if err := svc.Refresh(); err != nil {
 				t.Fatal(err)
 			}
 			d.read(t, svc)
-			if len(d.listed) != len(d.rows) || len(d.rows) == 0 {
-				t.Fatalf("epoch %d: the delta read copied %d of %d rows, want every row", epoch, len(d.listed), len(d.rows))
+			if len(d.listed) != d.tasks() || d.tasks() == 0 {
+				t.Fatalf("epoch %d: the delta read copied %d of %d rows, want every row", epoch, len(d.listed), d.tasks())
 			}
 			ingestT(t, svc, batch()) // lands after the epoch: the result stays
 			if d.read(t, svc); len(d.listed) != 0 {
 				t.Fatalf("epoch %d: a read at the current version copied rows %v", epoch, d.listed)
 			}
 			full, _ := fullCopy(t, svc)
-			sameRows(t, fmt.Sprintf("epoch %d", epoch), d.rows, full)
+			sameRows(t, fmt.Sprintf("epoch %d", epoch), d.ell, d.rows, full)
 		}
 	})
 }
@@ -342,7 +311,7 @@ func TestPosteriorsDeltaReadBesideIngest(t *testing.T) {
 			}
 		}
 	}()
-	var d deltaRead
+	d := deltaRead{ell: 3}
 	compared := 0
 	for running := true; running; {
 		select {
@@ -352,118 +321,14 @@ func TestPosteriorsDeltaReadBesideIngest(t *testing.T) {
 		}
 		d.read(t, svc)
 		if full, v := fullCopy(t, svc); v == d.since {
-			sameRows(t, fmt.Sprintf("version %d", v), d.rows, full)
+			sameRows(t, fmt.Sprintf("version %d", v), d.ell, d.rows, full)
 			compared++
 		}
 	}
 	d.read(t, svc)
 	full, _ := fullCopy(t, svc)
-	sameRows(t, "after the writer", d.rows, full)
+	sameRows(t, "after the writer", d.ell, d.rows, full)
 	t.Logf("%d reads compared at a matching version", compared)
-}
-
-// TestAnswersSince pins the store's delta walk: AnswersSince(k) visits
-// exactly the answers at log index k or later, in ingestion order, and
-// returns the answer count; counts built from its visits equal a
-// snapshot's task degrees; and a follower that keeps calling it with the
-// count it got back visits every answer exactly once while other
-// goroutines ingest (run it under -race).
-func TestAnswersSince(t *testing.T) {
-	// A numeric store lets each answer's value be its log index.
-	store, err := NewStore("since", dataset.Numeric, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const total = 1000
-	for i := 0; i < total; i += 50 {
-		batch := make([]dataset.Answer, 50)
-		for j := range batch {
-			batch[j] = dataset.Answer{Task: (i + j) * 37 % 301, Worker: (i + j) % 11, Value: float64(i + j)}
-		}
-		if _, _, err := store.Ingest(Batch{Answers: batch}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	snap, _ := store.Snapshot()
-	for _, from := range []int{0, 1, 499, total - 1, total} {
-		var visited []int
-		next := store.AnswersSince(from, func(task, worker int, value float64) {
-			a := snap.Answers[int(value)]
-			if a.Task != task || a.Worker != worker {
-				t.Fatalf("visited (%d, %d) for index %v, which holds %+v", task, worker, value, a)
-			}
-			visited = append(visited, int(value))
-		})
-		if next != total {
-			t.Fatalf("AnswersSince(%d) returned %d, want %d", from, next, total)
-		}
-		var want []int
-		for idx := from; idx < total; idx++ {
-			want = append(want, idx)
-		}
-		if !slices.Equal(visited, want) {
-			t.Fatalf("AnswersSince(%d) visited %d answers %v..., want %d in log order",
-				from, len(visited), visited[:min(len(visited), 5)], len(want))
-		}
-	}
-	counts := make([]int, snap.NumTasks)
-	store.AnswersSince(0, func(task, _ int, _ float64) { counts[task]++ })
-	for task := range counts {
-		if want := len(snap.TaskAnswers(task)); counts[task] != want {
-			t.Errorf("task %d: counted %d answers, snapshot degree %d", task, counts[task], want)
-		}
-	}
-
-	// A follower under concurrent ingest, starting from an empty view.
-	const writers, perWriter, tasks = 4, 200, 400
-	var wg sync.WaitGroup
-	for g := 0; g < writers; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < perWriter; i++ {
-				id := total + g*perWriter + i
-				if _, _, err := store.Ingest(Batch{Answers: []dataset.Answer{
-					{Task: id * 13 % tasks, Worker: g, Value: float64(id)},
-				}}); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}(g)
-	}
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	counts = make([]int, tasks)
-	visits := map[int]int{}
-	follow := func(task, _ int, value float64) {
-		visits[int(value)]++
-		counts[task]++
-	}
-	next := 0
-	for running := true; running; {
-		select {
-		case <-done:
-			running = false
-		default:
-		}
-		next = store.AnswersSince(next, follow)
-	}
-	const all = total + writers*perWriter
-	if next != all || len(visits) != all {
-		t.Fatalf("follower ended at %d having visited %d distinct answers, want %d", next, len(visits), all)
-	}
-	for id, n := range visits {
-		if n != 1 {
-			t.Fatalf("answer %d visited %d times", id, n)
-		}
-	}
-	snap, _ = store.Snapshot()
-	for task := 0; task < snap.NumTasks; task++ {
-		if want := len(snap.TaskAnswers(task)); counts[task] != want {
-			t.Errorf("after concurrent ingest, task %d: counted %d answers, snapshot degree %d", task, counts[task], want)
-		}
-	}
 }
 
 // TestStatsReportsDurability pins the operator-facing stats additions:

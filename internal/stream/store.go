@@ -253,21 +253,6 @@ func (s *Store) snapshotSince(prev *dataset.Dataset) (*dataset.Dataset, uint64) 
 	return d, version
 }
 
-// AnswersSince calls f for every answer at log index from or later, in
-// ingestion order, and returns the answer count it stopped at: the from
-// of the next call. It walks a pinned prefix (see Pin) and holds no lock
-// while f runs. A caller that keeps the returned count follows the store
-// by its delta: the assignment ledger keeps its answer counts and
-// self-exclusion index current this way, and replays its defense state
-// from from = 0.
-func (s *Store) AnswersSince(from int, f func(task, worker int, value float64)) (next int) {
-	_, log := s.Pin()
-	for _, a := range log[min(from, len(log)):] {
-		f(a.Task, a.Worker, a.Value)
-	}
-	return len(log)
-}
-
 // ForEachGolden streams every task whose ground truth has been recorded
 // (Batch.Truth), from a copy of the truths taken under the read lock.
 // These are the tasks the assignment ledger can grade qualification

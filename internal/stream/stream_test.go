@@ -685,7 +685,7 @@ func TestConcurrentReadersDuringIngest(t *testing.T) {
 						t.Errorf("reader: %v", err)
 						return
 					}
-					if _, _, err := svc.Entropies(); err != nil {
+					if _, _, err := svc.Posteriors(nil, 0, nil); err != nil {
 						t.Errorf("reader: %v", err)
 						return
 					}

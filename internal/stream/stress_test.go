@@ -22,7 +22,8 @@ import (
 //     log, and versions and answer counts never regress;
 //   - a chain of snapshotSince extensions equals, field for field, the
 //     full snapshot dataset.New builds over the same answers;
-//   - an AnswersSince follower visits every answer exactly once;
+//   - a follower that walks each new Pin prefix past the answers it has
+//     seen counts every answer exactly once per task;
 //   - Version, Dims, Pin and ForEachGolden never see the store shrink;
 //   - after the writers quiesce, the version equals the number of
 //     successful ingests and the answer count the number of ingested
@@ -168,15 +169,27 @@ func TestStoreConcurrentStress(t *testing.T) {
 		}
 	}()
 
-	// AnswersSince follower: counts every answer once, per task.
+	// Pin follower: walks each new pinned prefix past the answers it has
+	// seen, the way the assignment ledger follows the store, and counts
+	// every answer once, per task.
 	followed := make([]int, 500)
-	follow := func(task, _ int, _ float64) { followed[task]++ }
 	var followedTo int
+	follow := func() {
+		_, log := store.Pin()
+		if len(log) < followedTo {
+			t.Errorf("a pin of %d answers after the follower walked %d", len(log), followedTo)
+			return
+		}
+		for _, a := range log[followedTo:] {
+			followed[a.Task]++
+		}
+		followedTo = len(log)
+	}
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		for !stopped() {
-			followedTo = store.AnswersSince(followedTo, follow)
+			follow()
 		}
 	}()
 
@@ -225,9 +238,9 @@ func TestStoreConcurrentStress(t *testing.T) {
 	if afterRealloc.Load() == 0 {
 		t.Error("no pinned prefix was rechecked after the log moved to a new array")
 	}
-	// The follower stopped somewhere; one more call brings it to the end.
-	if next := store.AnswersSince(followedTo, follow); next != len(d.Answers) {
-		t.Errorf("the follower ended at %d, want %d", next, len(d.Answers))
+	// The follower stopped somewhere; one more walk brings it to the end.
+	if follow(); followedTo != len(d.Answers) {
+		t.Errorf("the follower ended at %d, want %d", followedTo, len(d.Answers))
 	}
 	for task := range d.NumTasks {
 		if want := len(d.TaskAnswers(task)); followed[task] != want {

@@ -116,7 +116,10 @@ func TestKillMidIngestRecovery(t *testing.T) {
 		t.Fatalf("recovered version %d is behind the acked durable watermark %d", got, lastDurable)
 	}
 	perWorker := map[int]int{}
-	rec2.Store.AnswersSince(0, func(_, worker int, _ float64) { perWorker[worker]++ })
+	_, log := rec2.Store.Pin()
+	for _, a := range log {
+		perWorker[a.Worker]++
+	}
 	for w := range rejected {
 		if perWorker[w] != 0 {
 			t.Errorf("worker %d: %d answers recovered from a request that was shed with 429", w, perWorker[w])
