@@ -369,8 +369,10 @@ func (s *Service) refreshLocked() error {
 
 // flushLocked performs the pending epoch-boundary WAL flush (the caller
 // holds inferMu, which also guards needSync). The flag stays set until a
-// Sync succeeds, so a transient fsync failure is retried by the next
-// Refresh instead of being reported once and then silently dropped.
+// Sync succeeds, so a failed flush is reported by every later Refresh
+// instead of once and then silently dropped. A failed fsync is not
+// retried into success: the WAL Persister keeps the failure, so its
+// Sync returns it from then on.
 func (s *Service) flushLocked() error {
 	if s.cfg.Persist == nil || !s.needSync {
 		return nil

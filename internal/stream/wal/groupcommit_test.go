@@ -1,11 +1,14 @@
 package wal
 
 import (
+	"errors"
 	"path/filepath"
 	"sync"
+	"syscall"
 	"testing"
 
 	"truthinference/internal/dataset"
+	"truthinference/internal/methods/direct"
 	"truthinference/internal/stream"
 )
 
@@ -95,6 +98,71 @@ func TestSyncToAfterClose(t *testing.T) {
 	}
 	if err := p.SyncTo(v + 1); err == nil {
 		t.Fatal("SyncTo past the watermark on a closed persister succeeded")
+	}
+}
+
+// healingLog is a log file whose next fsync fails with failSync; after
+// that failure the file heals, and every later fsync succeeds.
+type healingLog struct {
+	logFile
+	failSync error
+}
+
+func (f *healingLog) Sync() error {
+	if err := f.failSync; err != nil {
+		f.failSync = nil
+		return err
+	}
+	return f.logFile.Sync()
+}
+
+// TestSyncFailureIsSticky pins that a failed log fsync is final. The
+// fsync for version 2 fails with EIO and the file heals, so a retried
+// fsync would succeed and ack records the failed one may have dropped.
+// Instead a second SyncTo(2) returns the first failure, the durable
+// watermark stays at 1, the next ingest fails to record and halts the
+// service, and Sync keeps failing; SyncTo(1), already durable, succeeds.
+func TestSyncFailureIsSticky(t *testing.T) {
+	p, store := openGC(t, 0)
+	svc, err := stream.NewService(store, stream.Config{Method: direct.NewMV(), Persist: p})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	ingest := func() (uint64, error) {
+		return svc.Ingest(stream.Batch{Answers: []dataset.Answer{{Task: 0, Worker: 0, Value: 1}}})
+	}
+	v1, err := ingest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := svc.DurableTo(v1); err != nil {
+		t.Fatal(err)
+	}
+	p.mu.Lock()
+	p.log.f = &healingLog{logFile: p.log.f, failSync: syscall.EIO}
+	p.mu.Unlock()
+	v2, err := ingest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for try := 1; try <= 2; try++ {
+		durable, _, err := svc.DurableTo(v2)
+		if !errors.Is(err, syscall.EIO) || durable != v1 {
+			t.Fatalf("SyncTo(%d), try %d: durable %d, err %v; want durable %d and EIO", v2, try, durable, err, v1)
+		}
+	}
+	if _, err := ingest(); !errors.Is(err, syscall.EIO) {
+		t.Fatalf("ingest after a failed fsync: %v, want the fsync's EIO", err)
+	}
+	if _, err := ingest(); err == nil {
+		t.Fatal("ingest went on after the log failed to record a batch")
+	}
+	if err := p.Sync(); !errors.Is(err, syscall.EIO) {
+		t.Fatalf("Sync after a failed fsync: %v, want EIO", err)
+	}
+	if durable, _, err := svc.DurableTo(v1); err != nil || durable != v1 {
+		t.Fatalf("SyncTo(%d), already durable: durable %d, err %v", v1, durable, err)
 	}
 }
 

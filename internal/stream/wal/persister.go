@@ -74,6 +74,16 @@ type pendingRec struct {
 // touching the disk. Under N concurrent batch ingests this coalesces N
 // fsyncs into a few, which is where the batched endpoint's throughput
 // comes from.
+//
+// # Log failures are final
+//
+// A failed log append or fsync is never retried. After a failed fsync
+// the kernel may have dropped the dirty pages and cleared the error, so
+// a second fsync can succeed without the records being on disk. The
+// Persister keeps the first such failure, and from then on Record and
+// Sync return it, as does SyncTo for any version past the durable
+// watermark. Nothing clears it: the Service halts ingest on the failed
+// Record, and only recovery from disk moves on.
 type Persister struct {
 	mu         sync.Mutex
 	idle       sync.Cond // signalled when a background compaction finishes
@@ -86,6 +96,7 @@ type Persister struct {
 	compacting bool   // a background compaction is in flight
 	pending    []pendingRec
 	compactErr error // last failed compaction; retried on a later Record, surfaced by Sync
+	failed     error // the first failed log append or fsync; final (see the type comment)
 	closed     bool
 	m          *Metrics // nil-safe instrument bundle (see metrics.go)
 
@@ -203,15 +214,19 @@ func Open(base string, fresh func() (*stream.Store, error), opts Options) (*Pers
 // SnapshotEvery records, kicks a background compaction. An error means
 // the batch was NOT appended — a failed compaction is not a Record
 // failure (the batch is in the log); it is remembered, retried on a
-// later Record, and surfaced by Sync.
+// later Record, and surfaced by Sync. A failed append is final.
 func (p *Persister) Record(version uint64, b stream.Batch) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed {
 		return errors.New("wal: persister is closed")
 	}
+	if p.failed != nil {
+		return p.failed
+	}
 	if err := p.log.Append(version, b); err != nil {
-		return err
+		p.failed = fmt.Errorf("wal: log append failed, the log is unusable: %w", err)
+		return p.failed
 	}
 	if p.compacting {
 		// The in-flight compaction may have snapshotted before this
@@ -234,12 +249,13 @@ func (p *Persister) Record(version uint64, b stream.Batch) error {
 // the group-commit pipeline, outside the record lock.
 func (p *Persister) Sync() error {
 	p.mu.Lock()
-	target := p.appended
-	cerr := p.compactErr
-	closed := p.closed
+	target, cerr, failed, closed := p.appended, p.compactErr, p.failed, p.closed
 	p.mu.Unlock()
 	if closed {
 		return errors.New("wal: persister is closed")
+	}
+	if failed != nil {
+		return failed
 	}
 	if err := p.SyncTo(target); err != nil {
 		return err
@@ -254,7 +270,8 @@ func (p *Persister) Sync() error {
 // on stable storage. Concurrent callers coalesce: one leader fsyncs for
 // everyone queued behind it (see the type comment). version must not
 // exceed the last Recorded version — a Persister cannot make data it
-// never saw durable.
+// never saw durable. Past the durable watermark, a failed append or
+// fsync is returned for good.
 func (p *Persister) SyncTo(version uint64) error {
 	if p.durable.Load() >= version {
 		return nil
@@ -266,10 +283,13 @@ func (p *Persister) SyncTo(version uint64) error {
 		return nil
 	}
 	p.mu.Lock()
-	log, target, closed := p.log, p.appended, p.closed
+	log, target, failed, closed := p.log, p.appended, p.failed, p.closed
 	p.mu.Unlock()
 	if closed {
 		return errors.New("wal: persister is closed")
+	}
+	if failed != nil {
+		return failed
 	}
 	if version > target {
 		return fmt.Errorf("wal: SyncTo(%d) beyond last recorded version %d", version, target)
@@ -286,6 +306,12 @@ func (p *Persister) SyncTo(version uint64) error {
 			p.advanceDurable(target)
 			return nil
 		}
+		p.mu.Lock()
+		if p.failed == nil {
+			p.failed = fmt.Errorf("wal: log fsync failed, records past version %d may be lost: %w", p.durable.Load(), err)
+		}
+		err = p.failed
+		p.mu.Unlock()
 		return err
 	}
 	p.advanceDurable(target)
@@ -431,7 +457,8 @@ func (p *Persister) swapLogLocked(snapVersion uint64) error {
 }
 
 // Close waits out any in-flight compaction, then flushes and closes the
-// log. The Persister must not be used afterwards.
+// log; after a failed append or fsync the flush moves no watermark. The
+// Persister must not be used afterwards.
 func (p *Persister) Close() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -443,7 +470,7 @@ func (p *Persister) Close() error {
 	}
 	p.closed = true
 	err := p.log.Close()
-	if err == nil {
+	if err == nil && p.failed == nil {
 		p.advanceDurable(p.appended)
 	}
 	return err

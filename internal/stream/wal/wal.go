@@ -83,7 +83,15 @@ func (e *CorruptError) Error() string {
 // nothing already Appended); Sync makes the log durable against machine
 // crashes too.
 type Log struct {
-	f *os.File
+	f logFile
+}
+
+// logFile is the file a Log appends to: an *os.File, or in tests one
+// that injects write and fsync faults.
+type logFile interface {
+	Write(p []byte) (int, error)
+	Sync() error
+	Close() error
 }
 
 // Create replaces (or creates) the log at path with an empty one holding
