@@ -119,7 +119,8 @@ func DecodeSection(data []byte, maxDim uint64) (numTasks, numWorkers int, answer
 }
 
 // UnmarshalDataset decodes a dataset marshaled with MarshalBinary and
-// rebuilds (and thereby re-validates) its answer index.
+// validates it by Build's rules (Validate). It builds no answer index:
+// call Build before reading one.
 func UnmarshalDataset(data []byte) (*Dataset, error) {
 	c := cursor{data: data}
 	if string(c.take(len(binaryMagic))) != binaryMagic {
@@ -141,7 +142,7 @@ func UnmarshalDataset(data []byte) (*Dataset, error) {
 	if d.NumTasks, d.NumWorkers, d.Answers, d.Truth, err = DecodeSection(data[c.off:], maxBinaryDim); err != nil {
 		return nil, fmt.Errorf("dataset: %w", err)
 	}
-	if err := d.Build(); err != nil {
+	if err := d.Validate(); err != nil {
 		return nil, err
 	}
 	return d, nil

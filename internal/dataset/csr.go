@@ -84,9 +84,6 @@ func extendCSR(d *Dataset, old *CSR, delta []Answer) (*CSR, error) {
 		return nil, fmt.Errorf("dataset %q: too large for int32 CSR ids (%d tasks, %d workers, %d answers)",
 			d.Name, d.NumTasks, d.NumWorkers, n)
 	}
-	if d.Categorical() && d.NumChoices > MaxChoices {
-		return nil, fmt.Errorf("dataset %q: %d choices overflow uint16 label codes (at most %d)", d.Name, d.NumChoices, MaxChoices)
-	}
 	c := &CSR{
 		NumTasks:     d.NumTasks,
 		NumWorkers:   d.NumWorkers,

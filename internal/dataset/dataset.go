@@ -101,6 +101,39 @@ func New(name string, typ TaskType, numChoices, numTasks, numWorkers int, answer
 // dataset has no index.
 func (d *Dataset) Build() error {
 	d.csr = nil
+	if err := d.checkShape(); err != nil {
+		return err
+	}
+	c, err := extendCSR(d, emptyCSR, d.Answers)
+	if err != nil {
+		return err
+	}
+	if err := d.checkTruths(); err != nil {
+		return err
+	}
+	d.csr = c
+	return nil
+}
+
+// Validate checks the dataset by Build's rules (the ranges, the task type
+// and choice count, every answer and every truth) without building its
+// answer index.
+func (d *Dataset) Validate() error {
+	if err := d.checkShape(); err != nil {
+		return err
+	}
+	for i, a := range d.Answers {
+		if err := d.CheckAnswer(a); err != nil {
+			return fmt.Errorf("answer %d: %w", i, err)
+		}
+	}
+	return d.checkTruths()
+}
+
+// checkShape validates the declared ranges, task type and choice count
+// (at most MaxChoices, the CSR's uint16 label codes), and normalizes ℓ
+// to 2 for decision tasks and to 0 for numeric ones.
+func (d *Dataset) checkShape() error {
 	if d.NumTasks < 0 || d.NumWorkers < 0 {
 		return errors.New("dataset: negative task or worker count")
 	}
@@ -113,22 +146,14 @@ func (d *Dataset) Build() error {
 			return fmt.Errorf("dataset %q: decision tasks need exactly 2 choices, got %d", d.Name, d.NumChoices)
 		}
 	case SingleChoice:
-		if d.NumChoices < 2 {
-			return fmt.Errorf("dataset %q: single-choice tasks need >=2 choices, got %d", d.Name, d.NumChoices)
+		if d.NumChoices < 2 || d.NumChoices > MaxChoices {
+			return fmt.Errorf("dataset %q: single-choice tasks need 2 to %d choices, got %d", d.Name, MaxChoices, d.NumChoices)
 		}
 	case Numeric:
 		d.NumChoices = 0
 	default:
 		return fmt.Errorf("dataset %q: unknown task type %d", d.Name, int(d.Type))
 	}
-	c, err := extendCSR(d, emptyCSR, d.Answers)
-	if err != nil {
-		return err
-	}
-	if err := d.checkTruths(); err != nil {
-		return err
-	}
-	d.csr = c
 	return nil
 }
 

@@ -37,7 +37,6 @@ package stream
 import (
 	"fmt"
 	"maps"
-	"slices"
 	"sync"
 
 	"truthinference/internal/dataset"
@@ -149,11 +148,14 @@ func NewStoreN(name string, typ dataset.TaskType, numChoices, _ int) (*Store, er
 
 // NewStoreAt builds a store whose state is exactly d at the given
 // version — the recovery constructor internal/stream/wal uses to resume
-// from a snapshot before replaying newer WAL records on top. The store
-// copies d's answers and truths, so d stays the caller's.
+// from a snapshot before replaying newer WAL records on top, and the
+// preload constructor. It copies nothing: the store takes over d's
+// answers, capacity-clipped so its appends never write into d's array,
+// and d's truth map, which later ingests write to. d must not be used
+// afterwards.
 func NewStoreAt(d *dataset.Dataset, version uint64) *Store {
 	s := &Store{name: d.Name, typ: d.Type, numChoices: d.NumChoices,
-		log: slices.Clone(d.Answers), truth: maps.Clone(d.Truth),
+		log: d.Answers[:len(d.Answers):len(d.Answers)], truth: d.Truth,
 		version: version, tasks: d.NumTasks, workers: d.NumWorkers}
 	if s.truth == nil {
 		s.truth = map[int]float64{}

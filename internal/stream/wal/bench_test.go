@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"path/filepath"
 	"testing"
 
 	"truthinference/internal/simulate"
@@ -19,5 +20,25 @@ func BenchmarkCompactionEncode(b *testing.B) {
 		if _, err := encodeSnapshot(store.Contents()); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkRecoverSnapshot measures what recovery runs before it replays
+// the log, on the same data: ReadSnapshot (read, CRC check, decode and
+// validation, with no index built) and NewStoreAt over the decoded
+// dataset, which copies nothing.
+func BenchmarkRecoverSnapshot(b *testing.B) {
+	path := filepath.Join(b.TempDir(), "store.snap")
+	if err := WriteSnapshot(path, simulate.Generate(simulate.SRel, 1), 1); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d, version, err := ReadSnapshot(path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		stream.NewStoreAt(d, version)
 	}
 }
