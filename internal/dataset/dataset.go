@@ -277,27 +277,6 @@ func (d *Dataset) Redundancy() float64 {
 	return float64(len(d.Answers)) / float64(d.NumTasks)
 }
 
-// Clone returns a deep copy of the dataset with its own answer index.
-func (d *Dataset) Clone() *Dataset {
-	cp := &Dataset{
-		Name:       d.Name,
-		Type:       d.Type,
-		NumChoices: d.NumChoices,
-		NumTasks:   d.NumTasks,
-		NumWorkers: d.NumWorkers,
-		Answers:    append([]Answer(nil), d.Answers...),
-		Truth:      make(map[int]float64, len(d.Truth)),
-	}
-	for k, v := range d.Truth {
-		cp.Truth[k] = v
-	}
-	if err := cp.Build(); err != nil {
-		// A valid dataset always clones to a valid dataset.
-		panic("dataset: Clone of valid dataset failed: " + err.Error())
-	}
-	return cp
-}
-
 // SampleRedundancy returns a new dataset in which every task keeps at most
 // r of its answers, selected uniformly at random — the construction used
 // for the redundancy sweeps behind Figures 4, 5 and 6. Truth is carried

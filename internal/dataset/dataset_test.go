@@ -108,16 +108,6 @@ func TestIndices(t *testing.T) {
 	}
 }
 
-func TestCloneIsDeep(t *testing.T) {
-	d := small(t)
-	cp := d.Clone()
-	cp.Answers[0].Value = 0
-	cp.Truth[0] = 0
-	if d.Answers[0].Value != 1 || d.Truth[0] != 1 {
-		t.Error("Clone shares state with the original")
-	}
-}
-
 func TestSampleRedundancy(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	n := 40

@@ -127,31 +127,6 @@ func Digamma(x float64) float64 {
 	return result
 }
 
-// Trigamma returns ψ'(x), the derivative of the digamma function.
-func Trigamma(x float64) float64 {
-	if math.IsNaN(x) || math.IsInf(x, 0) {
-		return x
-	}
-	if x <= 0 {
-		if x == math.Trunc(x) {
-			return math.NaN()
-		}
-		// ψ'(1-x) + ψ'(x) = π²/sin²(πx)
-		s := math.Sin(math.Pi * x)
-		return math.Pi*math.Pi/(s*s) - Trigamma(1-x)
-	}
-	var result float64
-	for x < 6 {
-		result += 1 / (x * x)
-		x++
-	}
-	inv := 1 / x
-	inv2 := inv * inv
-	// ψ'(x) ≈ 1/x + 1/(2x²) + Σ B_{2n}/x^{2n+1}
-	result += inv * (1 + 0.5*inv + inv2*(1.0/6-inv2*(1.0/30-inv2*(1.0/42-inv2*1.0/30))))
-	return result
-}
-
 // GammaIncReg returns the regularized lower incomplete gamma function
 // P(a, x) = γ(a, x)/Γ(a) for a > 0, x ≥ 0. It uses the power series for
 // x < a+1 and the continued fraction for the upper tail otherwise.

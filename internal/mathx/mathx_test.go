@@ -192,19 +192,6 @@ func TestDigammaRecurrence(t *testing.T) {
 	}
 }
 
-func TestTrigammaRecurrenceAndKnown(t *testing.T) {
-	if got := Trigamma(1); !almost(got, math.Pi*math.Pi/6, 1e-10) {
-		t.Errorf("Trigamma(1) = %v, want π²/6", got)
-	}
-	f := func(raw float64) bool {
-		x := math.Mod(math.Abs(raw), 50) + 0.01
-		return almost(Trigamma(x+1), Trigamma(x)-1/(x*x), 1e-8)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestGammaIncRegKnownValues(t *testing.T) {
 	// P(1, x) = 1 - e^{-x} (exponential CDF).
 	for _, x := range []float64{0.1, 1, 2, 5, 10} {
