@@ -119,7 +119,7 @@ func DecodeSection(data []byte, maxDim uint64) (numTasks, numWorkers int, answer
 }
 
 // UnmarshalDataset decodes a dataset marshaled with MarshalBinary and
-// validates it by Build's rules (Validate). It builds no answer index:
+// validates it by Build's rules. It builds no answer index:
 // call Build before reading one.
 func UnmarshalDataset(data []byte) (*Dataset, error) {
 	c := cursor{data: data}
@@ -142,7 +142,7 @@ func UnmarshalDataset(data []byte) (*Dataset, error) {
 	if d.NumTasks, d.NumWorkers, d.Answers, d.Truth, err = DecodeSection(data[c.off:], maxBinaryDim); err != nil {
 		return nil, fmt.Errorf("dataset: %w", err)
 	}
-	if err := d.Validate(); err != nil {
+	if err := d.validate(); err != nil {
 		return nil, err
 	}
 	return d, nil

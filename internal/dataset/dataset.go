@@ -115,10 +115,10 @@ func (d *Dataset) Build() error {
 	return nil
 }
 
-// Validate checks the dataset by Build's rules (the ranges, the task type
+// validate checks the dataset by Build's rules (the ranges, the task type
 // and choice count, every answer and every truth) without building its
 // answer index.
-func (d *Dataset) Validate() error {
+func (d *Dataset) validate() error {
 	if err := d.checkShape(); err != nil {
 		return err
 	}

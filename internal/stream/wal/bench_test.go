@@ -23,6 +23,10 @@ func BenchmarkCompactionEncode(b *testing.B) {
 	}
 }
 
+// recovered keeps BenchmarkRecoverSnapshot's store live, so the measured
+// call cannot be optimized away.
+var recovered *stream.Store
+
 // BenchmarkRecoverSnapshot measures what recovery runs before it replays
 // the log, on the same data: ReadSnapshot (read, CRC check, decode and
 // validation, with no index built) and NewStoreAt over the decoded
@@ -39,6 +43,6 @@ func BenchmarkRecoverSnapshot(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		stream.NewStoreAt(d, version)
+		recovered = stream.NewStoreAt(d, version)
 	}
 }

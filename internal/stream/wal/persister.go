@@ -77,13 +77,10 @@ type pendingRec struct {
 //
 // # Log failures are final
 //
-// A failed log append or fsync is never retried. After a failed fsync
-// the kernel may have dropped the dirty pages and cleared the error, so
-// a second fsync can succeed without the records being on disk. The
-// Persister keeps the first such failure, and from then on Record and
-// Sync return it, as does SyncTo for any version past the durable
-// watermark. Nothing clears it: the Service halts ingest on the failed
-// Record, and only recovery from disk moves on.
+// The first failed log append or fsync is kept and never retried: after
+// a failed fsync the kernel may drop the dirty pages and clear the
+// error, so a retry could succeed with the records lost. From then on
+// Record and Sync return it, as does SyncTo past the durable watermark.
 type Persister struct {
 	mu         sync.Mutex
 	idle       sync.Cond // signalled when a background compaction finishes
