@@ -412,14 +412,13 @@ func (l *Ledger) collusionSweepLocked() {
 	if d.spec.CollusionThreshold == 0 || len(d.byTask) == 0 || len(l.post) == 0 {
 		return
 	}
-	ell := l.ell
 	type pairStat struct{ overlap, agree, wrong int }
 	pairs := map[[2]int]*pairStat{}
 	for t, answers := range d.byTask {
-		if t < 0 || (t+1)*ell > len(l.post) || len(answers) < 2 {
+		if t < 0 || (t+1)*l.ell > len(l.post) || len(answers) < 2 {
 			continue
 		}
-		row := l.post[t*ell : (t+1)*ell]
+		row := l.post[t*l.ell : (t+1)*l.ell]
 		consensus := 0
 		for k, p := range row {
 			if p > row[consensus] {

@@ -119,8 +119,8 @@ func DecodeSection(data []byte, maxDim uint64) (numTasks, numWorkers int, answer
 }
 
 // UnmarshalDataset decodes a dataset marshaled with MarshalBinary and
-// validates it by Build's rules. It builds no answer index:
-// call Build before reading one.
+// validates it by Build's rules. It builds no answer index: call Build
+// before reading one.
 func UnmarshalDataset(data []byte) (*Dataset, error) {
 	c := cursor{data: data}
 	if string(c.take(len(binaryMagic))) != binaryMagic {
