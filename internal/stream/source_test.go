@@ -331,6 +331,75 @@ func TestPosteriorsDeltaReadBesideIngest(t *testing.T) {
 	t.Logf("%d reads compared at a matching version", compared)
 }
 
+// TestAnswersSince pins the store's delta walk, Pin's prefix past a log
+// index: log[k:] holds exactly the answers at log index k or later, in
+// ingestion order, at the version Pin reports; counts built from a walk
+// from 0 equal a snapshot's task degrees; and a follower that resumes
+// each walk at the length of its last pin visits every answer exactly
+// once. TestStoreConcurrentStress runs such a follower beside writers.
+func TestAnswersSince(t *testing.T) {
+	// A numeric store lets each answer's value be its log index.
+	store, err := NewStore("since", dataset.Numeric, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	visits := map[int]int{}
+	next := 0
+	follow := func() {
+		_, log := store.Pin()
+		for _, a := range log[next:] {
+			visits[int(a.Value)]++
+		}
+		next = len(log)
+	}
+	const total, batchLen = 1000, 50
+	for i := 0; i < total; i += batchLen {
+		batch := make([]dataset.Answer, batchLen)
+		for j := range batch {
+			batch[j] = dataset.Answer{Task: (i + j) * 37 % 301, Worker: (i + j) % 11, Value: float64(i + j)}
+		}
+		if _, _, err := store.Ingest(Batch{Answers: batch}); err != nil {
+			t.Fatal(err)
+		}
+		if i%(3*batchLen) == 0 {
+			follow()
+		}
+	}
+	snap, version := store.Snapshot()
+	pinned, log := store.Pin()
+	if pinned != version || version != total/batchLen || len(log) != total {
+		t.Fatalf("Pin at version %d with %d answers, snapshot version %d, want version %d with %d answers",
+			pinned, len(log), version, total/batchLen, total)
+	}
+	for _, from := range []int{0, 1, 499, total - 1, total} {
+		for k, a := range log[from:] {
+			if a != snap.Answers[from+k] || int(a.Value) != from+k {
+				t.Fatalf("walk from %d: answer %d is %+v, want log index %d, %+v",
+					from, k, a, from+k, snap.Answers[from+k])
+			}
+		}
+	}
+	counts := make([]int, snap.NumTasks)
+	for _, a := range log {
+		counts[a.Task]++
+	}
+	for task := range counts {
+		if want := len(snap.TaskAnswers(task)); counts[task] != want {
+			t.Errorf("task %d: counted %d answers, snapshot degree %d", task, counts[task], want)
+		}
+	}
+
+	follow()
+	if next != total || len(visits) != total {
+		t.Fatalf("follower ended at %d having visited %d distinct answers, want %d", next, len(visits), total)
+	}
+	for id, n := range visits {
+		if n != 1 {
+			t.Fatalf("answer %d visited %d times", id, n)
+		}
+	}
+}
+
 // TestStatsReportsDurability pins the operator-facing stats additions:
 // WAL status when a stats-capable persister is attached.
 func TestStatsReportsDurability(t *testing.T) {
